@@ -38,31 +38,36 @@ let expansion_of_anchor g (n : Graph.node) =
     | _ -> 1.)
   | _ -> 1.
 
-let finish g group_nodes =
+(* [owner.(id)] is the index of the group node [id] was placed in (-1
+   when none yet), so "is this input produced inside the group?" is one
+   array read and the whole partition is linear in nodes + edges *)
+let finish g owner index group_nodes =
   match group_nodes with
   | [] -> None
   | first :: _ ->
+    List.iter (fun (n : Graph.node) -> owner.(n.id) <- index) group_nodes;
     let anchor = if is_anchor first then Some first else None in
     let tag =
       match anchor with Some a -> a.node_name | None -> first.node_name
     in
     let precision = first.dtype in
-    let workloads = List.map (Workload.of_node g) group_nodes in
-    let combined = List.fold_left Workload.combine Workload.zero workloads in
-    (* external input bytes: tensors produced outside the group *)
-    let ids = List.map (fun (n : Graph.node) -> n.id) group_nodes in
-    let input_bytes =
+    (* one pass in node order (the float sum of vector work depends on
+       it): the workload fold, the external input bytes (tensors
+       produced outside the group) and the last node, whose product is
+       the group's external output (its consumers are outside) *)
+    let combined, input_bytes, last =
       List.fold_left
-        (fun acc (n : Graph.node) ->
-          List.fold_left
-            (fun acc i ->
-              if List.mem i ids then acc
-              else acc + Shape.bytes (Graph.find g i).out_shape ~dtype:n.dtype)
-            acc n.inputs)
-        0 group_nodes
+        (fun (w, bytes, _) (n : Graph.node) ->
+          let bytes =
+            List.fold_left
+              (fun acc i ->
+                if owner.(i) = index then acc
+                else acc + Shape.bytes (Graph.find g i).out_shape ~dtype:n.dtype)
+              bytes n.inputs
+          in
+          (Workload.combine w (Workload.of_node g n), bytes, n))
+        (Workload.zero, 0, first) group_nodes
     in
-    (* external output: the last node's product (consumers are outside) *)
-    let last = List.nth group_nodes (List.length group_nodes - 1) in
     let output_bytes = Shape.bytes last.out_shape ~dtype:last.dtype in
     let img2col_expansion =
       match anchor with Some a -> expansion_of_anchor g a | None -> 1.
@@ -82,24 +87,22 @@ let finish g group_nodes =
       }
 
 let partition g =
-  let interesting =
-    List.filter (fun n -> not (is_bookkeeping n)) (Graph.nodes g)
+  let owner = Array.make (Graph.node_count g) (-1) in
+  let groups = ref 0 in
+  let close acc current =
+    incr groups;
+    match finish g owner !groups (List.rev current) with
+    | Some grp -> grp :: acc
+    | None -> acc
   in
   let rec split acc current = function
-    | [] -> List.rev (match finish g (List.rev current) with
-      | Some grp -> grp :: acc
-      | None -> acc)
+    | [] -> List.rev (close acc current)
+    | n :: rest when is_bookkeeping n -> split acc current rest
     | n :: rest ->
-      if is_anchor n then
-        let acc =
-          match finish g (List.rev current) with
-          | Some grp -> grp :: acc
-          | None -> acc
-        in
-        split acc [ n ] rest
+      if is_anchor n then split (close acc current) [ n ] rest
       else split acc (n :: current) rest
   in
-  split [] [] interesting
+  split [] [] (Graph.nodes g)
 
 let of_workloads ~tag ~precision (w : Workload.t) =
   {

@@ -26,8 +26,10 @@ type t = {
 }
 
 val partition : Ascend_nn.Graph.t -> t list
-(** Input/Output/Reshape-style bookkeeping nodes are dropped from group
-    workloads but kept in [nodes] for traceability. *)
+(** Input/Output/Reshape-style bookkeeping nodes join no group: they are
+    in no group's [nodes] and add nothing to its workload (a tensor read
+    through one counts as external input bytes).
+    Linear in nodes + edges. *)
 
 val of_workloads :
   tag:string -> precision:Ascend_arch.Precision.t ->

@@ -83,9 +83,7 @@ let create ?(capacity = 4096) ?dir () =
 let capacity t = t.capacity
 let dir t = t.dir
 
-let locked t f =
-  Mutex.lock t.mutex;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
+let locked t f = Mutex.protect t.mutex f
 
 let evict_lru t =
   (* linear scan; eviction is rare (capacity-bound) and the table is at

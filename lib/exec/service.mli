@@ -59,7 +59,9 @@ val key :
 (** The content address of one compile+simulate job, as 16 hex digits.
     Covers every configuration, group and option field that shapes the
     generated program or its simulation; the group's [nodes] list is
-    excluded (bookkeeping only). *)
+    excluded (bookkeeping only).  {!run_groups} derives the same
+    addresses but folds the configuration and options once per service
+    (for the last pair it keyed) and only the group per key. *)
 
 val run_groups :
   t -> ?options:Ascend_compiler.Codegen.options -> Ascend_arch.Config.t ->

@@ -9,31 +9,84 @@ type node = {
   dtype : Ascend_arch.Precision.t;
 }
 
+(* Nodes live in fixed-size chunks indexed by id (ids are dense and
+   equal creation order), so [find] is two array reads.  A chunk is small
+   enough for the minor heap and is never copied; only the chunk
+   directory grows.  Slots at or past [count] hold [filler] and are
+   never read. *)
+let chunk_bits = 6
+let chunk_size = 1 lsl chunk_bits
+
 type t = {
   graph_name : string;
   graph_dtype : Ascend_arch.Precision.t;
-  mutable rev_nodes : node list;
+  mutable chunks : node array array;
   mutable count : int;
+  (* the reverse edges: one newest-first consumer-id list per node, built
+     on the first [consumers] call and again if nodes were added since.
+     Domains racing to build it each store a complete, equal index. *)
+  mutable consumer_ids : int list array;
 }
 
+let filler =
+  { id = -1; node_name = ""; op = Op.Input; inputs = []; out_shape = Shape.scalar;
+    dtype = Ascend_arch.Precision.Fp16 }
+
 let create ~name ~dtype =
-  { graph_name = name; graph_dtype = dtype; rev_nodes = []; count = 0 }
+  { graph_name = name; graph_dtype = dtype; chunks = [||]; count = 0;
+    consumer_ids = [||] }
 
 let name t = t.graph_name
 let dtype t = t.graph_dtype
-let nodes t = List.rev t.rev_nodes
 let node_count t = t.count
+let slot t id = t.chunks.(id lsr chunk_bits).(id land (chunk_size - 1))
+
+let nodes t =
+  let rec go acc i = if i < 0 then acc else go (slot t i :: acc) (i - 1) in
+  go [] (t.count - 1)
 
 let find t id =
-  match List.find_opt (fun n -> n.id = id) t.rev_nodes with
-  | Some n -> n
-  | None -> invalid_arg (Printf.sprintf "Graph.find: no node %d" id)
+  if id < 0 || id >= t.count then
+    invalid_arg (Printf.sprintf "Graph.find: no node %d" id);
+  slot t id
+
+let consumer_index t =
+  if Array.length t.consumer_ids <> t.count then begin
+    let ids = Array.make t.count [] in
+    for c = 0 to t.count - 1 do
+      List.iter
+        (fun i ->
+          (* a node reading [i] twice is listed once *)
+          match ids.(i) with
+          | c' :: _ when c' = c -> ()
+          | cs -> ids.(i) <- c :: cs)
+        (slot t c).inputs
+    done;
+    t.consumer_ids <- ids
+  end;
+  t.consumer_ids
 
 let consumers t id =
-  List.filter (fun n -> List.mem id n.inputs) (nodes t)
+  if id < 0 || id >= t.count then []
+  else List.rev_map (slot t) (consumer_index t).(id)
 
 let outputs t =
   List.filter (fun n -> match n.op with Op.Output -> true | _ -> false) (nodes t)
+
+let push t node =
+  let id = t.count in
+  let c = id lsr chunk_bits and i = id land (chunk_size - 1) in
+  if i = 0 then begin
+    if c = Array.length t.chunks then begin
+      let chunks = Array.make (max 4 (2 * c)) [||] in
+      Array.blit t.chunks 0 chunks 0 c;
+      t.chunks <- chunks
+    end;
+    t.chunks.(c) <- Array.make chunk_size filler
+  end;
+  t.chunks.(c).(i) <- node;
+  t.count <- id + 1;
+  id
 
 let add_node t ?name ~op inputs =
   List.iter
@@ -56,22 +109,16 @@ let add_node t ?name ~op inputs =
   let node_name =
     match name with Some n -> n | None -> Printf.sprintf "%s_%d" (Op.name op) id
   in
-  t.rev_nodes <-
-    { id; node_name; op; inputs; out_shape; dtype = t.graph_dtype } :: t.rev_nodes;
-  t.count <- id + 1;
-  id
+  push t { id; node_name; op; inputs; out_shape; dtype = t.graph_dtype }
 
 let input t ?name shape =
   let id = t.count in
   let node_name =
     match name with Some n -> n | None -> Printf.sprintf "input_%d" id
   in
-  t.rev_nodes <-
+  push t
     { id; node_name; op = Op.Input; inputs = []; out_shape = shape;
       dtype = t.graph_dtype }
-    :: t.rev_nodes;
-  t.count <- id + 1;
-  id
 
 let conv2d_rect t ?name ?(stride = 1) ?(padding = 0) ?(groups = 1) ~cout ~kh ~kw x =
   add_node t ?name ~op:(Op.Conv2d { cout; kh; kw; stride; padding; groups }) [ x ]

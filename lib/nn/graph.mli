@@ -21,8 +21,15 @@ val nodes : t -> node list
 (** In topological (creation) order. *)
 
 val node_count : t -> int
+
 val find : t -> int -> node
+(** O(1).  Raises [Invalid_argument] for an id the graph does not hold. *)
+
 val consumers : t -> int -> node list
+(** The nodes reading [id], in creation order, each once; [[]] for an
+    unknown id.  The first call indexes every edge (linear); later calls
+    cost the node's out-degree until the graph grows again. *)
+
 val outputs : t -> node list
 
 (** {2 Builders} — each returns the new node's id.  [?name] defaults to

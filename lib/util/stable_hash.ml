@@ -13,6 +13,9 @@ let empty = fnv_offset
 let byte (h : t) b =
   Int64.mul (Int64.logxor h (Int64.of_int (b land 0xff))) fnv_prime
 
+(* The folds loop over a local [ref] that no closure captures, which
+   ocamlopt keeps as an unboxed int64: the only allocation is the digest
+   each call returns. *)
 let int64 h v =
   let h = ref h in
   for shift = 0 to 7 do
@@ -28,7 +31,9 @@ let char h c = byte h (Char.code c)
 let string h s =
   (* length first, so ["ab";"c"] and ["a";"bc"] fold differently *)
   let h = ref (int h (String.length s)) in
-  String.iter (fun c -> h := char !h c) s;
+  for i = 0 to String.length s - 1 do
+    h := char !h (String.unsafe_get s i)
+  done;
   !h
 
 let option f h = function
@@ -39,4 +44,8 @@ let list f h l = List.fold_left f (int h (List.length l)) l
 
 let pair f g h (a, b) = g (f h a) b
 
-let to_hex h = Printf.sprintf "%016Lx" h
+let hex_digits = "0123456789abcdef"
+
+let to_hex h =
+  String.init 16 (fun i ->
+      hex_digits.[Int64.to_int (Int64.shift_right_logical h (60 - (4 * i))) land 0xf])

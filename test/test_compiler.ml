@@ -178,6 +178,99 @@ let test_fusion_expansion () =
       grp.Fusion.img2col_expansion
   | _ -> Alcotest.fail "one group expected"
 
+(* The partition spelled out the direct way — group membership by
+   [List.mem], the last node by [List.nth] — as the reference the linear
+   [Fusion.partition] must reproduce field for field, [nodes] included. *)
+let reference_partition g =
+  let interesting =
+    List.filter
+      (fun (n : Graph.node) ->
+        match n.op with
+        | Ascend.Nn.Op.Input | Ascend.Nn.Op.Output | Ascend.Nn.Op.Reshape _ ->
+          false
+        | _ -> true)
+      (Graph.nodes g)
+  in
+  let runs =
+    List.fold_left
+      (fun runs (n : Graph.node) ->
+        match runs with
+        | current :: rest when not (Ascend.Nn.Op.is_cube_op n.op) ->
+          (n :: current) :: rest
+        | _ -> [ n ] :: runs)
+      [] interesting
+    |> List.rev_map List.rev
+  in
+  List.map
+    (fun (nodes : Graph.node list) ->
+      let first = List.hd nodes in
+      let anchored = Ascend.Nn.Op.is_cube_op first.op in
+      let w =
+        List.fold_left
+          (fun acc n -> Ascend.Nn.Workload.combine acc (Ascend.Nn.Workload.of_node g n))
+          Ascend.Nn.Workload.zero nodes
+      in
+      let ids = List.map (fun (n : Graph.node) -> n.id) nodes in
+      let input_bytes =
+        List.fold_left
+          (fun acc (n : Graph.node) ->
+            List.fold_left
+              (fun acc i ->
+                if List.mem i ids then acc
+                else acc + Shape.bytes (Graph.find g i).out_shape ~dtype:n.dtype)
+              acc n.inputs)
+          0 nodes
+      in
+      let last = List.nth nodes (List.length nodes - 1) in
+      let img2col_expansion =
+        match (first.op, first.inputs) with
+        | Ascend.Nn.Op.Conv2d { kh; kw; _ }, [ x ] when anchored ->
+          let input = (Graph.find g x).out_shape in
+          float_of_int
+            (Shape.dim first.out_shape 2 * Shape.dim first.out_shape 3 * kh * kw)
+          /. float_of_int (Shape.dim input 2 * Shape.dim input 3)
+        | _ -> 1.
+      in
+      {
+        Fusion.tag = first.node_name;
+        kind = (if anchored then Fusion.Cube_anchored else Fusion.Vector_only);
+        nodes;
+        gemms = w.gemms;
+        vector_elems = w.vector_elems;
+        input_bytes;
+        weight_bytes = w.weight_bytes;
+        output_bytes = Shape.bytes last.out_shape ~dtype:last.dtype;
+        img2col_expansion;
+        precision = first.dtype;
+      })
+    runs
+
+let test_fusion_matches_reference_on_zoo () =
+  List.iter
+    (fun (name, g) ->
+      let got = Fusion.partition g and want = reference_partition g in
+      Alcotest.(check int) (name ^ ": group count") (List.length want)
+        (List.length got);
+      List.iter2
+        (fun (a : Fusion.t) (b : Fusion.t) ->
+          if a <> b then Alcotest.failf "%s: group %s differs" name b.tag)
+        got want)
+    [
+      ("resnet50", Ascend.Nn.Resnet.v1_5 ~batch:2 ());
+      ("mobilenet", Ascend.Nn.Mobilenet.v2 ());
+      ("vgg16", Ascend.Nn.Vgg.v16 ());
+      ("bert-base", Ascend.Nn.Bert.base ~batch:3 ~seq_len:32 ());
+      ("gesture", Ascend.Nn.Gesture.build ());
+      ("siamese", Ascend.Nn.Siamese.build ());
+      ("wide-deep", Ascend.Nn.Wide_deep.default ());
+      ("pointnet", Ascend.Nn.Pointnet.build ());
+      ("face-detect", Ascend.Nn.Face_detect.build ());
+      ("fpn-detector", Ascend.Nn.Fpn_detector.build ());
+      ("llm-prefill", Ascend.Nn.Llm.prefill ~seq_len:16 Ascend.Nn.Llm.tiny_config);
+      ("llm-decode",
+       Ascend.Nn.Llm.decode ~batch:2 ~cache_len:40 Ascend.Nn.Llm.tiny_config);
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* Codegen: generated programs are valid and deadlock-free            *)
 
@@ -592,6 +685,8 @@ let () =
           Alcotest.test_case "mobilenet vector work" `Quick
             test_fusion_mobilenet_has_vector_only_work;
           Alcotest.test_case "img2col expansion" `Quick test_fusion_expansion;
+          Alcotest.test_case "matches reference on zoo" `Quick
+            test_fusion_matches_reference_on_zoo;
         ] );
       ( "codegen",
         [

@@ -153,6 +153,77 @@ let test_key_covers_options_and_config () =
   Alcotest.(check bool)
     "group keyed" true (default <> Service.key Config.max other)
 
+(* Every content address of the zoo — 10 models x 5 cores x 3 option
+   sets, 4,230 keys — folded into one pinned MD5: the fold order, the
+   fields folded and the fused-group summaries must never drift, since a
+   drift orphans every disk-tier cache entry. *)
+let test_key_zoo_digest_pinned () =
+  let models =
+    [
+      Ascend.Nn.Resnet.v1_5 ~batch:2 (); Ascend.Nn.Mobilenet.v2 ();
+      Ascend.Nn.Bert.base ~batch:3 ~seq_len:32 (); Ascend.Nn.Gesture.build ();
+      Ascend.Nn.Siamese.build (); Ascend.Nn.Wide_deep.default ();
+      Ascend.Nn.Pointnet.build (); Ascend.Nn.Face_detect.build ();
+      Ascend.Nn.Fpn_detector.build ();
+      Ascend.Nn.Llm.decode ~batch:2 ~cache_len:40 Ascend.Nn.Llm.tiny_config;
+    ]
+  in
+  let options =
+    [
+      Codegen.default_options;
+      { Codegen.default_options with Codegen.sync_mode = Codegen.Coarse_barriers };
+      { Codegen.default_options with
+        Codegen.weight_sparsity = Some 0.5;
+        double_buffer = false };
+    ]
+  in
+  let keys =
+    List.concat_map
+      (fun g ->
+        let groups = Fusion.partition g in
+        List.concat_map
+          (fun core ->
+            List.concat_map
+              (fun options -> List.map (Service.key ~options core) groups)
+              options)
+          Config.all)
+      models
+  in
+  Alcotest.(check int) "key count" 4230 (List.length keys);
+  Alcotest.(check string) "zoo key digest" "bb9e291edcd0ff678381f246c7a6b65c"
+    (Digest.to_hex (Digest.string (String.concat "," keys)))
+
+let test_service_prefix_follows_config () =
+  (* one service keyed under alternating cores and options must price
+     each pair exactly as a fresh service does: a stale key prefix would
+     serve one core's results for another *)
+  let g = Ascend.Nn.Gesture.build () in
+  let coarse =
+    { Codegen.default_options with Codegen.sync_mode = Codegen.Coarse_barriers }
+  in
+  let fresh options core =
+    let svc = Service.create ~jobs:1 () in
+    let r = render (ok (Service.run_inference svc ~options core g)) in
+    Service.shutdown svc;
+    r
+  in
+  let shared = Service.create ~jobs:1 () in
+  List.iter
+    (fun (options, core) ->
+      Alcotest.(check string)
+        (core.Config.name ^ " through a shared service")
+        (fresh options core)
+        (render (ok (Service.run_inference shared ~options core g))))
+    [
+      (Codegen.default_options, Config.max); (Codegen.default_options, Config.lite);
+      (coarse, Config.lite); (Codegen.default_options, Config.max);
+      (coarse, Config.max);
+    ];
+  let s = Service.stats shared in
+  Service.shutdown shared;
+  let groups = List.length (Fusion.partition g) in
+  Alcotest.(check int) "the repeated pair hits" groups s.Cache.hits
+
 (* ------------------------------------------------------------------ *)
 (* Service: hit/miss accounting and result reuse                       *)
 
@@ -306,6 +377,9 @@ let () =
         ] );
       ( "key",
         [
+          Alcotest.test_case "zoo digest pinned" `Quick test_key_zoo_digest_pinned;
+          Alcotest.test_case "prefix follows config" `Quick
+            test_service_prefix_follows_config;
           Alcotest.test_case "covers options and config" `Quick
             test_key_covers_options_and_config;
         ] );

@@ -45,6 +45,32 @@ let test_graph_without_output_invalid () =
     Alcotest.(check string) "message" "graph has no output node" e
   | Ok () -> Alcotest.fail "should be invalid"
 
+(* random DAGs of same-shaped elementwise nodes, each reading one or
+   two earlier nodes (sometimes the same one twice): [find] must return
+   node [id] itself and [consumers] must agree with a scan of [nodes] *)
+let graph_index_prop =
+  QCheck.Test.make ~count:100 ~name:"find and consumers match a node scan"
+    QCheck.(list_of_size Gen.(int_range 1 80) (pair small_nat small_nat))
+    (fun picks ->
+      let g = Graph.create ~name:"t" ~dtype:Precision.Fp16 in
+      ignore (Graph.input g (Shape.vector 4));
+      List.iteri
+        (fun i (a, b) ->
+          let x = a mod (i + 1) and y = b mod (i + 1) in
+          ignore (if a mod 3 = 0 then Graph.relu g x else Graph.add g x y))
+        picks;
+      let ns = Graph.nodes g in
+      let scan id = List.filter (fun (n : Graph.node) -> List.mem id n.inputs) ns in
+      List.length ns = Graph.node_count g
+      && List.for_all
+           (fun (n : Graph.node) ->
+             Graph.find g n.id == n && Graph.consumers g n.id = scan n.id)
+           ns
+      && List.mapi (fun i _ -> i) ns = List.map (fun (n : Graph.node) -> n.id) ns
+      && Graph.consumers g (Graph.node_count g) = []
+      && (try ignore (Graph.find g (Graph.node_count g)); false
+          with Invalid_argument _ -> true))
+
 let test_matmul_shape_inference () =
   let g = Graph.create ~name:"t" ~dtype:Precision.Fp16 in
   let a = Graph.input g (Shape.of_list [ 4; 8; 16 ]) in
@@ -591,6 +617,7 @@ let () =
             test_graph_without_output_invalid;
           Alcotest.test_case "matmul inference" `Quick test_matmul_shape_inference;
           Alcotest.test_case "concat" `Quick test_concat;
+          q graph_index_prop;
         ] );
       ( "zoo",
         [
