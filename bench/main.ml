@@ -1178,7 +1178,8 @@ let fleet () =
   let module Load_gen = Ascend.Serving.Load_gen in
   let module Metrics = Ascend.Serving.Metrics in
   let duration_s = 0.25 in
-  let spec name build rate seed replicas =
+  let spec ?(process = Load_gen.Poisson) ?(duration_s = duration_s) name build
+      rate seed replicas =
     {
       Fleet.name;
       build;
@@ -1188,16 +1189,15 @@ let fleet () =
       kv_bytes = 0;
       workload =
         Serve.Open_loop
-          (Load_gen.create ~process:Load_gen.Poisson ~rate_per_s:rate
-             ~duration_s ~seed ());
+          (Load_gen.create ~process ~rate_per_s:rate ~duration_s ~seed ());
     }
   in
+  let gesture ~batch = Ascend.Nn.Gesture.build ~batch () in
+  let face_detect ~batch = Ascend.Nn.Face_detect.build ~batch () in
   let specs =
     [
-      spec "gesture" (fun ~batch -> Ascend.Nn.Gesture.build ~batch ()) 3000. 21 0;
-      spec "face-detect"
-        (fun ~batch -> Ascend.Nn.Face_detect.build ~batch ())
-        1500. 22 1;
+      spec "gesture" gesture 3000. 21 0;
+      spec "face-detect" face_detect 1500. 22 1;
     ]
   in
   let config policy =
@@ -1219,60 +1219,88 @@ let fleet () =
                 "mean util"; "wall s"; "req/s (wall)" ]
       ()
   in
+  let row pname config specs =
+    let r, wall_s =
+      time (fun () ->
+          match Fleet.run config specs with
+          | Ok r -> r
+          | Error e -> failwith e)
+    in
+    let summaries = r.Fleet.fleet_metrics.Metrics.summaries in
+    let completed =
+      List.fold_left (fun a s -> a + s.Metrics.completed) 0 summaries
+    in
+    let goodput =
+      List.fold_left (fun a s -> a +. s.Metrics.goodput_per_s) 0. summaries
+    in
+    let p99 =
+      List.fold_left (fun a s -> Float.max a s.Metrics.p99_ms) 0. summaries
+    in
+    let mean_util =
+      let u = r.Fleet.fleet_metrics.Metrics.core_utilization in
+      Array.fold_left ( +. ) 0. u /. float_of_int (max 1 (Array.length u))
+    in
+    Table.add_row t
+      [
+        pname;
+        string_of_int completed;
+        Table.cell_float ~decimals:0 goodput;
+        Table.cell_float p99;
+        string_of_int r.Fleet.total_page_ins;
+        Printf.sprintf "%.0f%%" (100. *. mean_util);
+        Table.cell_float ~decimals:3 wall_s;
+        Table.cell_float ~decimals:0 (float_of_int completed /. wall_s);
+      ];
+    Bench_json.record_int (pname ^ "_completed") completed;
+    Bench_json.record_float (pname ^ "_goodput_per_s") goodput;
+    Bench_json.record_float (pname ^ "_cross_node_p99_ms") p99;
+    Bench_json.record_int (pname ^ "_page_ins") r.Fleet.total_page_ins;
+    Bench_json.record_float (pname ^ "_mean_utilization") mean_util;
+    Bench_json.record_float (pname ^ "_requests_per_wall_s")
+      (float_of_int completed /. wall_s);
+    List.iter
+      (fun nr ->
+        let u = nr.Fleet.node_metrics.Metrics.core_utilization in
+        Bench_json.record_float
+          (Printf.sprintf "%s_node%d_utilization" pname nr.Fleet.node)
+          (Array.fold_left ( +. ) 0. u
+          /. float_of_int (max 1 (Array.length u))))
+      r.Fleet.node_reports;
+    (r, wall_s)
+  in
   List.iter
-    (fun (pname, policy) ->
-      let r, wall_s =
-        time (fun () ->
-            match Fleet.run (config policy) specs with
-            | Ok r -> r
-            | Error e -> failwith e)
-      in
-      let summaries = r.Fleet.fleet_metrics.Metrics.summaries in
-      let completed =
-        List.fold_left (fun a s -> a + s.Metrics.completed) 0 summaries
-      in
-      let goodput =
-        List.fold_left (fun a s -> a +. s.Metrics.goodput_per_s) 0. summaries
-      in
-      let p99 =
-        List.fold_left (fun a s -> Float.max a s.Metrics.p99_ms) 0. summaries
-      in
-      let mean_util =
-        let u = r.Fleet.fleet_metrics.Metrics.core_utilization in
-        Array.fold_left ( +. ) 0. u /. float_of_int (max 1 (Array.length u))
-      in
-      Table.add_row t
-        [
-          pname;
-          string_of_int completed;
-          Table.cell_float ~decimals:0 goodput;
-          Table.cell_float p99;
-          string_of_int r.Fleet.total_page_ins;
-          Printf.sprintf "%.0f%%" (100. *. mean_util);
-          Table.cell_float ~decimals:3 wall_s;
-          Table.cell_float ~decimals:0 (float_of_int completed /. wall_s);
-        ];
-      Bench_json.record_int (pname ^ "_completed") completed;
-      Bench_json.record_float (pname ^ "_goodput_per_s") goodput;
-      Bench_json.record_float (pname ^ "_cross_node_p99_ms") p99;
-      Bench_json.record_int (pname ^ "_page_ins") r.Fleet.total_page_ins;
-      Bench_json.record_float (pname ^ "_mean_utilization") mean_util;
-      Bench_json.record_float (pname ^ "_requests_per_wall_s")
-        (float_of_int completed /. wall_s);
-      List.iter
-        (fun nr ->
-          let u = nr.Fleet.node_metrics.Metrics.core_utilization in
-          Bench_json.record_float
-            (Printf.sprintf "%s_node%d_utilization" pname nr.Fleet.node)
-            (Array.fold_left ( +. ) 0. u
-            /. float_of_int (max 1 (Array.length u))))
-        r.Fleet.node_reports)
+    (fun (pname, policy) -> ignore (row pname (config policy) specs))
     Router.policies;
+  (* the event loop at a high arrival rate: 40k req/s per model, bursty,
+     round-robin over the same replication plan.  Pending arrivals sit
+     in a binary heap, so seeding the trace is O(n log n) *)
+  let high_rate_s = 0.5 in
+  let bursty = Load_gen.Bursty { factor = 4.; period_s = 0.1 } in
+  let r, wall_s =
+    row "high_rate"
+      { (config Router.Round_robin) with Fleet.duration_s = high_rate_s }
+      [
+        spec ~process:bursty ~duration_s:high_rate_s "gesture" gesture 40000.
+          21 0;
+        spec ~process:bursty ~duration_s:high_rate_s "face-detect" face_detect
+          40000. 22 1;
+      ]
+  in
+  let arrivals = List.length r.Fleet.records in
   Table.print ~align:Table.Left t;
   Format.printf
     "affinity avoids every page-in by construction; round-robin pays the \
      cold model's weight streaming on every non-home node — the routing \
-     policy is a bandwidth decision, not just a load-balancing one@."
+     policy is a bandwidth decision, not just a load-balancing one@.";
+  Format.printf
+    "high_rate: round-robin, bursty 40k req/s per model for %.1f s: %d \
+     arrivals in %.3f s wall (%.0f arrivals/s)@."
+    high_rate_s arrivals wall_s
+    (float_of_int arrivals /. wall_s);
+  Bench_json.record_int "high_rate_arrivals" arrivals;
+  Bench_json.record_float "high_rate_wall_s" wall_s;
+  Bench_json.record_float "high_rate_arrivals_per_wall_s"
+    (float_of_int arrivals /. wall_s)
 
 (* ------------------------------------------------------------------ *)
 (* LLM decode serving (lib/decode: continuous vs static batching)      *)

@@ -106,6 +106,11 @@ let exit_of = function
     prerr_endline ("error: " ^ e);
     1
 
+(* library entry points raise [Invalid_argument] on malformed input
+   (non-positive rates, durations, cores or nodes; duplicate models):
+   turn it into an [Error] so [exit_of] prints one line and exits 1 *)
+let catching_invalid f = try f () with Invalid_argument msg -> Error msg
+
 (* --- simulate ----------------------------------------------------- *)
 
 let simulate build config batch training =
@@ -365,23 +370,25 @@ let serve models core cores rates duration batch_max delay_ms queue_depth
          Load_gen.Bursty
            { factor = burst_factor; period_s = burst_period_ms /. 1e3 }
      in
-     let specs =
-       List.mapi
-         (fun i ((name, build), (rate, (slo_ms, priority))) ->
-           let model_seed = seed + (7919 * i) in
-           let workload =
-             if closed > 0 then
-               Serve.Closed_loop
-                 { clients = closed; think_s = think_ms /. 1e3;
-                   seed = model_seed }
-             else
-               Serve.Open_loop
-                 (Load_gen.create ~process ~rate_per_s:rate
-                    ~duration_s:duration ~seed:model_seed ())
-           in
-           { Serve.name; build; priority; slo_ms; workload })
-         (List.combine models
-            (List.combine rates (List.combine slos priorities)))
+     let* specs =
+       catching_invalid (fun () ->
+           Ok
+             (List.mapi
+                (fun i ((name, build), (rate, (slo_ms, priority))) ->
+                  let model_seed = seed + (7919 * i) in
+                  let workload =
+                    if closed > 0 then
+                      Serve.Closed_loop
+                        { clients = closed; think_s = think_ms /. 1e3;
+                          seed = model_seed }
+                    else
+                      Serve.Open_loop
+                        (Load_gen.create ~process ~rate_per_s:rate
+                           ~duration_s:duration ~seed:model_seed ())
+                  in
+                  { Serve.name; build; priority; slo_ms; workload })
+                (List.combine models
+                   (List.combine rates (List.combine slos priorities)))))
      in
      let config =
        {
@@ -401,10 +408,12 @@ let serve models core cores rates duration batch_max delay_ms queue_depth
          trace_path
      in
      let* r =
-       match collector with
-       | None -> Serve.run config specs
-       | Some c ->
-         Ascend.Obs.Hook.with_collector c (fun () -> Serve.run config specs)
+       catching_invalid (fun () ->
+           match collector with
+           | None -> Serve.run config specs
+           | Some c ->
+             Ascend.Obs.Hook.with_collector c (fun () ->
+                 Serve.run config specs))
      in
      Format.printf "%a" Serve.pp r;
      (match json_path with
@@ -546,9 +555,13 @@ let decode core rate duration seed process burst_factor burst_period_ms
          Load_gen.Bursty
            { factor = burst_factor; period_s = burst_period_ms /. 1e3 }
      in
-     let requests =
-       decode_requests ~rate ~duration ~seed ~process ~prompt_mean
-         ~prompt_max ~output_mean ~output_max ~fixed_prompt ~fixed_output
+     let ( let* ) = Result.bind in
+     let* requests =
+       catching_invalid (fun () ->
+           Ok
+             (decode_requests ~rate ~duration ~seed ~process ~prompt_mean
+                ~prompt_max ~output_mean ~output_max ~fixed_prompt
+                ~fixed_output))
      in
      let config mode =
        {
@@ -569,11 +582,11 @@ let decode core rate duration seed process burst_factor burst_period_ms
          trace_path
      in
      let with_obs f =
-       match collector with
-       | None -> f ()
-       | Some c -> Ascend.Obs.Hook.with_collector c f
+       catching_invalid (fun () ->
+           match collector with
+           | None -> f ()
+           | Some c -> Ascend.Obs.Hook.with_collector c f)
      in
-     let ( let* ) = Result.bind in
      let* doc =
        match mode with
        | `Continuous | `Static ->
@@ -746,35 +759,42 @@ let fleet models core nodes cores_per_node policy replicas rates duration
          Load_gen.Bursty
            { factor = burst_factor; period_s = burst_period_ms /. 1e3 }
      in
-     let specs =
-       List.mapi
-         (fun i ((name, build), (rate, (slo_ms, (priority, replicas)))) ->
-           let model_seed = seed + (7919 * i) in
-           let workload =
-             if closed > 0 then
-               Serve.Closed_loop
-                 { clients = closed; think_s = think_ms /. 1e3;
-                   seed = model_seed }
-             else
-               Serve.Open_loop
-                 (Load_gen.create ~process ~rate_per_s:rate
-                    ~duration_s:duration ~seed:model_seed ())
-           in
-           (* decode-class models reserve KV-cache working set on every
-              resident node: enough for a full batch of max-position
-              sequences; stateless classes reserve nothing *)
-           let kv_bytes =
-             if String.starts_with ~prefix:"llm" name then
-               batch_max
-               * Ascend.Nn.Llm.kv_cache_bytes Ascend.Nn.Llm.tiny_config
-                   ~tokens:Ascend.Nn.Llm.tiny_config.Ascend.Nn.Llm.max_position
-             else 0
-           in
-           { Fleet.name; build; priority; slo_ms; workload; replicas;
-             kv_bytes })
-         (List.combine models
-            (List.combine rates
-               (List.combine slos (List.combine priorities replicas))))
+     let* specs =
+       catching_invalid (fun () ->
+           Ok
+             (List.mapi
+                (fun i
+                     ((name, build), (rate, (slo_ms, (priority, replicas))))
+                   ->
+                  let model_seed = seed + (7919 * i) in
+                  let workload =
+                    if closed > 0 then
+                      Serve.Closed_loop
+                        { clients = closed; think_s = think_ms /. 1e3;
+                          seed = model_seed }
+                    else
+                      Serve.Open_loop
+                        (Load_gen.create ~process ~rate_per_s:rate
+                           ~duration_s:duration ~seed:model_seed ())
+                  in
+                  (* decode-class models reserve KV-cache working set on
+                     every resident node: enough for a full batch of
+                     max-position sequences; stateless classes reserve
+                     nothing *)
+                  let kv_bytes =
+                    let llm = Ascend.Nn.Llm.tiny_config in
+                    if String.starts_with ~prefix:"llm" name then
+                      batch_max
+                      * Ascend.Nn.Llm.kv_cache_bytes llm
+                          ~tokens:llm.Ascend.Nn.Llm.max_position
+                    else 0
+                  in
+                  { Fleet.name; build; priority; slo_ms; workload; replicas;
+                    kv_bytes })
+                (List.combine models
+                   (List.combine rates
+                      (List.combine slos
+                         (List.combine priorities replicas))))))
      in
      let config =
        {
@@ -809,15 +829,14 @@ let fleet models core nodes cores_per_node policy replicas rates duration
          trace_path
      in
      let* r =
-       (* Placement.build raises on unservable models (weights + reserved
-          KV cache over a node's HBM); surface that as a clean CLI error *)
-       try
-         match collector with
-         | None -> Fleet.run ?train config specs
-         | Some c ->
-           Ascend.Obs.Hook.with_collector c (fun () ->
-               Fleet.run ?train config specs)
-       with Invalid_argument msg -> Error msg
+       (* Placement.build also raises on unservable models (weights +
+          reserved KV cache over a node's HBM) *)
+       catching_invalid (fun () ->
+           match collector with
+           | None -> Fleet.run ?train config specs
+           | Some c ->
+             Ascend.Obs.Hook.with_collector c (fun () ->
+                 Fleet.run ?train config specs))
      in
      Format.printf "%a" Fleet.pp r;
      (match json_path with

@@ -12,6 +12,7 @@ module Fusion = Ascend_compiler.Fusion
 module Serve = Ascend_serving.Serve
 module Batcher = Ascend_serving.Batcher
 module Request = Ascend_serving.Request
+module Arrivals = Request.Arrivals
 module Metrics = Ascend_serving.Metrics
 module Cost = Ascend_serving.Cost
 
@@ -157,17 +158,6 @@ let validate ?train config specs =
       invalid_arg "Fleet.run: train nodes outside [1, nodes]";
     if tj.tj_batch < 1 then invalid_arg "Fleet.run: train batch < 1"
   | None -> ()
-
-(* sorted insertion by (arrival, id); same discipline as Serve *)
-let rec insert_arrival r = function
-  | [] -> [ r ]
-  | hd :: tl ->
-    if
-      hd.Request.arrival_s < r.Request.arrival_s -. eps
-      || (Float.abs (hd.Request.arrival_s -. r.Request.arrival_s) <= eps
-          && hd.Request.id < r.Request.id)
-    then hd :: insert_arrival r tl
-    else r :: hd :: tl
 
 (* resident weight footprint: the fused graph's weight bytes at batch 1
    (weights are batch-invariant; activations are not paged) *)
@@ -336,18 +326,17 @@ let run ?train config specs_list =
     in
     let spec_index = Hashtbl.create n_models in
     Array.iteri (fun i s -> Hashtbl.replace spec_index s.name i) specs;
-    let pending = ref [] in
+    let pending = Arrivals.create () in
     Array.iteri
       (fun i s ->
         match s.workload with
         | Serve.Open_loop gen ->
           List.iter
-            (fun t ->
-              pending := insert_arrival (fresh_request i ~arrival_s:t) !pending)
+            (fun t -> Arrivals.push pending (fresh_request i ~arrival_s:t))
             (Ascend_serving.Load_gen.arrivals gen)
         | Serve.Closed_loop { clients; _ } ->
           for _ = 1 to clients do
-            pending := insert_arrival (fresh_request i ~arrival_s:0.) !pending
+            Arrivals.push pending (fresh_request i ~arrival_s:0.)
           done)
       specs;
     let resident =
@@ -373,8 +362,7 @@ let run ?train config specs_list =
         in
         let t = finish_s +. think in
         if t < config.duration_s then
-          pending :=
-            insert_arrival (fresh_request spec_idx ~arrival_s:t) !pending
+          Arrivals.push pending (fresh_request spec_idx ~arrival_s:t)
       | _ -> ()
     in
     let price spec_idx ~batch =
@@ -528,9 +516,9 @@ let run ?train config specs_list =
     in
     let admit now =
       let rec go () =
-        match !pending with
-        | r :: rest when r.Request.arrival_s <= now +. eps ->
-          pending := rest;
+        match Arrivals.peek pending with
+        | Some r when r.Request.arrival_s <= now +. eps ->
+          ignore (Arrivals.pop pending);
           let m = Hashtbl.find spec_index r.Request.model in
           let depths = Array.init nodes total_queued in
           let n = Router.route router ~placement ~model:r.Request.model ~depths in
@@ -574,7 +562,9 @@ let run ?train config specs_list =
     let next_time now =
       let best = ref infinity in
       let consider t = if t > now +. eps && t < !best then best := t in
-      (match !pending with r :: _ -> consider r.Request.arrival_s | [] -> ());
+      (match Arrivals.peek pending with
+      | Some r -> consider r.Request.arrival_s
+      | None -> ());
       Array.iter
         (Array.iter (fun q ->
              match Batcher.deadline q with Some d -> consider d | None -> ()))

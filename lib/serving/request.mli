@@ -13,6 +13,16 @@ type t = {
   slo_s : float;       (** end-to-end latency objective *)
 }
 
+module Arrivals : Ascend_util.Heap.S with type elt = t
+(** Pending arrivals, popped in [(arrival_s, id)] order: earliest first,
+    and the lower (earlier-generated) id first among arrivals less than
+    1e-12 s apart, which count as simultaneous.  That is a strict total
+    order as long as each group of near-simultaneous arrivals lies more
+    than 1e-12 s from every other arrival; a chain of arrivals each
+    within 1e-12 s of the next but spanning more still pops
+    deterministically, in an order that depends on the push order.
+    Push and pop are O(log n). *)
+
 type outcome =
   | Completed
   | Rejected  (** shed by admission control at arrival *)

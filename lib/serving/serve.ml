@@ -3,6 +3,7 @@ module Prng = Ascend_util.Prng
 module Units = Ascend_util.Units
 module Json = Ascend_util.Json
 module Obs = Ascend_obs
+module Arrivals = Request.Arrivals
 
 type workload =
   | Open_loop of Load_gen.t
@@ -86,18 +87,6 @@ let validate config specs =
       | _ -> ())
     specs
 
-(* sorted insertion by (arrival, id); arrival lists are mostly appended
-   in order, so this stays cheap *)
-let rec insert_arrival r = function
-  | [] -> [ r ]
-  | hd :: tl ->
-    if
-      hd.Request.arrival_s < r.Request.arrival_s -. eps
-      || (Float.abs (hd.Request.arrival_s -. r.Request.arrival_s) <= eps
-          && hd.Request.id < r.Request.id)
-    then hd :: insert_arrival r tl
-    else r :: hd :: tl
-
 let run config specs =
   validate config specs;
   let specs = Array.of_list specs in
@@ -163,19 +152,19 @@ let run config specs =
   in
   let spec_index = Hashtbl.create n_models in
   Array.iteri (fun i s -> Hashtbl.replace spec_index s.name i) specs;
-  (* seed the arrival list: the whole open-loop trace, plus one request
+  (* seed the arrival heap: the whole open-loop trace, plus one request
      per closed-loop client at t=0 *)
-  let pending = ref [] in
+  let pending = Arrivals.create () in
   Array.iteri
     (fun i s ->
       match s.workload with
       | Open_loop gen ->
         List.iter
-          (fun t -> pending := insert_arrival (fresh_request i ~arrival_s:t) !pending)
+          (fun t -> Arrivals.push pending (fresh_request i ~arrival_s:t))
           (Load_gen.arrivals gen)
       | Closed_loop { clients; _ } ->
         for _ = 1 to clients do
-          pending := insert_arrival (fresh_request i ~arrival_s:0.) !pending
+          Arrivals.push pending (fresh_request i ~arrival_s:0.)
         done)
     specs;
   let core_free = Array.make config.cores 0. in
@@ -192,7 +181,7 @@ let run config specs =
       in
       let t = finish_s +. think in
       if t < config.duration_s then
-        pending := insert_arrival (fresh_request spec_idx ~arrival_s:t) !pending
+        Arrivals.push pending (fresh_request spec_idx ~arrival_s:t)
     | _ -> ()
   in
   let price spec_idx ~batch =
@@ -337,9 +326,9 @@ let run config specs =
   in
   let admit now =
     let rec go () =
-      match !pending with
-      | r :: rest when r.Request.arrival_s <= now +. eps ->
-        pending := rest;
+      match Arrivals.peek pending with
+      | Some r when r.Request.arrival_s <= now +. eps ->
+        ignore (Arrivals.pop pending);
         let i = Hashtbl.find spec_index r.Request.model in
         (match Batcher.offer queues.(i) r with
         | Batcher.Admitted ->
@@ -370,7 +359,9 @@ let run config specs =
   let next_time now =
     let best = ref infinity in
     let consider t = if t > now +. eps && t < !best then best := t in
-    (match !pending with r :: _ -> consider r.Request.arrival_s | [] -> ());
+    (match Arrivals.peek pending with
+    | Some r -> consider r.Request.arrival_s
+    | None -> ());
     Array.iter
       (fun q -> match Batcher.deadline q with Some d -> consider d | None -> ())
       queues;

@@ -191,6 +191,69 @@ let test_fleet_deterministic () =
   in
   Alcotest.(check bool) "seed changes the run" true (a <> c)
 
+(* byte identity of whole runs under every router policy.  Each digest
+   covers [Fleet.to_json] plus every request's (node, id, start, finish,
+   core); the digests were recorded before the pending arrivals moved
+   from a sorted list to a heap *)
+let test_fleet_json_digests_pinned () =
+  let with_workload workload spec = { spec with Fleet.workload } in
+  let open_with process seed =
+    Serve.Open_loop
+      (Load_gen.create ~process ~rate_per_s:600. ~duration_s:0.2 ~seed ())
+  in
+  let bursty = Load_gen.Bursty { factor = 4.; period_s = 0.05 } in
+  let pair workload =
+    [ open_spec "gesture" gesture |> with_workload (workload 3);
+      open_spec ~replicas:1 "face-detect" face_detect
+      |> with_workload (workload 4) ]
+  in
+  let closed think_s seed =
+    Serve.Closed_loop { clients = 6; think_s; seed }
+  in
+  let configs =
+    List.map
+      (fun (name, policy) ->
+        (name ^ " bursty", small_config ~policy (), pair (open_with bursty)))
+      [ ("round-robin", Router.Round_robin);
+        ("least-loaded", Router.Least_loaded);
+        ("affinity", Router.Model_affinity) ]
+    @ [
+        (* equal-rate uniform traces tie exactly on every arrival *)
+        ("round-robin uniform ties",
+         small_config ~policy:Router.Round_robin (),
+         pair (fun _ -> open_with Load_gen.Uniform 0));
+        ("least-loaded closed think 0", small_config (), pair (closed 0.));
+        ("round-robin closed think 1ms",
+         small_config ~policy:Router.Round_robin (), pair (closed 1e-3));
+      ]
+  in
+  let digest (name, config, specs) =
+    let r = run_ok config specs in
+    let records =
+      List.map
+        (fun (node, (x : Request.record)) ->
+          Printf.sprintf "%d:%d:%h:%h:%d" node x.Request.request.Request.id
+            x.Request.start_s x.Request.finish_s x.Request.core)
+        r.Fleet.records
+    in
+    ( name,
+      Digest.to_hex
+        (Digest.string
+           (String.concat ";" (Json.to_string (Fleet.to_json r) :: records)))
+    )
+  in
+  Alcotest.(check (list (pair string string)))
+    "fleet run digests"
+    [
+      ("round-robin bursty", "8eaed0fb6821c630409fdf3466156b47");
+      ("least-loaded bursty", "676e9e72b56bb09626cb7a5a5fcca96d");
+      ("affinity bursty", "ce7843472c45e48ce62b254a5834b63c");
+      ("round-robin uniform ties", "5b3435eb89df2cdde8f68c98078ee894");
+      ("least-loaded closed think 0", "719025fb2ea711be659c480f3ea3d4eb");
+      ("round-robin closed think 1ms", "4d5844dc5e125b18981a1a041d5b07e1");
+    ]
+    (List.map digest configs)
+
 let test_cold_model_pages_in () =
   (* round-robin spreads the cold model over nodes that don't hold its
      weights: every non-home node pays exactly one page-in *)
@@ -294,6 +357,8 @@ let () =
         [
           Alcotest.test_case "conservation" `Quick test_fleet_conservation;
           Alcotest.test_case "deterministic" `Quick test_fleet_deterministic;
+          Alcotest.test_case "json digests pinned" `Quick
+            test_fleet_json_digests_pinned;
           Alcotest.test_case "page-in" `Quick test_cold_model_pages_in;
           Alcotest.test_case "predicted page-ins" `Quick
             test_predicted_page_ins_match_observed;

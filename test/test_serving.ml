@@ -270,6 +270,73 @@ let batcher_ready_iff_prop =
       Batcher.ready b ~now = expect)
 
 (* ------------------------------------------------------------------ *)
+(* Arrival order                                                       *)
+
+(* the sorted-list insertion the serving loops used before the arrival
+   heap, kept verbatim as the reference order *)
+let eps = 1e-12
+
+let rec insert_arrival r = function
+  | [] -> [ r ]
+  | hd :: tl ->
+    if
+      hd.Request.arrival_s < r.Request.arrival_s -. eps
+      || (Float.abs (hd.Request.arrival_s -. r.Request.arrival_s) <= eps
+          && hd.Request.id < r.Request.id)
+    then hd :: insert_arrival r tl
+    else r :: hd :: tl
+
+(* random traces with increasing ids: [Some (slot, unit, near)] pushes
+   an arrival at [slot * unit] seconds, nudged by [near] less than
+   1e-12 s (one ulp either way, or 3e-13 s), and [None] pops.  Few slots
+   make exact ties and near-ties common; times in different slots are
+   at least 1 ns apart *)
+let arrivals_match_insert_arrival_prop =
+  QCheck.Test.make ~count:300
+    ~name:"Arrivals pops in insert_arrival order"
+    QCheck.(
+      list_of_size Gen.(0 -- 300)
+        (option
+           (triple (int_bound 40)
+              (oneofl [ 1e-9; 1e-6; 1e-3; 1. ])
+              (int_bound 3))))
+    (fun ops ->
+      let h = Request.Arrivals.create () in
+      let reference = ref [] in
+      let at slot unit near =
+        let t = float_of_int slot *. unit in
+        match near with
+        | 1 -> Float.succ t
+        | 2 -> Float.pred t
+        | 3 -> t +. 3e-13
+        | _ -> t
+      in
+      List.for_all
+        (fun (id, op) ->
+          match op with
+          | Some (slot, unit, near) ->
+            let r = req id (at slot unit near) in
+            Request.Arrivals.push h r;
+            reference := insert_arrival r !reference;
+            true
+          | None ->
+            let expect =
+              match !reference with
+              | [] -> None
+              | r :: rest ->
+                reference := rest;
+                Some r
+            in
+            Request.Arrivals.pop h = expect)
+        (List.mapi (fun id op -> (id, op)) ops)
+      && (let rec drain () =
+            match Request.Arrivals.pop h with
+            | None -> []
+            | Some r -> r :: drain ()
+          in
+          drain () = !reference))
+
+(* ------------------------------------------------------------------ *)
 (* Metrics vs a hand-computed trace                                    *)
 
 let test_metrics_hand_computed () =
@@ -484,6 +551,67 @@ let test_serve_offline_bound () =
   Alcotest.(check int) "one offline app per model" 1
     (List.length (Serve.scheduler_apps r))
 
+(* byte identity of whole runs across the arrival traffic shapes.  Each
+   digest covers [Serve.to_json] plus every request's (id, start, finish,
+   core), so it also sees which requests share a batch when arrivals of
+   one model tie; the digests were recorded before the pending arrivals
+   moved from a sorted list to a heap *)
+let test_serve_json_digests_pinned () =
+  let open_with ?(rate = 400.) process name =
+    { (open_spec name) with
+      Serve.workload =
+        Serve.Open_loop
+          (Load_gen.create ~process ~rate_per_s:rate ~duration_s:0.2 ~seed:5
+             ()) }
+  in
+  (* more clients than [max_batch]: re-issues tie and overflow a batch *)
+  let closed think_s =
+    { (open_spec "gesture") with
+      Serve.workload = Serve.Closed_loop { clients = 6; think_s; seed = 9 } }
+  in
+  let bursty = Load_gen.Bursty { factor = 4.; period_s = 0.05 } in
+  let uniform = Load_gen.Uniform and poisson = Load_gen.Poisson in
+  let configs =
+    [
+      ("open uniform", small_config (), [ open_with uniform "gesture" ]);
+      ("open poisson", small_config (), [ open_with poisson "gesture" ]);
+      ("open bursty", small_config (),
+       [ open_with ~rate:1500. bursty "gesture" ]);
+      (* equal-rate uniform traces tie exactly on every arrival *)
+      ("open uniform ties", small_config ~cores:1 ~queue_depth:8 (),
+       [ { (open_with ~rate:2000. uniform "a") with Serve.priority = 1 };
+         open_with ~rate:2000. uniform "b" ]);
+      ("closed think 0", small_config (), [ closed 0. ]);
+      ("closed think 1ms", small_config (), [ closed 1e-3 ]);
+    ]
+  in
+  let digest (name, config, specs) =
+    let r = run_ok config specs in
+    let records =
+      List.map
+        (fun (x : Request.record) ->
+          Printf.sprintf "%d:%h:%h:%d" x.Request.request.Request.id
+            x.Request.start_s x.Request.finish_s x.Request.core)
+        r.Serve.records
+    in
+    ( name,
+      Digest.to_hex
+        (Digest.string
+           (String.concat ";" (Json.to_string (Serve.to_json r) :: records)))
+    )
+  in
+  Alcotest.(check (list (pair string string)))
+    "serve run digests"
+    [
+      ("open uniform", "c498dad8ba0365dae82e9952cd4c4416");
+      ("open poisson", "a3efabba489eac4d57b1a30369bf8473");
+      ("open bursty", "ff17821ad7a7f75e84fd402b3553af10");
+      ("open uniform ties", "1287d74872d1e78e31386b50c175a336");
+      ("closed think 0", "4018fb2617b5f0612ff6bc2f0e89fadf");
+      ("closed think 1ms", "6c71637617643722b40f49f5c5c32699");
+    ]
+    (List.map digest configs)
+
 let test_serve_rejects_bad_inputs () =
   Alcotest.(check bool) "empty spec list raises" true
     (try
@@ -527,6 +655,7 @@ let () =
           q batcher_sheds_monotone_prop;
           q batcher_ready_iff_prop;
         ] );
+      ("arrivals", [ q arrivals_match_insert_arrival_prop ]);
       ( "metrics",
         [
           Alcotest.test_case "hand-computed trace" `Quick
@@ -542,6 +671,8 @@ let () =
           Alcotest.test_case "qos under overload" `Quick
             test_serve_qos_under_overload;
           Alcotest.test_case "offline bound" `Quick test_serve_offline_bound;
+          Alcotest.test_case "json digests pinned" `Quick
+            test_serve_json_digests_pinned;
           Alcotest.test_case "invalid inputs" `Quick
             test_serve_rejects_bad_inputs;
         ] );

@@ -403,6 +403,77 @@ let test_domain_pool_exception () =
   Domain_pool.shutdown pool;
   Alcotest.(check (list int)) "reusable after failure" [ 2; 3; 4 ] ys
 
+(* ------------------------------------------------------------------ *)
+(* Heap                                                               *)
+
+(* (key, seq) pairs in lexicographic order: with unique seqs this is a
+   strict total order even when many keys repeat *)
+module Pair_heap = Heap.Make (struct
+  type t = int * int
+
+  let precedes (k1, s1) (k2, s2) = k1 < k2 || (k1 = k2 && s1 < s2)
+end)
+
+let rec drain h =
+  match Pair_heap.pop h with None -> [] | Some x -> x :: drain h
+
+(* keys are drawn from 0..5, so most pushes tie on the key and the
+   push position, the second component, decides *)
+let heap_sorts_prop =
+  QCheck.Test.make ~count:300 ~name:"heap pops in List.sort compare order"
+    QCheck.(list_of_size Gen.(0 -- 1000) (int_bound 5))
+    (fun keys ->
+      let xs = List.mapi (fun seq k -> (k, seq)) keys in
+      let h = Pair_heap.create () in
+      List.iter (Pair_heap.push h) xs;
+      Pair_heap.length h = List.length xs
+      && drain h = List.sort compare xs
+      && Pair_heap.length h = 0)
+
+(* interleaved pushes and pops against a sorted-list reference model:
+   [Some k] pushes key [k], [None] pops; every pop, peek and length
+   agrees with the model *)
+let heap_model_prop =
+  QCheck.Test.make ~count:300 ~name:"interleaved push/pop matches a sorted list"
+    QCheck.(list_of_size Gen.(0 -- 200) (option (int_bound 5)))
+    (fun ops ->
+      let h = Pair_heap.create () in
+      let model = ref [] in
+      List.for_all
+        (fun (seq, op) ->
+          (match op with
+          | Some k ->
+            Pair_heap.push h (k, seq);
+            model := List.merge compare [ (k, seq) ] !model;
+            true
+          | None ->
+            let expect =
+              match !model with
+              | [] -> None
+              | x :: rest ->
+                model := rest;
+                Some x
+            in
+            Pair_heap.pop h = expect)
+          && Pair_heap.peek h = List.nth_opt !model 0
+          && Pair_heap.length h = List.length !model)
+        (List.mapi (fun seq op -> (seq, op)) ops))
+
+let test_heap_empty () =
+  let h = Pair_heap.create () in
+  let opt = Alcotest.(option (pair int int)) in
+  Alcotest.(check opt) "peek on empty" None (Pair_heap.peek h);
+  Alcotest.(check opt) "pop on empty" None (Pair_heap.pop h);
+  Alcotest.(check int) "length of empty" 0 (Pair_heap.length h);
+  Pair_heap.push h (3, 0);
+  Alcotest.(check opt) "peek leaves the element" (Some (3, 0))
+    (Pair_heap.peek h);
+  Alcotest.(check int) "length after push" 1 (Pair_heap.length h);
+  Alcotest.(check opt) "pop the only element" (Some (3, 0)) (Pair_heap.pop h);
+  Alcotest.(check opt) "empty again: peek" None (Pair_heap.peek h);
+  Alcotest.(check opt) "empty again: pop" None (Pair_heap.pop h);
+  Alcotest.(check int) "empty again: length" 0 (Pair_heap.length h)
+
 let () =
   let q = QCheck_alcotest.to_alcotest in
   Alcotest.run "util"
@@ -461,6 +532,12 @@ let () =
         [
           Alcotest.test_case "known vectors" `Quick test_stable_hash_known;
           Alcotest.test_case "floats" `Quick test_stable_hash_floats;
+        ] );
+      ( "heap",
+        [
+          Alcotest.test_case "empty" `Quick test_heap_empty;
+          q heap_sorts_prop;
+          q heap_model_prop;
         ] );
       ( "domain-pool",
         [
