@@ -111,6 +111,13 @@ let exit_of = function
    turn it into an [Error] so [exit_of] prints one line and exits 1 *)
 let catching_invalid f = try f () with Invalid_argument msg -> Error msg
 
+let ( let* ) = Result.bind
+
+(* '-' is stdout *)
+let write_json path doc =
+  if path = "-" then print_endline (Ascend.Util.Json.to_string ~pretty:true doc)
+  else Ascend.Util.Json.write_file path doc
+
 (* --- simulate ----------------------------------------------------- *)
 
 let simulate build config batch training =
@@ -215,6 +222,7 @@ let streams_cmd =
 
 module Serve = Ascend.Serving.Serve
 module Load_gen = Ascend.Serving.Load_gen
+module Obs = Ascend.Obs
 
 let serve_models_arg =
   Arg.(
@@ -353,82 +361,110 @@ let broadcast ~what n = function
       (Printf.sprintf "%s: expected 1 or %d value(s), got %d" what n
          (List.length l))
 
-let serve models core cores rates duration batch_max delay_ms queue_depth
-    slos priorities process burst_factor burst_period_ms seed closed think_ms
-    bucket_ms costing json_path trace_path =
+(* --process and its two burst knobs as one arrival process *)
+let process_term =
+  let make process factor period_ms =
+    match process with
+    | `Uniform -> Load_gen.Uniform
+    | `Poisson -> Load_gen.Poisson
+    | `Bursty -> Load_gen.Bursty { factor; period_s = period_ms /. 1e3 }
+  in
+  Term.(const make $ process_arg $ burst_factor_arg $ burst_period_arg)
+
+(* the traffic flags serve and fleet share *)
+type traffic = {
+  rates : float list;
+  duration : float;
+  batch_max : int;
+  delay_ms : float;
+  queue_depth : int;
+  slos : float list;
+  priorities : int list;
+  process : Load_gen.process;
+  seed : int;
+  closed : int;
+  think_ms : float;
+  bucket_ms : float;
+  costing : Ascend.Serving.Cost.costing;
+}
+
+let traffic_term =
+  let make rates duration batch_max delay_ms queue_depth slos priorities
+      process seed closed think_ms bucket_ms costing =
+    { rates; duration; batch_max; delay_ms; queue_depth; slos; priorities;
+      process; seed; closed; think_ms; bucket_ms; costing }
+  in
+  Term.(
+    const make $ rate_arg $ duration_arg $ batch_max_arg $ batch_delay_arg
+    $ queue_depth_arg $ slo_arg $ priority_arg $ process_term $ seed_arg
+    $ closed_arg $ think_arg $ bucket_arg $ costing_arg)
+
+(* one spec per model; model i draws from seed + 7919 i *)
+let model_specs t models =
   let n = List.length models in
-  let ( let* ) = Result.bind in
+  let* rates = broadcast ~what:"--rate" n t.rates in
+  let* slos = broadcast ~what:"--slo-ms" n t.slos in
+  let* priorities = broadcast ~what:"--priority" n t.priorities in
+  catching_invalid (fun () ->
+      Ok
+        (List.mapi
+           (fun i ((name, build), (rate, (slo_ms, priority))) ->
+             let seed = t.seed + (7919 * i) in
+             let workload =
+               if t.closed > 0 then
+                 Serve.Closed_loop
+                   { clients = t.closed; think_s = t.think_ms /. 1e3; seed }
+               else
+                 Serve.Open_loop
+                   (Load_gen.create ~process:t.process ~rate_per_s:rate
+                      ~duration_s:t.duration ~seed ())
+             in
+             { Serve.name; build; priority; slo_ms; workload })
+           (List.combine models
+              (List.combine rates (List.combine slos priorities)))))
+
+(* serve, fleet and decode: run [f] under a trace collector when --trace
+   is given; [f] prints its report and returns the JSON documents to
+   write, each with its optional path; the trace is written last *)
+let run_reported ~trace_path f =
+  let collector =
+    Option.map (fun _ -> Obs.Collector.create ~capacity:262144 ()) trace_path
+  in
+  let* docs =
+    catching_invalid (fun () ->
+        match collector with
+        | None -> f ()
+        | Some c -> Obs.Hook.with_collector c f)
+  in
+  List.iter (fun (path, doc) -> Option.iter (fun p -> write_json p doc) path)
+    docs;
+  (match (trace_path, collector) with
+  | Some path, Some c ->
+    Obs.Chrome_trace.write_file path c;
+    Format.printf "trace: wrote %s (%d events, %d dropped)@." path
+      (Obs.Collector.length c) (Obs.Collector.dropped c)
+  | _ -> ());
+  Ok ()
+
+let serve models core cores t json_path trace_path =
   exit_of
-    (let* rates = broadcast ~what:"--rate" n rates in
-     let* slos = broadcast ~what:"--slo-ms" n slos in
-     let* priorities = broadcast ~what:"--priority" n priorities in
-     let process =
-       match process with
-       | `Uniform -> Load_gen.Uniform
-       | `Poisson -> Load_gen.Poisson
-       | `Bursty ->
-         Load_gen.Bursty
-           { factor = burst_factor; period_s = burst_period_ms /. 1e3 }
-     in
-     let* specs =
-       catching_invalid (fun () ->
-           Ok
-             (List.mapi
-                (fun i ((name, build), (rate, (slo_ms, priority))) ->
-                  let model_seed = seed + (7919 * i) in
-                  let workload =
-                    if closed > 0 then
-                      Serve.Closed_loop
-                        { clients = closed; think_s = think_ms /. 1e3;
-                          seed = model_seed }
-                    else
-                      Serve.Open_loop
-                        (Load_gen.create ~process ~rate_per_s:rate
-                           ~duration_s:duration ~seed:model_seed ())
-                  in
-                  { Serve.name; build; priority; slo_ms; workload })
-                (List.combine models
-                   (List.combine rates (List.combine slos priorities)))))
-     in
+    (let* specs = model_specs t models in
      let config =
        {
          Serve.core;
          cores;
-         max_batch = batch_max;
-         max_delay_s = delay_ms /. 1e3;
-         queue_depth;
-         duration_s = duration;
-         bucket_s = bucket_ms /. 1e3;
-         costing;
+         max_batch = t.batch_max;
+         max_delay_s = t.delay_ms /. 1e3;
+         queue_depth = t.queue_depth;
+         duration_s = t.duration;
+         bucket_s = t.bucket_ms /. 1e3;
+         costing = t.costing;
        }
      in
-     let collector =
-       Option.map
-         (fun _ -> Ascend.Obs.Collector.create ~capacity:262144 ())
-         trace_path
-     in
-     let* r =
-       catching_invalid (fun () ->
-           match collector with
-           | None -> Serve.run config specs
-           | Some c ->
-             Ascend.Obs.Hook.with_collector c (fun () ->
-                 Serve.run config specs))
-     in
-     Format.printf "%a" Serve.pp r;
-     (match json_path with
-     | None -> ()
-     | Some "-" ->
-       print_endline (Ascend.Util.Json.to_string ~pretty:true (Serve.to_json r))
-     | Some path -> Ascend.Util.Json.write_file path (Serve.to_json r));
-     (match (trace_path, collector) with
-     | Some path, Some c ->
-       Ascend.Obs.Chrome_trace.write_file path c;
-       Format.printf "trace: wrote %s (%d events, %d dropped)@." path
-         (Ascend.Obs.Collector.length c)
-         (Ascend.Obs.Collector.dropped c)
-     | _ -> ());
-     Ok ())
+     run_reported ~trace_path (fun () ->
+         let* r = Serve.run config specs in
+         Format.printf "%a" Serve.pp r;
+         Ok [ (json_path, Serve.to_json r) ]))
 
 let serve_cmd =
   Cmd.v
@@ -439,11 +475,8 @@ let serve_cmd =
           goodput, rejection rate, per-core utilization) over the §5.2 \
           multi-core scheduler.")
     Term.(
-      const serve $ serve_models_arg $ core_arg $ cores_arg $ rate_arg
-      $ duration_arg $ batch_max_arg $ batch_delay_arg $ queue_depth_arg
-      $ slo_arg $ priority_arg $ process_arg $ burst_factor_arg
-      $ burst_period_arg $ seed_arg $ closed_arg $ think_arg $ bucket_arg
-      $ costing_arg $ json_arg $ serve_trace_arg)
+      const serve $ serve_models_arg $ core_arg $ cores_arg $ traffic_term
+      $ json_arg $ serve_trace_arg)
 
 (* --- decode ------------------------------------------------------- *)
 
@@ -542,21 +575,11 @@ let decode_requests ~rate ~duration ~seed ~process ~prompt_mean ~prompt_max
   in
   Decode_request.of_load_gen ~gen ~prompt ~output
 
-let decode core rate duration seed process burst_factor burst_period_ms
-    prompt_mean prompt_max output_mean output_max fixed_prompt fixed_output
-    batch_max hbm_mb max_cache_len mode small_llm costing json_path trace_path
-    =
+let decode core rate duration seed process prompt_mean prompt_max
+    output_mean output_max fixed_prompt fixed_output batch_max hbm_mb
+    max_cache_len mode small_llm costing json_path trace_path =
   exit_of
-    (let process =
-       match process with
-       | `Uniform -> Load_gen.Uniform
-       | `Poisson -> Load_gen.Poisson
-       | `Bursty ->
-         Load_gen.Bursty
-           { factor = burst_factor; period_s = burst_period_ms /. 1e3 }
-     in
-     let ( let* ) = Result.bind in
-     let* requests =
+    (let* requests =
        catching_invalid (fun () ->
            Ok
              (decode_requests ~rate ~duration ~seed ~process ~prompt_mean
@@ -576,64 +599,34 @@ let decode core rate duration seed process burst_factor burst_period_ms
          max_cache_len;
        }
      in
-     let collector =
-       Option.map
-         (fun _ -> Ascend.Obs.Collector.create ~capacity:262144 ())
-         trace_path
-     in
-     let with_obs f =
-       catching_invalid (fun () ->
-           match collector with
-           | None -> f ()
-           | Some c -> Ascend.Obs.Hook.with_collector c f)
-     in
-     let* doc =
-       match mode with
-       | `Continuous | `Static ->
-         let m = if mode = `Static then Decode_engine.Static
-                 else Decode_engine.Continuous in
-         let* r = with_obs (fun () -> Decode_engine.run (config m) requests) in
-         Format.printf "%a" Decode_engine.pp r;
-         Ok (Decode_engine.to_json r)
-       | `Compare ->
-         let* c, s =
-           with_obs (fun () ->
-               match Decode_engine.run (config Decode_engine.Continuous)
-                       requests with
-               | Error _ as e -> e
-               | Ok c -> (
-                 match Decode_engine.run (config Decode_engine.Static)
-                         requests with
-                 | Error _ as e -> e
-                 | Ok s -> Ok (c, s)))
-         in
-         let speedup = Decode_engine.speedup ~continuous:c ~static:s in
-         Format.printf "%a@.%a" Decode_engine.pp c Decode_engine.pp s;
-         Format.printf
-           "continuous over static: %.2fx goodput (%.1f vs %.1f tok/s)@."
-           speedup c.Decode_engine.metrics.Ascend.Decode.Metrics.tokens_per_s
-           s.Decode_engine.metrics.Ascend.Decode.Metrics.tokens_per_s;
-         Ok
-           (Ascend.Util.Json.Obj
-              [
-                ("continuous", Decode_engine.to_json c);
-                ("static", Decode_engine.to_json s);
-                ("speedup", Ascend.Util.Json.Float speedup);
-              ])
-     in
-     (match json_path with
-     | None -> ()
-     | Some "-" ->
-       print_endline (Ascend.Util.Json.to_string ~pretty:true doc)
-     | Some path -> Ascend.Util.Json.write_file path doc);
-     (match (trace_path, collector) with
-     | Some path, Some c ->
-       Ascend.Obs.Chrome_trace.write_file path c;
-       Format.printf "trace: wrote %s (%d events, %d dropped)@." path
-         (Ascend.Obs.Collector.length c)
-         (Ascend.Obs.Collector.dropped c)
-     | _ -> ());
-     Ok ())
+     run_reported ~trace_path (fun () ->
+         match mode with
+         | `Continuous | `Static ->
+           let m = if mode = `Static then Decode_engine.Static
+                   else Decode_engine.Continuous in
+           let* r = Decode_engine.run (config m) requests in
+           Format.printf "%a" Decode_engine.pp r;
+           Ok [ (json_path, Decode_engine.to_json r) ]
+         | `Compare ->
+           let run m = Decode_engine.run (config m) requests in
+           let* c = run Decode_engine.Continuous in
+           let* s = run Decode_engine.Static in
+           let speedup = Decode_engine.speedup ~continuous:c ~static:s in
+           Format.printf "%a@.%a" Decode_engine.pp c Decode_engine.pp s;
+           Format.printf
+             "continuous over static: %.2fx goodput (%.1f vs %.1f tok/s)@."
+             speedup c.Decode_engine.metrics.Ascend.Decode.Metrics.tokens_per_s
+             s.Decode_engine.metrics.Ascend.Decode.Metrics.tokens_per_s;
+           Ok
+             [
+               ( json_path,
+                 Ascend.Util.Json.Obj
+                   [
+                     ("continuous", Decode_engine.to_json c);
+                     ("static", Decode_engine.to_json s);
+                     ("speedup", Ascend.Util.Json.Float speedup);
+                   ] );
+             ]))
 
 let decode_cmd =
   Cmd.v
@@ -648,7 +641,7 @@ let decode_cmd =
           tokens/s goodput) and a static-batching baseline for comparison.")
     Term.(
       const decode $ core_arg $ decode_rate_arg $ duration_arg $ seed_arg
-      $ process_arg $ burst_factor_arg $ burst_period_arg $ prompt_mean_arg
+      $ process_term $ prompt_mean_arg
       $ prompt_max_arg $ output_mean_arg $ output_max_arg $ fixed_prompt_arg
       $ fixed_output_arg $ batch_max_arg $ hbm_mb_arg $ max_cache_len_arg
       $ decode_mode_arg $ small_llm_arg $ costing_arg $ json_arg
@@ -740,73 +733,42 @@ let train_batch_arg =
     & info [ "train-batch" ] ~docv:"N"
         ~doc:"Per-node batch of the colocated training job.")
 
-let fleet models core nodes cores_per_node policy replicas rates duration
-    batch_max delay_ms queue_depth slos priorities process burst_factor
-    burst_period_ms seed closed think_ms bucket_ms train_nodes train_model
-    train_batch node_hbm_gb costing json_path pagein_path trace_path =
-  let n = List.length models in
-  let ( let* ) = Result.bind in
+(* decode-class models reserve KV-cache working set on every resident
+   node: enough for a full batch of max-position sequences; stateless
+   classes reserve nothing *)
+let kv_bytes ~batch_max name =
+  let llm = Ascend.Nn.Llm.tiny_config in
+  if String.starts_with ~prefix:"llm" name then
+    batch_max
+    * Ascend.Nn.Llm.kv_cache_bytes llm ~tokens:llm.Ascend.Nn.Llm.max_position
+  else 0
+
+let fleet models core nodes cores_per_node policy replicas t train_nodes
+    train_model train_batch node_hbm_gb json_path pagein_path trace_path =
   exit_of
-    (let* rates = broadcast ~what:"--rate" n rates in
-     let* slos = broadcast ~what:"--slo-ms" n slos in
-     let* priorities = broadcast ~what:"--priority" n priorities in
-     let* replicas = broadcast ~what:"--replicas" n replicas in
-     let process =
-       match process with
-       | `Uniform -> Load_gen.Uniform
-       | `Poisson -> Load_gen.Poisson
-       | `Bursty ->
-         Load_gen.Bursty
-           { factor = burst_factor; period_s = burst_period_ms /. 1e3 }
+    (let* specs = model_specs t models in
+     let* replicas =
+       broadcast ~what:"--replicas" (List.length models) replicas
      in
-     let* specs =
-       catching_invalid (fun () ->
-           Ok
-             (List.mapi
-                (fun i
-                     ((name, build), (rate, (slo_ms, (priority, replicas))))
-                   ->
-                  let model_seed = seed + (7919 * i) in
-                  let workload =
-                    if closed > 0 then
-                      Serve.Closed_loop
-                        { clients = closed; think_s = think_ms /. 1e3;
-                          seed = model_seed }
-                    else
-                      Serve.Open_loop
-                        (Load_gen.create ~process ~rate_per_s:rate
-                           ~duration_s:duration ~seed:model_seed ())
-                  in
-                  (* decode-class models reserve KV-cache working set on
-                     every resident node: enough for a full batch of
-                     max-position sequences; stateless classes reserve
-                     nothing *)
-                  let kv_bytes =
-                    let llm = Ascend.Nn.Llm.tiny_config in
-                    if String.starts_with ~prefix:"llm" name then
-                      batch_max
-                      * Ascend.Nn.Llm.kv_cache_bytes llm
-                          ~tokens:llm.Ascend.Nn.Llm.max_position
-                    else 0
-                  in
-                  { Fleet.name; build; priority; slo_ms; workload; replicas;
-                    kv_bytes })
-                (List.combine models
-                   (List.combine rates
-                      (List.combine slos
-                         (List.combine priorities replicas))))))
+     let specs =
+       List.map2
+         (fun (s : Serve.model_spec) replicas ->
+           { Fleet.name = s.name; build = s.build; priority = s.priority;
+             slo_ms = s.slo_ms; workload = s.workload; replicas;
+             kv_bytes = kv_bytes ~batch_max:t.batch_max s.name })
+         specs replicas
      in
      let config =
        {
          (Fleet.default_config ~core ~nodes) with
          Fleet.cores_per_node;
-         max_batch = batch_max;
-         max_delay_s = delay_ms /. 1e3;
-         queue_depth;
-         duration_s = duration;
-         bucket_s = bucket_ms /. 1e3;
+         max_batch = t.batch_max;
+         max_delay_s = t.delay_ms /. 1e3;
+         queue_depth = t.queue_depth;
+         duration_s = t.duration;
+         bucket_s = t.bucket_ms /. 1e3;
          policy;
-         costing;
+         costing = t.costing;
          hbm_bytes_per_node =
            Option.map (fun gb -> int_of_float (gb *. 1e9)) node_hbm_gb;
        }
@@ -823,45 +785,18 @@ let fleet models core nodes cores_per_node policy replicas rates duration
            { Fleet.tj_model; tj_build; tj_batch = train_batch;
              tj_nodes = train_nodes }
      in
-     let collector =
-       Option.map
-         (fun _ -> Ascend.Obs.Collector.create ~capacity:262144 ())
-         trace_path
-     in
-     let* r =
-       (* Placement.build also raises on unservable models (weights +
-          reserved KV cache over a node's HBM) *)
-       catching_invalid (fun () ->
-           match collector with
-           | None -> Fleet.run ?train config specs
-           | Some c ->
-             Ascend.Obs.Hook.with_collector c (fun () ->
-                 Fleet.run ?train config specs))
-     in
-     Format.printf "%a" Fleet.pp r;
-     (match json_path with
-     | None -> ()
-     | Some "-" ->
-       print_endline (Ascend.Util.Json.to_string ~pretty:true (Fleet.to_json r))
-     | Some path -> Ascend.Util.Json.write_file path (Fleet.to_json r));
-     (match pagein_path with
-     | None -> ()
-     | Some path ->
-       let doc =
-         Fleet.pagein_json ~policy ~placement:r.Fleet.placement
-           ~counts:(Fleet.observed_page_ins r)
-       in
-       if path = "-" then
-         print_endline (Ascend.Util.Json.to_string ~pretty:true doc)
-       else Ascend.Util.Json.write_file path doc);
-     (match (trace_path, collector) with
-     | Some path, Some c ->
-       Ascend.Obs.Chrome_trace.write_file path c;
-       Format.printf "trace: wrote %s (%d events, %d dropped)@." path
-         (Ascend.Obs.Collector.length c)
-         (Ascend.Obs.Collector.dropped c)
-     | _ -> ());
-     Ok ())
+     (* Placement.build also raises on unservable models (weights +
+        reserved KV cache over a node's HBM) *)
+     run_reported ~trace_path (fun () ->
+         let* r = Fleet.run ?train config specs in
+         Format.printf "%a" Fleet.pp r;
+         Ok
+           [
+             (json_path, Fleet.to_json r);
+             ( pagein_path,
+               Fleet.pagein_json ~policy ~placement:r.Fleet.placement
+                 ~counts:(Fleet.observed_page_ins r) );
+           ]))
 
 let fleet_cmd =
   Cmd.v
@@ -875,12 +810,8 @@ let fleet_cmd =
           tail latency and the breakdown by routing decision.")
     Term.(
       const fleet $ fleet_models_arg $ core_arg $ nodes_arg
-      $ cores_per_node_arg $ policy_arg $ replicas_arg $ rate_arg
-      $ duration_arg $ batch_max_arg $ batch_delay_arg $ queue_depth_arg
-      $ slo_arg $ priority_arg $ process_arg $ burst_factor_arg
-      $ burst_period_arg $ seed_arg $ closed_arg $ think_arg $ bucket_arg
+      $ cores_per_node_arg $ policy_arg $ replicas_arg $ traffic_term
       $ train_nodes_arg $ train_model_arg $ train_batch_arg $ node_hbm_gb_arg
-      $ costing_arg
       $ json_arg $ pagein_json_arg $ serve_trace_arg)
 
 (* --- lint / sanitize ---------------------------------------------- *)
@@ -1074,11 +1005,7 @@ let sweep_json results =
     ]
 
 let write_sweep_json path results =
-  match path with
-  | None -> ()
-  | Some "-" ->
-    print_endline (Ascend.Util.Json.to_string ~pretty:true (sweep_json results))
-  | Some p -> Ascend.Util.Json.write_file p (sweep_json results)
+  Option.iter (fun p -> write_json p (sweep_json results)) path
 
 let select_models model_opt all =
   match (model_opt, all) with
@@ -1340,11 +1267,7 @@ let lint_cluster ~verbose ~strict ~json_path ~times ~jobs =
      | None when json_path <> None -> Some (cluster_sweep_json results)
      | None -> None
    in
-   match (doc, json_path) with
-   | None, _ -> ()
-   | Some doc, (None | Some "-") ->
-     print_endline (Ascend.Util.Json.to_string ~pretty:true doc)
-   | Some doc, Some path -> Ascend.Util.Json.write_file path doc);
+   Option.iter (write_json (Option.value json_path ~default:"-")) doc);
   let all = List.concat_map (fun r -> r.cl_findings) results in
   let errors, warnings = severity_counts all in
   let gate_failures =
@@ -1401,11 +1324,7 @@ let lint_placement_mode models ~nodes ~policy ~replicas ~hbm_gb ~pagein_path
       let pagein_doc =
         Fleet.pagein_json ~policy ~placement ~counts:predicted
       in
-      (match pagein_path with
-      | None -> ()
-      | Some "-" ->
-        print_endline (Ascend.Util.Json.to_string ~pretty:true pagein_doc)
-      | Some path -> Ascend.Util.Json.write_file path pagein_doc);
+      Option.iter (fun p -> write_json p pagein_doc) pagein_path;
       (match json_path with
       | None -> ()
       | Some path ->
@@ -1427,8 +1346,7 @@ let lint_placement_mode models ~nodes ~policy ~replicas ~hbm_gb ~pagein_path
                  (List.map Finding.to_json (List.sort Finding.compare findings)));
             ]
         in
-        if path = "-" then print_endline (J.to_string ~pretty:true doc)
-        else J.write_file path doc);
+        write_json path doc);
       if findings <> [] then begin
         Format.printf "%s (%s):@." plan.Vcluster.plan_name policy_name;
         Format.printf "%a" Verify.pp_report findings
@@ -1645,7 +1563,6 @@ let sanitize_cmd =
 (* --- trace -------------------------------------------------------- *)
 
 module Exec_trace = Ascend.Exec.Trace
-module Obs = Ascend.Obs
 
 let trace_model_pos =
   Arg.(value & pos 0 (some named_model_conv) None & info [] ~docv:"MODEL")
@@ -1800,9 +1717,7 @@ let calibrate_decode core_opt max_batch max_len fail_above verbose json_path
                   (List.map Calibration2d.to_json reports) );
             ]
         in
-        if path = "-" then
-          print_endline (Ascend.Util.Json.to_string ~pretty:true doc)
-        else Ascend.Util.Json.write_file path doc);
+        write_json path doc);
       Format.printf
         "calibrate --decode: %d core(s), worst max |err| %.2f%% (budget \
          %.2f%%)@."
@@ -1899,9 +1814,7 @@ let calibrate_1d model_opt all core_opt max_batch fail_above verbose json_path
               );
             ]
         in
-        if path = "-" then
-          print_endline (Ascend.Util.Json.to_string ~pretty:true doc)
-        else Ascend.Util.Json.write_file path doc);
+        write_json path doc);
       Format.printf
         "calibrate: %d combination(s), worst max |err| %.2f%% (budget \
          %.2f%%)@."
@@ -2155,9 +2068,24 @@ let () =
     Cmd.info "ascend_cli" ~version:Ascend.version
       ~doc:"Ascend architectural simulator command-line interface."
   in
+  let cmd =
+    Cmd.group ~default:usage_term info
+      [ simulate_cmd; profile_cmd; disasm_cmd; streams_cmd; serve_cmd;
+        decode_cmd; fleet_cmd; lint_cmd; sanitize_cmd; calibrate_cmd;
+        list_cmd; trace_cmd ]
+  in
+  (* an output file that cannot be written (--json, --trace, -o or
+     --pagein-json in a missing directory) is a user error: one line,
+     exit 1.  Any other exception is an internal error, exit 125 as
+     cmdliner reports it. *)
   exit
-    (Cmd.eval'
-       (Cmd.group ~default:usage_term info
-          [ simulate_cmd; profile_cmd; disasm_cmd; streams_cmd; serve_cmd;
-            decode_cmd; fleet_cmd; lint_cmd; sanitize_cmd; calibrate_cmd;
-            list_cmd; trace_cmd ]))
+    (match Cmd.eval' ~catch:false cmd with
+    | code -> code
+    | exception Sys_error msg ->
+      prerr_endline ("error: " ^ msg);
+      1
+    | exception e ->
+      prerr_endline
+        ("ascend_cli: internal error, uncaught exception: "
+       ^ Printexc.to_string e);
+      Cmd.Exit.internal_error)

@@ -3,6 +3,7 @@ module Llm = Ascend_nn.Llm
 module Stats = Ascend_util.Stats
 module Json = Ascend_util.Json
 module Obs = Ascend_obs
+module Serving = Ascend_serving
 
 type mode = Continuous | Static
 
@@ -42,10 +43,6 @@ type result = {
   cost_fallbacks : int;
   cost_stats : Ascend_exec.Cache.stats;
 }
-
-exception Cost_error of string
-
-let eps = 1e-12
 
 (* one sequence in flight: created at prefill, mutated once per decode
    step, retired at a token boundary *)
@@ -130,7 +127,7 @@ let run config requests =
   let admit () =
     let rec go () =
       match !pending with
-      | r :: rest when r.Request.arrival_s <= !now +. eps ->
+      | r :: rest when r.Request.arrival_s <= !now +. Serving.Request.eps ->
         pending := rest;
         if feasible r then Queue.add r waiting
         else begin
@@ -218,7 +215,7 @@ let run config requests =
     let entry =
       match Cost.prefill cost ~batch:1 ~prompt_len:r.Request.prompt_len with
       | Ok e -> e
-      | Error e -> raise (Cost_error e)
+      | Error e -> raise (Serving.Cost.Unpriced e)
     in
     let start_s = !now in
     let finish_s = start_s +. entry.Cost.latency_s in
@@ -251,7 +248,7 @@ let run config requests =
     let entry =
       match Cost.decode_step cost ~batch ~cache_len with
       | Ok e -> e
-      | Error e -> raise (Cost_error e)
+      | Error e -> raise (Serving.Cost.Unpriced e)
     in
     let start_s = !now in
     let finish_s = start_s +. entry.Cost.latency_s in
@@ -353,13 +350,11 @@ let run config requests =
         cost_fallbacks = Cost.fallbacks cost;
         cost_stats = Cost.stats cost;
       }
-  | exception Cost_error e -> Error e
+  | exception Serving.Cost.Unpriced e -> Error e
 
 let speedup ~continuous ~static =
   Stats.ratio continuous.metrics.Metrics.tokens_per_s
     static.metrics.Metrics.tokens_per_s
-
-let costing_name = function `Exact -> "exact" | `Surrogate -> "surrogate"
 
 let to_json r =
   let c = r.run_config in
@@ -370,7 +365,7 @@ let to_json r =
           [
             ("core", Json.String c.core.Ascend_arch.Config.name);
             ("mode", Json.String (mode_name c.mode));
-            ("costing", Json.String (costing_name c.costing));
+            ("costing", Json.String (Serving.Cost.costing_name c.costing));
             ("max_batch", Json.Int c.max_batch);
             ("hbm_bytes", Json.Int c.hbm_bytes);
             ("max_cache_len", Json.Int c.max_cache_len);
@@ -405,7 +400,7 @@ let pp ppf r =
   Format.fprintf ppf "%s batching on %s (%s costing):@."
     (mode_name r.run_config.mode)
     r.run_config.core.Ascend_arch.Config.name
-    (costing_name r.run_config.costing);
+    (Serving.Cost.costing_name r.run_config.costing);
   Format.fprintf ppf "%a" Metrics.pp r.metrics;
   Format.fprintf ppf "memory: %a weights + %a KV peak of %a HBM; %d steps@."
     Ascend_util.Units.pp_bytes r.weight_bytes Ascend_util.Units.pp_bytes

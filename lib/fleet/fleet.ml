@@ -1,6 +1,3 @@
-module Scheduler = Ascend_runtime.Scheduler
-module Prng = Ascend_util.Prng
-module Units = Ascend_util.Units
 module Stats = Ascend_util.Stats
 module Json = Ascend_util.Json
 module Table = Ascend_util.Table
@@ -10,9 +7,8 @@ module Training = Ascend_cluster.Training
 module Training_soc = Ascend_soc.Training_soc
 module Fusion = Ascend_compiler.Fusion
 module Serve = Ascend_serving.Serve
-module Batcher = Ascend_serving.Batcher
+module Loop = Ascend_serving.Loop
 module Request = Ascend_serving.Request
-module Arrivals = Request.Arrivals
 module Metrics = Ascend_serving.Metrics
 module Cost = Ascend_serving.Cost
 
@@ -64,8 +60,6 @@ let default_config ~core ~nodes =
     costing = `Exact;
     hbm_bytes_per_node = None;
   }
-
-let costing_name = function `Exact -> "exact" | `Surrogate -> "surrogate"
 
 type batch_exec = {
   bx_model : string;
@@ -131,27 +125,24 @@ type result = {
   cost_stats : Ascend_exec.Cache.stats;
 }
 
-exception Cost_error of string
-
-let eps = 1e-12
+let loop_config config =
+  {
+    Loop.core = config.core;
+    nodes = config.nodes;
+    cores_per_node = config.cores_per_node;
+    max_batch = config.max_batch;
+    max_delay_s = config.max_delay_s;
+    queue_depth = config.queue_depth;
+    duration_s = config.duration_s;
+    bucket_s = config.bucket_s;
+    costing = config.costing;
+  }
 
 let validate ?train config specs =
   if config.nodes <= 0 then invalid_arg "Fleet.run: non-positive nodes";
   if config.cores_per_node <= 0 then
     invalid_arg "Fleet.run: non-positive cores per node";
-  if config.duration_s <= 0. then invalid_arg "Fleet.run: non-positive duration";
-  if config.bucket_s <= 0. then invalid_arg "Fleet.run: non-positive bucket";
-  if specs = [] then invalid_arg "Fleet.run: no models";
-  let names = List.map (fun s -> s.name) specs in
-  if List.length (List.sort_uniq compare names) <> List.length names then
-    invalid_arg "Fleet.run: duplicate model names";
-  List.iter
-    (fun s ->
-      match s.workload with
-      | Serve.Closed_loop { clients; _ } when clients < 1 ->
-        invalid_arg "Fleet.run: closed loop needs at least one client"
-      | _ -> ())
-    specs;
+  Loop.validate ~who:"Fleet.run" (loop_config config) specs;
   match train with
   | Some tj ->
     if tj.tj_nodes < 1 || tj.tj_nodes > config.nodes then
@@ -167,6 +158,36 @@ let model_weight_bytes build =
     0
     (Fusion.partition (build ~batch:1))
 
+(* whole-plan residency: each node must hold every resident model's
+   weights plus its reserved KV working set at t = 0 *)
+let check_residency config (placement : Placement.t) =
+  match config.hbm_bytes_per_node with
+  | None -> Ok ()
+  | Some cap ->
+    let resident node =
+      List.fold_left
+        (fun acc (e : Placement.entry) ->
+          if List.mem node e.Placement.replicas then
+            acc + e.Placement.weight_bytes + e.Placement.kv_bytes
+          else acc)
+        0 placement.Placement.entries
+    in
+    let over =
+      List.find_map
+        (fun n ->
+          let bytes = resident n in
+          if bytes > cap then Some (n, bytes) else None)
+        (List.init config.nodes Fun.id)
+    in
+    (match over with
+    | None -> Ok ()
+    | Some (node, bytes) ->
+      Error
+        (Printf.sprintf
+           "placement overcommits node %d: %d B resident (weights + kv) of %d \
+            B HBM"
+           node bytes cap))
+
 (* the colocated trainer: one Training_soc step on this node's cores,
    gradients all-reduced across the server's chips.  The returned
    utilization is the fraction of a training step the interconnect
@@ -180,7 +201,7 @@ let train_contention config tj =
     }
   in
   match Training_soc.run ~training:true soc ~build:tj.tj_build ~batch:tj.tj_batch with
-  | Error e -> raise (Cost_error ("train job " ^ tj.tj_model ^ ": " ^ e))
+  | Error e -> Error ("train job " ^ tj.tj_model ^ ": " ^ e)
   | Ok chip ->
     let param_bytes = float_of_int (model_weight_bytes tj.tj_build) in
     let cluster =
@@ -196,519 +217,241 @@ let train_contention config tj =
     let util =
       Stats.clamp ~lo:0. ~hi:0.95
         (step.Training.allreduce_seconds
-        /. Float.max eps step.Training.step_seconds)
+        /. Float.max Request.eps step.Training.step_seconds)
     in
-    {
-      tr_model = tj.tj_model;
-      tr_batch = tj.tj_batch;
-      tr_nodes = tj.tj_nodes;
-      tr_step_s = step.Training.step_seconds;
-      tr_images_per_s = float_of_int tj.tj_batch /. step.Training.step_seconds;
-      tr_interconnect_util = util;
-    }
+    let tr_step_s = step.Training.step_seconds in
+    Ok
+      {
+        tr_model = tj.tj_model;
+        tr_batch = tj.tj_batch;
+        tr_nodes = tj.tj_nodes;
+        tr_step_s;
+        tr_images_per_s = float_of_int tj.tj_batch /. tr_step_s;
+        tr_interconnect_util = util;
+      }
 
 let percentile_ms p lat = if lat = [] then 0. else Stats.percentile p lat
 
 let run ?train config specs_list =
-  validate ?train config specs_list;
+  let loop_specs =
+    List.map
+      (fun s ->
+        { Loop.name = s.name; build = s.build; priority = s.priority;
+          slo_ms = s.slo_ms; workload = s.workload })
+      specs_list
+  in
+  validate ?train config loop_specs;
   let specs = Array.of_list specs_list in
   let n_models = Array.length specs in
   let nodes = config.nodes in
-  let cpn = config.cores_per_node in
-  let cost =
-    Cost.create ~costing:config.costing ~max_batch:config.max_batch
-      ~core:config.core ()
-  in
-  let s_of_cycles c =
-    Units.seconds_of_cycles ~cycles:c
-      ~frequency_ghz:config.core.Ascend_arch.Config.frequency_ghz
-  in
   let freq_hz = config.core.Ascend_arch.Config.frequency_ghz *. 1e9 in
-  match
-    let weight_bytes = Array.map (fun s -> model_weight_bytes s.build) specs in
-    let placement =
-      Placement.build ?hbm_bytes_per_node:config.hbm_bytes_per_node ~nodes
-        (Array.to_list
-           (Array.mapi
-              (fun i s -> (s.name, weight_bytes.(i), s.kv_bytes, s.replicas))
-              specs))
-    in
-    (* whole-plan residency: each node must hold every resident model's
-       weights plus its reserved KV working set at t = 0 *)
-    (match config.hbm_bytes_per_node with
-    | None -> ()
-    | Some cap ->
-      for node = 0 to nodes - 1 do
-        let resident =
-          List.fold_left
-            (fun acc (e : Placement.entry) ->
-              if List.mem node e.Placement.replicas then
-                acc + e.Placement.weight_bytes + e.Placement.kv_bytes
-              else acc)
-            0 placement.Placement.entries
-        in
-        if resident > cap then
-          raise
-            (Cost_error
-               (Printf.sprintf
-                  "placement overcommits node %d: %d B resident (weights + \
-                   kv) of %d B HBM"
-                  node resident cap))
-      done);
-    let training = Option.map (train_contention config) train in
-    let train_nodes =
-      match training with Some t -> t.tr_nodes | None -> 0
-    in
-    let train_util n =
-      match training with
-      | Some t when n < train_nodes -> t.tr_interconnect_util
-      | _ -> 0.
-    in
-    (* weights stream in over the server's inter-group bus; colocated
-       training's all-reduce takes its share first *)
-    let page_bandwidth n =
-      Server.link_bandwidth config.server ~src:0
-        ~dst:(config.server.Server.chips - 1)
-      *. (1. -. train_util n)
-    in
-    let page_in_seconds n m =
-      float_of_int weight_bytes.(m) /. Float.max 1. (page_bandwidth n)
-    in
-    let router = Router.create ~policy:config.policy ~nodes () in
-    let queues =
-      Array.init nodes (fun _ ->
-          Array.map
-            (fun s ->
-              Batcher.create ~label:s.name ~max_batch:config.max_batch
-                ~max_delay_s:config.max_delay_s
-                ~queue_depth:config.queue_depth ())
-            specs)
-    in
-    (* obs lanes: tid 0 is the router, tid 1+n is node n.  Timestamps
-       are simulated seconds scaled to microseconds — virtual time. *)
-    let obs_pid =
-      if not (Obs.Hook.enabled ()) then -1
-      else begin
-        let pid =
-          Obs.Hook.alloc_pid
-            ~name:("fleet:" ^ config.core.Ascend_arch.Config.name)
-        in
-        Obs.Hook.name_thread ~pid ~tid:0 "router";
-        for n = 0 to nodes - 1 do
-          Obs.Hook.name_thread ~pid ~tid:(1 + n) (Printf.sprintf "node%d" n)
-        done;
-        pid
-      end
-    in
-    let us t = t *. 1e6 in
-    let think_rng =
-      Array.map
-        (fun s ->
-          match s.workload with
-          | Serve.Closed_loop { seed; _ } -> Some (Prng.create ~seed)
-          | Serve.Open_loop _ -> None)
-        specs
-    in
-    let next_id = ref 0 in
-    let fresh_request spec_idx ~arrival_s =
-      let s = specs.(spec_idx) in
-      let r =
-        {
-          Request.id = !next_id;
-          model = s.name;
-          arrival_s;
-          priority = s.priority;
-          slo_s = s.slo_ms /. 1e3;
-        }
+  let weight_bytes = Array.map (fun s -> model_weight_bytes s.build) specs in
+  let placement =
+    Placement.build ?hbm_bytes_per_node:config.hbm_bytes_per_node ~nodes
+      (Array.to_list
+         (Array.mapi
+            (fun i s -> (s.name, weight_bytes.(i), s.kv_bytes, s.replicas))
+            specs))
+  in
+  let ( let* ) = Result.bind in
+  let* () = check_residency config placement in
+  let* training =
+    match train with
+    | None -> Ok None
+    | Some tj -> Result.map Option.some (train_contention config tj)
+  in
+  let train_util n =
+    match training with
+    | Some t when n < t.tr_nodes -> t.tr_interconnect_util
+    | _ -> 0.
+  in
+  (* weights stream in over the server's inter-group bus; colocated
+     training's all-reduce takes its share first *)
+  let page_bandwidth n =
+    Server.link_bandwidth config.server ~src:0
+      ~dst:(config.server.Server.chips - 1)
+    *. (1. -. train_util n)
+  in
+  (* obs lanes of the fleet's own process: tid 0 is the router, tid 1+n
+     carries node n's page-ins; each node is a process of its own (see
+     Loop).  Timestamps are simulated seconds scaled to microseconds. *)
+  let obs_pid =
+    if not (Obs.Hook.enabled ()) then -1
+    else begin
+      let pid =
+        Obs.Hook.alloc_pid
+          ~name:("fleet:" ^ config.core.Ascend_arch.Config.name)
       in
-      incr next_id;
-      r
-    in
-    let spec_index = Hashtbl.create n_models in
-    Array.iteri (fun i s -> Hashtbl.replace spec_index s.name i) specs;
-    let pending = Arrivals.create () in
-    Array.iteri
-      (fun i s ->
-        match s.workload with
-        | Serve.Open_loop gen ->
-          List.iter
-            (fun t -> Arrivals.push pending (fresh_request i ~arrival_s:t))
-            (Ascend_serving.Load_gen.arrivals gen)
-        | Serve.Closed_loop { clients; _ } ->
-          for _ = 1 to clients do
-            Arrivals.push pending (fresh_request i ~arrival_s:0.)
-          done)
-      specs;
-    let resident =
-      Array.init nodes (fun n ->
-          Array.init n_models (fun m ->
-              Placement.resident placement ~model:specs.(m).name ~node:n))
-    in
-    let initially_resident = Array.map Array.copy resident in
-    let core_free = Array.init nodes (fun _ -> Array.make cpn 0.) in
-    let busy_spans = Array.make nodes [] in
-    let records = ref [] in
-    let batches = ref [] in
-    let batch_seq = ref 0 in
-    let routed = Array.make nodes 0 in
-    let page_ins = Array.make nodes 0 in
-    let page_in_s = Array.make nodes 0. in
-    let reissue spec_idx ~finish_s =
-      match (specs.(spec_idx).workload, think_rng.(spec_idx)) with
-      | Serve.Closed_loop { think_s; _ }, Some rng ->
-        let think =
-          if think_s <= 0. then 0.
-          else -.think_s *. log (1. -. Prng.float rng ~bound:1.)
-        in
-        let t = finish_s +. think in
-        if t < config.duration_s then
-          Arrivals.push pending (fresh_request spec_idx ~arrival_s:t)
-      | _ -> ()
-    in
-    let price spec_idx ~batch =
-      let s = specs.(spec_idx) in
-      match Cost.lookup cost ~model:s.name ~build:s.build ~batch with
-      | Ok e -> e
-      | Error e -> raise (Cost_error (s.name ^ ": " ^ e))
-    in
-    let node_cores = List.init cpn Fun.id in
-    let dispatch_node now n =
-      let idle =
-        List.filter (fun c -> core_free.(n).(c) <= now +. eps) node_cores
-      in
-      if idle <> [] then begin
-        (* drain every ready batch, spec order for determinism; a batch
-           dispatched on a node without the weights pays the page-in
-           stall as extra cycles on its core (the DMA of the weights) *)
-        let ready = ref [] in
-        Array.iteri
-          (fun m q ->
-            while Batcher.ready q ~now do
-              let reqs = Batcher.take q in
-              if obs_pid >= 0 then
-                Obs.Hook.counter ~cat:"fleet"
-                  ~name:("queue:" ^ specs.(m).name) ~pid:obs_pid ~tid:(1 + n)
-                  ~ts:(us now)
-                  ~value:(float_of_int (Batcher.length q))
-                  ();
-              let entry = price m ~batch:(List.length reqs) in
-              let paged, stall_cycles =
-                if resident.(n).(m) then (false, 0)
-                else begin
-                  resident.(n).(m) <- true;
-                  page_ins.(n) <- page_ins.(n) + 1;
-                  let pen = page_in_seconds n m in
-                  page_in_s.(n) <- page_in_s.(n) +. pen;
-                  if obs_pid >= 0 then
-                    Obs.Hook.span
-                      ~args:
-                        [
-                          ("bytes", Obs.Event.Int weight_bytes.(m));
-                          ( "bandwidth",
-                            Obs.Event.Float (page_bandwidth n) );
-                        ]
-                      ~cat:"fleet" ~name:("page_in:" ^ specs.(m).name)
-                      ~pid:obs_pid ~tid:(1 + n) ~ts:(us now)
-                      ~dur:(us pen) ();
-                  (true, int_of_float (ceil (pen *. freq_hz)))
-                end
-              in
-              ready := (m, reqs, entry, paged, stall_cycles) :: !ready
-            done)
-          queues.(n);
-        let ready = List.rev !ready in
-        if ready <> [] then begin
-          let idle_arr = Array.of_list idle in
-          let tagged =
-            List.map
-              (fun (m, reqs, entry, paged, stall) ->
-                let tag = Printf.sprintf "batch%d" !batch_seq in
-                incr batch_seq;
-                (tag, m, reqs, entry, paged, stall))
-              ready
-          in
-          let apps =
-            List.map
-              (fun (tag, m, _reqs, (entry : Cost.entry), _paged, stall) ->
-                Scheduler.app ~priority:specs.(m).priority ~name:tag
-                  [
-                    {
-                      Scheduler.stream_name = tag;
-                      tasks =
-                        [
-                          {
-                            Scheduler.task_name = tag;
-                            blocks = 1;
-                            cycles_per_block =
-                              max 1 (entry.Cost.cycles + stall);
-                          };
-                        ];
-                    };
-                  ])
-              tagged
-          in
-          let sched = Scheduler.run ~cores:(Array.length idle_arr) apps in
-          List.iter
-            (fun (p : Scheduler.placement) ->
-              let _tag, m, reqs, (entry : Cost.entry), paged, _stall =
-                List.find
-                  (fun (tag, _, _, _, _, _) -> tag = p.Scheduler.app)
-                  tagged
-              in
-              let core = idle_arr.(p.Scheduler.core) in
-              let start_s = now +. s_of_cycles p.Scheduler.start_cycle in
-              let finish_s = now +. s_of_cycles p.Scheduler.end_cycle in
-              core_free.(n).(core) <- Float.max core_free.(n).(core) finish_s;
-              busy_spans.(n) <- (core, start_s, finish_s) :: busy_spans.(n);
-              let size = List.length reqs in
-              batches :=
-                {
-                  bx_model = specs.(m).name;
-                  bx_priority = specs.(m).priority;
-                  bx_size = size;
-                  bx_node = n;
-                  bx_core = core;
-                  bx_start_s = start_s;
-                  bx_finish_s = finish_s;
-                  bx_cycles = entry.Cost.cycles;
-                  bx_paged = paged;
-                }
-                :: !batches;
-              if obs_pid >= 0 then
-                Obs.Hook.span
-                  ~args:
-                    [
-                      ("size", Obs.Event.Int size);
-                      ("core", Obs.Event.Int core);
-                      ("cycles", Obs.Event.Int entry.Cost.cycles);
-                      ("paged", Obs.Event.Bool paged);
-                    ]
-                  ~cat:"batch" ~name:specs.(m).name ~pid:obs_pid
-                  ~tid:(1 + n) ~ts:(us start_s)
-                  ~dur:(us (finish_s -. start_s))
-                  ();
-              List.iter
-                (fun r ->
-                  records :=
-                    ( n,
-                      {
-                        Request.request = r;
-                        outcome = Request.Completed;
-                        start_s;
-                        finish_s;
-                        batch = size;
-                        core;
-                      } )
-                    :: !records;
-                  reissue m ~finish_s)
-                reqs)
-            sched.Scheduler.placements
-        end
-      end
-    in
-    let dispatch now =
+      Obs.Hook.name_thread ~pid ~tid:0 "router";
       for n = 0 to nodes - 1 do
-        dispatch_node now n
-      done
+        Obs.Hook.name_thread ~pid ~tid:(1 + n)
+          (Printf.sprintf "page-in:node%d" n)
+      done;
+      pid
+    end
+  in
+  let us t = t *. 1e6 in
+  let router = Router.create ~policy:config.policy ~nodes () in
+  let routed = Array.make nodes 0 in
+  let route (r : Request.t) ~queued =
+    let n =
+      Router.route router ~placement ~model:r.Request.model
+        ~depths:(Array.init nodes queued)
     in
-    let total_queued n =
-      Array.fold_left (fun acc q -> acc + Batcher.length q) 0 queues.(n)
-    in
-    let admit now =
-      let rec go () =
-        match Arrivals.peek pending with
-        | Some r when r.Request.arrival_s <= now +. eps ->
-          ignore (Arrivals.pop pending);
-          let m = Hashtbl.find spec_index r.Request.model in
-          let depths = Array.init nodes total_queued in
-          let n = Router.route router ~placement ~model:r.Request.model ~depths in
-          routed.(n) <- routed.(n) + 1;
-          if obs_pid >= 0 then begin
-            Obs.Hook.instant
-              ~args:
-                [
-                  ("id", Obs.Event.Int r.Request.id);
-                  ("model", Obs.Event.String r.Request.model);
-                  ("node", Obs.Event.Int n);
-                ]
-              ~cat:"fleet" ~name:"route" ~pid:obs_pid ~tid:0
-              ~ts:(us r.Request.arrival_s) ();
-            Obs.Hook.counter ~cat:"fleet"
-              ~name:(Printf.sprintf "routed:node%d" n) ~pid:obs_pid ~tid:0
-              ~ts:(us r.Request.arrival_s)
-              ~value:(float_of_int routed.(n))
-              ()
-          end;
-          (match Batcher.offer queues.(n).(m) r with
-          | Batcher.Admitted ->
-            if obs_pid >= 0 then
-              Obs.Hook.counter ~cat:"fleet"
-                ~name:("queue:" ^ r.Request.model) ~pid:obs_pid ~tid:(1 + n)
-                ~ts:(us r.Request.arrival_s)
-                ~value:(float_of_int (Batcher.length queues.(n).(m)))
-                ()
-          | Batcher.Shed ->
-            records := (n, Request.rejected r) :: !records;
-            if obs_pid >= 0 then
-              Obs.Hook.instant
-                ~args:[ ("id", Obs.Event.Int r.Request.id) ]
-                ~cat:"fleet" ~name:("shed:" ^ r.Request.model) ~pid:obs_pid
-                ~tid:(1 + n) ~ts:(us r.Request.arrival_s) ());
-          go ()
-        | _ -> ()
+    routed.(n) <- routed.(n) + 1;
+    if obs_pid >= 0 then begin
+      Obs.Hook.instant
+        ~args:
+          [
+            ("id", Obs.Event.Int r.Request.id);
+            ("model", Obs.Event.String r.Request.model);
+            ("node", Obs.Event.Int n);
+          ]
+        ~cat:"fleet" ~name:"route" ~pid:obs_pid ~tid:0
+        ~ts:(us r.Request.arrival_s) ();
+      Obs.Hook.counter ~cat:"fleet"
+        ~name:(Printf.sprintf "routed:node%d" n) ~pid:obs_pid ~tid:0
+        ~ts:(us r.Request.arrival_s)
+        ~value:(float_of_int routed.(n))
+        ()
+    end;
+    n
+  in
+  let resident =
+    Array.init nodes (fun n ->
+        Array.init n_models (fun m ->
+            Placement.resident placement ~model:specs.(m).name ~node:n))
+  in
+  let initially_resident = Array.map Array.copy resident in
+  let page_ins = Array.make nodes 0 in
+  let page_in_s = Array.make nodes 0. in
+  (* a batch dispatched on a node without the weights pays the page-in
+     stall as extra cycles on its core (the DMA of the weights) *)
+  let page_in ~node:n ~model:m ~now =
+    if resident.(n).(m) then None
+    else begin
+      resident.(n).(m) <- true;
+      page_ins.(n) <- page_ins.(n) + 1;
+      let pen =
+        float_of_int weight_bytes.(m) /. Float.max 1. (page_bandwidth n)
       in
-      go ()
+      page_in_s.(n) <- page_in_s.(n) +. pen;
+      if obs_pid >= 0 then
+        Obs.Hook.span
+          ~args:
+            [
+              ("bytes", Obs.Event.Int weight_bytes.(m));
+              ("bandwidth", Obs.Event.Float (page_bandwidth n));
+            ]
+          ~cat:"fleet" ~name:("page_in:" ^ specs.(m).name) ~pid:obs_pid
+          ~tid:(1 + n) ~ts:(us now) ~dur:(us pen) ();
+      Some (int_of_float (ceil (pen *. freq_hz)))
+    end
+  in
+  let obs_name n =
+    Printf.sprintf "fleet:%s:node%d" config.core.Ascend_arch.Config.name n
+  in
+  let* r =
+    Loop.run ~route ~page_in ~obs_name (loop_config config) loop_specs
+  in
+  let records = r.Loop.records in
+  let batches =
+    List.map
+      (fun (b : Loop.batch) ->
+        let s = specs.(b.Loop.model) in
+        {
+          bx_model = s.name;
+          bx_priority = s.priority;
+          bx_size = b.Loop.size;
+          bx_node = b.Loop.node;
+          bx_core = b.Loop.core;
+          bx_start_s = b.Loop.start_s;
+          bx_finish_s = b.Loop.finish_s;
+          bx_cycles = b.Loop.cycles;
+          bx_paged = b.Loop.paged;
+        })
+      r.Loop.batches
+  in
+  let slo_of rs =
+    let done_ =
+      List.filter (fun r -> r.Request.outcome = Request.Completed) rs
     in
-    let next_time now =
-      let best = ref infinity in
-      let consider t = if t > now +. eps && t < !best then best := t in
-      (match Arrivals.peek pending with
-      | Some r -> consider r.Request.arrival_s
-      | None -> ());
-      Array.iter
-        (Array.iter (fun q ->
-             match Batcher.deadline q with Some d -> consider d | None -> ()))
-        queues;
-      let queued =
-        Array.exists
-          (Array.exists (fun q -> Batcher.length q > 0))
-          queues
-      in
-      if queued then Array.iter (Array.iter consider) core_free;
-      if !best = infinity then None else Some !best
-    in
-    let rec step now =
-      admit now;
-      dispatch now;
-      match next_time now with None -> () | Some t -> step t
-    in
-    step 0.;
-    (records, batches, busy_spans, routed, page_ins, page_in_s, placement,
-     training, initially_resident, resident, weight_bytes, train_util)
-  with
-  | exception Cost_error e -> Error e
-  | ( records, batches, busy_spans, routed, page_ins, page_in_s, placement,
-      training, initially_resident, resident, _weight_bytes, train_util ) ->
-    let records =
-      List.sort
-        (fun (_, a) (_, b) ->
-          compare a.Request.request.Request.id b.Request.request.Request.id)
-        !records
-    in
-    let batches = List.rev !batches in
-    let model_triples =
-      Array.to_list
-        (Array.map (fun s -> (s.name, s.priority, s.slo_ms)) specs)
-    in
-    let cpn = config.cores_per_node in
-    (* fleet-wide metrics over the flat core space node*cpn + core *)
-    let fleet_metrics =
-      Metrics.build ~duration_s:config.duration_s ~bucket_s:config.bucket_s
-        ~cores:(config.nodes * cpn) ~models:model_triples
-        ~busy:
-          (List.concat
-             (List.mapi
-                (fun n spans ->
-                  List.map
-                    (fun (c, s, f) -> ((n * cpn) + c, s, f))
-                    spans)
-                (Array.to_list busy_spans)))
-        (List.map
-           (fun (n, r) ->
-             if r.Request.outcome = Request.Completed then
-               { r with Request.core = (n * cpn) + r.Request.core }
-             else r)
-           records)
-    in
-    let node_records n =
-      List.filter_map
-        (fun (n', r) -> if n' = n then Some r else None)
-        records
-    in
-    let slo_of rs =
-      let done_ =
-        List.filter (fun r -> r.Request.outcome = Request.Completed) rs
-      in
-      if done_ = [] then 0.
-      else
-        float_of_int (List.length (List.filter Request.met_slo done_))
-        /. float_of_int (List.length done_)
-    in
-    let node_reports =
-      List.init config.nodes (fun n ->
-          let rs = node_records n in
-          let completed =
-            List.length
-              (List.filter
-                 (fun r -> r.Request.outcome = Request.Completed)
-                 rs)
-          in
-          {
-            node = n;
-            colocated_training = train_util n > 0.;
-            train_interconnect_util = train_util n;
-            routed = routed.(n);
-            completed;
-            rejected = List.length rs - completed;
-            page_ins = page_ins.(n);
-            page_in_s = page_in_s.(n);
-            slo_attainment = slo_of rs;
-            node_metrics =
-              Metrics.build ~duration_s:config.duration_s
-                ~bucket_s:config.bucket_s ~cores:cpn ~models:model_triples
-                ~busy:busy_spans.(n) rs;
-          })
-    in
-    let routes =
-      List.concat
-        (List.init config.nodes (fun n ->
-             List.mapi
-               (fun m s ->
-                 let rs =
-                   List.filter
-                     (fun r -> r.Request.request.Request.model = s.name)
-                     (node_records n)
-                 in
-                 let done_, rej =
-                   List.partition
-                     (fun r -> r.Request.outcome = Request.Completed)
-                     rs
-                 in
-                 let lat =
-                   List.map (fun r -> 1e3 *. Request.latency_s r) done_
-                 in
-                 {
-                   rc_node = n;
-                   rc_model = s.name;
-                   rc_routed = List.length rs;
-                   rc_completed = List.length done_;
-                   rc_rejected = List.length rej;
-                   rc_paged =
-                     resident.(n).(m) && not initially_resident.(n).(m);
-                   rc_p50_ms = percentile_ms 50. lat;
-                   rc_p95_ms = percentile_ms 95. lat;
-                   rc_p99_ms = percentile_ms 99. lat;
-                 })
-               (Array.to_list specs)))
-    in
-    Ok
-      {
-        fleet_config = config;
-        placement;
-        records;
-        batches;
-        fleet_metrics;
-        node_reports;
-        routes;
-        training;
-        slo_attainment = slo_of (List.map snd records);
-        total_page_ins = Array.fold_left ( + ) 0 page_ins;
-        cost_hits = Cost.hits cost;
-        cost_misses = Cost.misses cost;
-        cost_interpolated = Cost.interpolated cost;
-        cost_fallbacks = Cost.fallbacks cost;
-        cost_stats = Cost.stats cost;
-      }
+    if done_ = [] then 0.
+    else
+      float_of_int (List.length (List.filter Request.met_slo done_))
+      /. float_of_int (List.length done_)
+  in
+  let node_reports =
+    List.init nodes (fun n ->
+        let rs = Loop.node_records r n in
+        let completed =
+          List.length
+            (List.filter (fun r -> r.Request.outcome = Request.Completed) rs)
+        in
+        {
+          node = n;
+          colocated_training = train_util n > 0.;
+          train_interconnect_util = train_util n;
+          routed = routed.(n);
+          completed;
+          rejected = List.length rs - completed;
+          page_ins = page_ins.(n);
+          page_in_s = page_in_s.(n);
+          slo_attainment = slo_of rs;
+          node_metrics = Loop.node_metrics r n;
+        })
+  in
+  let routes =
+    List.concat
+      (List.init nodes (fun n ->
+           let rs = Loop.node_records r n in
+           List.mapi
+             (fun m s ->
+               let mine =
+                 List.filter
+                   (fun r -> r.Request.request.Request.model = s.name)
+                   rs
+               in
+               let done_, rej =
+                 List.partition
+                   (fun r -> r.Request.outcome = Request.Completed)
+                   mine
+               in
+               let lat =
+                 List.map (fun r -> 1e3 *. Request.latency_s r) done_
+               in
+               {
+                 rc_node = n;
+                 rc_model = s.name;
+                 rc_routed = List.length mine;
+                 rc_completed = List.length done_;
+                 rc_rejected = List.length rej;
+                 rc_paged = resident.(n).(m) && not initially_resident.(n).(m);
+                 rc_p50_ms = percentile_ms 50. lat;
+                 rc_p95_ms = percentile_ms 95. lat;
+                 rc_p99_ms = percentile_ms 99. lat;
+               })
+             specs_list))
+  in
+  let cost = r.Loop.cost in
+  Ok
+    {
+      fleet_config = config;
+      placement;
+      records;
+      batches;
+      fleet_metrics = Loop.metrics r;
+      node_reports;
+      routes;
+      training;
+      slo_attainment = slo_of (List.map snd records);
+      total_page_ins = Array.fold_left ( + ) 0 page_ins;
+      cost_hits = Cost.hits cost;
+      cost_misses = Cost.misses cost;
+      cost_interpolated = Cost.interpolated cost;
+      cost_fallbacks = Cost.fallbacks cost;
+      cost_stats = Cost.stats cost;
+    }
 
 (* --- export -------------------------------------------------------- *)
 
@@ -745,7 +488,7 @@ let to_json r =
             ("max_delay_ms", Json.Float (1e3 *. c.max_delay_s));
             ("queue_depth", Json.Int c.queue_depth);
             ("duration_s", Json.Float c.duration_s);
-            ("costing", Json.String (costing_name c.costing));
+            ("costing", Json.String (Cost.costing_name c.costing));
           ] );
       ("placement", Placement.to_json r.placement);
       ( "training",
@@ -813,18 +556,9 @@ let to_json r =
                 (List.length (List.filter (fun b -> b.bx_paged) r.batches)) );
           ] );
       ( "cost_cache",
-        Json.Obj
-          [
-            ("hits", Json.Int r.cost_hits);
-            ("misses", Json.Int r.cost_misses);
-            ("interpolated", Json.Int r.cost_interpolated);
-            ("fallbacks", Json.Int r.cost_fallbacks);
-            ("disk_hits", Json.Int r.cost_stats.Ascend_exec.Cache.disk_hits);
-            ( "disk_writes",
-              Json.Int r.cost_stats.Ascend_exec.Cache.disk_writes );
-            ( "disk_entries",
-              Json.Int r.cost_stats.Ascend_exec.Cache.disk_entries );
-          ] );
+        Cost.counters_json ~hits:r.cost_hits ~misses:r.cost_misses
+          ~interpolated:r.cost_interpolated ~fallbacks:r.cost_fallbacks
+          r.cost_stats );
     ]
 
 let mean_utilization (m : Metrics.t) =

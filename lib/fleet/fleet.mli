@@ -4,6 +4,10 @@
     {!Ascend_serving.Serve} over its cores), fronted by a {!Router}
     that places every request against a {!Placement} plan.
 
+    The event loop is {!Ascend_serving.Loop}, the core [Serve.run] is
+    the one-node case of: this module adds the placement plan, the
+    router and page-in hooks, training colocation and the reports.
+
     Semantics, relative to single-node serving:
 
     - {b routing}: each arrival is routed to one node by the configured
@@ -22,7 +26,12 @@
     - {b determinism}: one shared single-domain {!Ascend_serving.Cost}
       oracle prices every batch, so a run — counters included — is a
       pure function of specs + seeds: byte-identical {!to_json} across
-      runs and [ASCEND_JOBS] values. *)
+      runs and [ASCEND_JOBS] values;
+    - {b trace layout}: with a collector installed, the fleet's own
+      process carries the router lane (route instants, per-node routed
+      counters) and one page-in lane per node; each node is a process
+      of its own with [Serve]'s lanes (one per model queue, one per
+      core), so no counter series mixes nodes. *)
 
 type model_spec = {
   name : string;

@@ -112,3 +112,21 @@ let misses t = t.misses
 let interpolated t = t.interpolated
 let fallbacks t = t.fallbacks
 let stats t = Service.stats t.service
+
+exception Unpriced of string
+
+let costing_name = function `Exact -> "exact" | `Surrogate -> "surrogate"
+
+let counters_json ~hits ~misses ~interpolated ~fallbacks
+    (stats : Ascend_exec.Cache.stats) =
+  let module Json = Ascend_util.Json in
+  Json.Obj
+    [
+      ("hits", Json.Int hits);
+      ("misses", Json.Int misses);
+      ("interpolated", Json.Int interpolated);
+      ("fallbacks", Json.Int fallbacks);
+      ("disk_hits", Json.Int stats.Ascend_exec.Cache.disk_hits);
+      ("disk_writes", Json.Int stats.Ascend_exec.Cache.disk_writes);
+      ("disk_entries", Json.Int stats.Ascend_exec.Cache.disk_entries);
+    ]

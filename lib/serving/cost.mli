@@ -67,3 +67,17 @@ val fallbacks : t -> int
 
 val stats : t -> Ascend_exec.Cache.stats
 (** The private service's cache counters, disk tier included. *)
+
+exception Unpriced of string
+(** Raised inside an event loop ({!Loop}, [Ascend_decode.Engine]) when a
+    batch fails to price, to abandon the run; the loop's [run] returns
+    the message as [Error]. *)
+
+val costing_name : [< `Exact | `Surrogate ] -> string
+(** ["exact"] or ["surrogate"], as every engine's JSON config names it. *)
+
+val counters_json :
+  hits:int -> misses:int -> interpolated:int -> fallbacks:int ->
+  Ascend_exec.Cache.stats -> Ascend_util.Json.t
+(** The [cost_cache] object of serve and fleet JSON: the four oracle
+    counters, then the disk tier's hits, writes and entries. *)

@@ -6,15 +6,15 @@ type t = {
   slo_s : float;
 }
 
+let eps = 1e-12
+
 (* (arrival, id) order, with arrivals less than [eps] apart taken as
-   simultaneous: the same 1e-12 s tolerance the serving loops compare
-   event times with.  Re-issued closed-loop arrivals computed along
-   different paths can land one ulp apart; under this order they still
-   go in id order *)
+   simultaneous: the same tolerance the serving loops compare event
+   times with.  Re-issued closed-loop arrivals computed along different
+   paths can land one ulp apart; under this order they still go in id
+   order *)
 module Arrivals = Ascend_util.Heap.Make (struct
   type nonrec t = t
-
-  let eps = 1e-12
 
   let precedes a b =
     a.arrival_s < b.arrival_s -. eps

@@ -13,6 +13,10 @@ type t = {
   slo_s : float;       (** end-to-end latency objective *)
 }
 
+val eps : float
+(** 1e-12 s: event times less than [eps] apart count as simultaneous, in
+    {!Arrivals} and in every event loop's time comparisons. *)
+
 module Arrivals : Ascend_util.Heap.S with type elt = t
 (** Pending arrivals, popped in [(arrival_s, id)] order: earliest first,
     and the lower (earlier-generated) id first among arrivals less than

@@ -3,27 +3,28 @@
     §5.2 {!Ascend_runtime.Scheduler} with QoS priorities, measured by
     the SLO metrics layer.
 
-    Discrete-event semantics over simulated seconds: at each decision
-    point (an arrival, a batching deadline, a core becoming free) the
-    dispatcher forms every ready batch, prices each one through the
-    memoized compiler+simulator {!Cost} oracle, and hands the batch set
-    to [Scheduler.run] over the currently idle cores — so placement
-    order under contention is exactly the runtime scheduler's QoS
-    policy: higher priority first, FIFO within a priority.  Admission
-    control sheds a request on arrival when its model queue is at the
-    configured depth bound.
+    A run is the one-node case of the shared event core {!Loop}: every
+    arrival goes to the single node, and no batch pays a page-in.  At
+    each decision point (an arrival, a batching deadline, a core
+    becoming free) the dispatcher forms every ready batch, prices each
+    one through the memoized compiler+simulator {!Cost} oracle, and
+    hands the batch set to [Scheduler.run] over the currently idle
+    cores — so placement order under contention is exactly the runtime
+    scheduler's QoS policy: higher priority first, FIFO within a
+    priority.  Admission control sheds a request on arrival when its
+    model queue is at the configured depth bound.
 
     Everything is deterministic: same specs + seeds => byte-identical
     {!to_json} output. *)
 
-type workload =
+type workload = Loop.workload =
   | Open_loop of Load_gen.t
   | Closed_loop of { clients : int; think_s : float; seed : int }
       (** [clients] concurrent callers, each re-issuing after its
           previous request completes plus an exponential think time of
           mean [think_s] (zero: immediate re-issue). *)
 
-type model_spec = {
+type model_spec = Loop.model_spec = {
   name : string;
   build : batch:int -> Ascend_nn.Graph.t;
   priority : int;   (** QoS priority, higher wins under contention *)
@@ -84,8 +85,9 @@ val run : config -> model_spec list -> (result, string) Stdlib.result
     configured core. *)
 
 val scheduler_apps : result -> Ascend_runtime.Scheduler.app list
-(** The dispatched batches as one offline scheduler input: one app per
-    model carrying its QoS priority, one stream per batch. *)
+(** The dispatched batches as one offline scheduler input — the one the
+    offline repack ran on: one app per model that dispatched, in spec
+    order, carrying its QoS priority, one stream per batch. *)
 
 val to_json : result -> Ascend_util.Json.t
 

@@ -11,6 +11,7 @@ module Load_gen = Ascend.Serving.Load_gen
 module Request = Ascend.Serving.Request
 module Metrics = Ascend.Serving.Metrics
 module Json = Ascend.Util.Json
+module Obs = Ascend.Obs
 
 (* ------------------------------------------------------------------ *)
 (* Placement                                                           *)
@@ -327,6 +328,141 @@ let test_training_colocation () =
         (nr.Fleet.train_interconnect_util > 0.))
     r.Fleet.node_reports
 
+(* Chrome and Perfetto key a counter series by (pid, name): each node is
+   a trace process of its own, so one node's queue depths never merge
+   with another's *)
+let test_fleet_trace_counter_series () =
+  let c = Obs.Collector.create ~capacity:262144 () in
+  let r =
+    Obs.Hook.with_collector c (fun () ->
+        run_ok
+          (small_config ~nodes:3 ~policy:Router.Round_robin ())
+          [ open_spec "gesture" gesture;
+            open_spec ~replicas:1 "face-detect" face_detect ])
+  in
+  Alcotest.(check int) "nothing dropped" 0 (Obs.Collector.dropped c);
+  (* (pid, name) -> (tids, samples) *)
+  let series = Hashtbl.create 16 in
+  List.iter
+    (fun (e : Obs.Event.t) ->
+      match e.Obs.Event.kind with
+      | Obs.Event.Counter _ ->
+        let key = (e.Obs.Event.pid, e.Obs.Event.name) in
+        let tids, samples =
+          Option.value (Hashtbl.find_opt series key) ~default:([], 0)
+        in
+        let tid = e.Obs.Event.tid in
+        Hashtbl.replace series key
+          ((if List.mem tid tids then tids else tid :: tids), samples + 1)
+      | _ -> ())
+    (Obs.Collector.events c);
+  Hashtbl.iter
+    (fun (pid, name) (tids, _) ->
+      Alcotest.(check int)
+        (Printf.sprintf "pid %d %s from one tid" pid name)
+        1 (List.length tids))
+    series;
+  (* node n's queue-depth series samples exactly the admissions to and
+     the batches taken from node n's queue *)
+  let node_pid n =
+    let suffix = Printf.sprintf ":node%d" n in
+    fst
+      (List.find
+         (fun (_, name) -> String.ends_with ~suffix name)
+         (Obs.Collector.processes c))
+  in
+  List.iter
+    (fun rc ->
+      let n = rc.Fleet.rc_node and model = rc.Fleet.rc_model in
+      let batches =
+        List.length
+          (List.filter
+             (fun b -> b.Fleet.bx_node = n && b.Fleet.bx_model = model)
+             r.Fleet.batches)
+      in
+      let samples =
+        match Hashtbl.find_opt series (node_pid n, "queue_depth:" ^ model) with
+        | Some (_, k) -> k
+        | None -> 0
+      in
+      Alcotest.(check bool) "node served" true (rc.Fleet.rc_completed > 0);
+      Alcotest.(check int)
+        (Printf.sprintf "node%d %s queue samples" n model)
+        (rc.Fleet.rc_routed - rc.Fleet.rc_rejected + batches)
+        samples)
+    r.Fleet.routes
+
+(* Serve.run is the one-node fleet: on a single node every model is
+   resident and every request routes to node 0, so serve's records,
+   metrics, batch count and cost-cache counters equal fleet's under any
+   policy and replica count *)
+let serve_is_one_node_fleet_prop =
+  let workloads =
+    [ ("uniform", `Open Load_gen.Uniform); ("poisson", `Open Load_gen.Poisson);
+      ("bursty", `Open (Load_gen.Bursty { factor = 4.; period_s = 0.05 }));
+      ("closed think 0", `Closed 0.); ("closed think 1ms", `Closed 1e-3) ]
+  in
+  let gen =
+    QCheck.Gen.(
+      tup4 (int_bound 10_000) (oneofl workloads)
+        (pair (int_bound 3) (int_bound 3))
+        (tup3 (oneofl Router.policies) (int_bound 2) (oneofl [ 300.; 3000. ])))
+  in
+  let print (seed, (w, _), (p1, p2), ((policy, _), replicas, rate)) =
+    Printf.sprintf "seed %d, %s, priorities %d/%d, %s, replicas %d, %g req/s"
+      seed w p1 p2 policy replicas rate
+  in
+  QCheck.Test.make ~count:12 ~name:"serve equals fleet --nodes 1"
+    (QCheck.make ~print gen)
+    (fun (seed, (_, workload), (p1, p2), ((_, policy), replicas, rate)) ->
+      let spec name build priority seed =
+        let workload =
+          match workload with
+          | `Open process ->
+            Serve.Open_loop
+              (Load_gen.create ~process ~rate_per_s:rate ~duration_s:0.2 ~seed
+                 ())
+          | `Closed think_s ->
+            Serve.Closed_loop { clients = 6; think_s; seed }
+        in
+        { Serve.name; build; priority; slo_ms = 20.; workload }
+      in
+      let specs =
+        [ spec "gesture" gesture p1 seed;
+          spec "face-detect" face_detect p2 (seed + 1) ]
+      in
+      let serve =
+        match
+          Serve.run
+            { (Serve.default_config ~core:Config.tiny ~cores:2) with
+              Serve.duration_s = 0.2; max_batch = 4; queue_depth = 8 }
+            specs
+        with
+        | Ok r -> r
+        | Error e -> QCheck.Test.fail_report e
+      in
+      let fleet =
+        run_ok
+          { (small_config ~nodes:1 ~policy ()) with Fleet.queue_depth = 8 }
+          (List.map
+             (fun (s : Serve.model_spec) ->
+               { Fleet.name = s.name; build = s.build; priority = s.priority;
+                 slo_ms = s.slo_ms; workload = s.workload; replicas;
+                 kv_bytes = 0 })
+             specs)
+      in
+      let field k = function
+        | Json.Obj fields -> List.assoc k fields
+        | _ -> Json.Null
+      in
+      let s = Serve.to_json serve and f = Fleet.to_json fleet in
+      let same a b = Json.to_string a = Json.to_string b in
+      serve.Serve.records = List.map snd fleet.Fleet.records
+      && same (field "metrics" s) (field "metrics" (field "fleet" f))
+      && same (field "count" (field "batches" s))
+           (field "count" (field "batches" f))
+      && same (field "cost_cache" s) (field "cost_cache" f))
+
 let test_fleet_json_shape () =
   let r =
     run_ok
@@ -365,5 +501,8 @@ let () =
           Alcotest.test_case "training colocation" `Quick
             test_training_colocation;
           Alcotest.test_case "json shape" `Quick test_fleet_json_shape;
+          Alcotest.test_case "trace counter series" `Quick
+            test_fleet_trace_counter_series;
+          QCheck_alcotest.to_alcotest serve_is_one_node_fleet_prop;
         ] );
     ]

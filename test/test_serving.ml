@@ -10,6 +10,7 @@ module Cost = Ascend.Serving.Cost
 module Serve = Ascend.Serving.Serve
 module Config = Ascend.Arch.Config
 module Json = Ascend.Util.Json
+module Obs = Ascend.Obs
 
 let req ?(model = "m") ?(priority = 0) ?(slo_s = 1.) id arrival_s =
   { Request.id; model; arrival_s; priority; slo_s }
@@ -612,6 +613,38 @@ let test_serve_json_digests_pinned () =
     ]
     (List.map digest configs)
 
+(* the Chrome trace of one traced two-model run that sheds: lane layout,
+   event order, arguments and virtual timestamps, cost-oracle spans
+   included.  The digest was recorded before Serve.run became the
+   one-node case of the shared event core *)
+let test_serve_trace_pinned () =
+  let uniform name =
+    { (open_spec name) with
+      Serve.workload =
+        Serve.Open_loop
+          (Load_gen.create ~process:Load_gen.Uniform ~rate_per_s:20_000.
+             ~duration_s:0.05 ~seed:5 ()) }
+  in
+  let config =
+    { (small_config ~cores:1 ~queue_depth:4 ()) with Serve.duration_s = 0.05 }
+  in
+  let c = Obs.Collector.create ~capacity:262144 () in
+  let r =
+    Obs.Hook.with_collector c (fun () ->
+        run_ok config
+          [ { (uniform "a") with Serve.priority = 1 }; uniform "b" ])
+  in
+  List.iter
+    (fun s ->
+      Alcotest.(check bool) (s.Metrics.model ^ " sheds") true
+        (s.Metrics.rejected > 0))
+    r.Serve.metrics.Metrics.summaries;
+  Alcotest.(check int) "nothing dropped" 0 (Obs.Collector.dropped c);
+  Alcotest.(check string) "serve trace digest"
+    "a46677fe4f8db2b44e18cc3a0d348f1e"
+    (Digest.to_hex
+       (Digest.string (Json.to_string (Obs.Chrome_trace.to_json c))))
+
 let test_serve_rejects_bad_inputs () =
   Alcotest.(check bool) "empty spec list raises" true
     (try
@@ -673,6 +706,7 @@ let () =
           Alcotest.test_case "offline bound" `Quick test_serve_offline_bound;
           Alcotest.test_case "json digests pinned" `Quick
             test_serve_json_digests_pinned;
+          Alcotest.test_case "trace pinned" `Quick test_serve_trace_pinned;
           Alcotest.test_case "invalid inputs" `Quick
             test_serve_rejects_bad_inputs;
         ] );
