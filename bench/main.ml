@@ -1812,27 +1812,9 @@ let lint_bench () =
   (* cluster collective-schedule verification: expand the lint
      --cluster sweep's schedules and time Verify.Cluster.analyze *)
   let cluster_schedules =
-    let module Sched = Ascend.Cluster.Collective_schedule in
-    let module Fat_tree = Ascend.Noc.Fat_tree in
-    let nic = Fat_tree.server_bandwidth Fat_tree.ascend_cluster in
-    let server = Ascend.Cluster.Server.ascend910_server in
-    let bytes_axis = [ 1e6; 1e8 ] in
-    List.concat_map
-      (fun nodes ->
-        List.concat_map
-          (fun bytes ->
-            [ Sched.ring ~bytes ~nodes ~bandwidth:nic ();
-              Sched.halving_doubling ~bytes ~nodes ~bandwidth:nic () ])
-          bytes_axis)
-      [ 2; 3; 4; 5; 8; 16; 17 ]
-    @ List.map (fun bytes -> Sched.intra_server ~server ~bytes) bytes_axis
-    @ List.concat_map
-        (fun servers ->
-          let network = Fat_tree.create ~servers () in
-          List.map
-            (fun bytes -> Sched.hierarchical ~server ~network ~servers ~bytes)
-            bytes_axis)
-        [ 2; 4; 8; 16 ]
+    List.map
+      (fun (p : Ascend.Cluster.Collective_schedule.point) -> p.build ())
+      (Ascend.Cluster.Collective_schedule.sweep ())
   in
   let n_schedules = List.length cluster_schedules in
   let cluster_findings, cluster_s =
@@ -1939,17 +1921,22 @@ let () =
     | _ :: (_ :: _ as names) -> names
     | _ -> List.map fst sections
   in
+  (* every name is checked before any section runs *)
+  (match
+     List.find_opt (fun name -> not (List.mem_assoc name sections)) requested
+   with
+  | Some name ->
+    prerr_endline
+      (Printf.sprintf "error: unknown section %s (available: %s)" name
+         (String.concat ", " (List.map fst sections)));
+    exit 1
+  | None -> ());
   List.iter
     (fun name ->
-      match List.assoc_opt name sections with
-      | Some f ->
-        let t0 = Unix.gettimeofday () in
-        f ();
-        let wall_s = Unix.gettimeofday () -. t0 in
-        Bench_json.write ~section:name ~wall_s;
-        Format.printf "[%s completed in %.1f s -> BENCH_%s.json]@." name
-          wall_s name
-      | None ->
-        Format.printf "unknown section %s (available: %s)@." name
-          (String.concat ", " (List.map fst sections)))
+      let t0 = Unix.gettimeofday () in
+      (List.assoc name sections) ();
+      let wall_s = Unix.gettimeofday () -. t0 in
+      Bench_json.write ~section:name ~wall_s;
+      Format.printf "[%s completed in %.1f s -> BENCH_%s.json]@." name wall_s
+        name)
     requested

@@ -7,12 +7,14 @@
      dune exec bin/ascend_cli.exe -- trace gesture --core tiny -o trace.json
      dune exec bin/ascend_cli.exe -- list
 
-   Run with no subcommand for the consolidated usage summary. *)
+   Run with no subcommand for the command list; COMMAND --help documents
+   each command. *)
 
 open Cmdliner
 module Config = Ascend.Arch.Config
 module Engine = Ascend.Compiler.Engine
 module Graph = Ascend.Nn.Graph
+module Json = Ascend.Util.Json
 
 let models : (string * (batch:int -> Graph.t)) list =
   [
@@ -100,11 +102,17 @@ let run_model build config ~batch ~training =
   let run = if training then Engine.run_training else Engine.run_inference in
   run config graph
 
-let exit_of = function
-  | Ok () -> 0
+(* one exit code per error class: 0 on success; 1 for one "error:"
+   line on stderr, or for a check that failed (a sweep's error finding,
+   gate or budget); 124 when cmdliner cannot parse the command line; 125
+   for an internal error (see the entry point) *)
+let exit_code = function
+  | Ok code -> code
   | Error e ->
     prerr_endline ("error: " ^ e);
     1
+
+let exit_of r = exit_code (Result.map (fun () -> 0) r)
 
 (* library entry points raise [Invalid_argument] on malformed input
    (non-positive rates, durations, cores or nodes; duplicate models):
@@ -113,10 +121,27 @@ let catching_invalid f = try f () with Invalid_argument msg -> Error msg
 
 let ( let* ) = Result.bind
 
-(* '-' is stdout *)
-let write_json path doc =
-  if path = "-" then print_endline (Ascend.Util.Json.to_string ~pretty:true doc)
-  else Ascend.Util.Json.write_file path doc
+(* write each document whose path is given ('-': stdout) *)
+let write_docs docs =
+  List.iter
+    (function
+      | Some "-", doc -> print_endline (Json.to_string ~pretty:true doc)
+      | Some path, doc -> Json.write_file path doc
+      | None, _ -> ())
+    docs
+
+(* the rule every sweep and run shares: a core runs a model only if it
+   supports the model's dtype.  The sweeps skip other (model, core)
+   pairs; serve, fleet and decode reject the core before the run. *)
+let supports config graph = Config.supports config (Graph.dtype graph)
+
+let check_core (core : Config.t) named_graphs =
+  match List.find_opt (fun (_, g) -> not (supports core g)) named_graphs with
+  | None -> Ok ()
+  | Some (name, g) ->
+    Error
+      (Printf.sprintf "core %s does not support %s (%s)" core.Config.name name
+         (Ascend.Arch.Precision.name (Graph.dtype g)))
 
 (* --- simulate ----------------------------------------------------- *)
 
@@ -400,11 +425,15 @@ let traffic_term =
     $ closed_arg $ think_arg $ bucket_arg $ costing_arg)
 
 (* one spec per model; model i draws from seed + 7919 i *)
-let model_specs t models =
+let model_specs ~core t models =
   let n = List.length models in
   let* rates = broadcast ~what:"--rate" n t.rates in
   let* slos = broadcast ~what:"--slo-ms" n t.slos in
   let* priorities = broadcast ~what:"--priority" n t.priorities in
+  let* () =
+    check_core core
+      (List.map (fun (name, build) -> (name, build ~batch:1)) models)
+  in
   catching_invalid (fun () ->
       Ok
         (List.mapi
@@ -436,8 +465,7 @@ let run_reported ~trace_path f =
         | None -> f ()
         | Some c -> Obs.Hook.with_collector c f)
   in
-  List.iter (fun (path, doc) -> Option.iter (fun p -> write_json p doc) path)
-    docs;
+  write_docs docs;
   (match (trace_path, collector) with
   | Some path, Some c ->
     Obs.Chrome_trace.write_file path c;
@@ -448,7 +476,7 @@ let run_reported ~trace_path f =
 
 let serve models core cores t json_path trace_path =
   exit_of
-    (let* specs = model_specs t models in
+    (let* specs = model_specs ~core t models in
      let config =
        {
          Serve.core;
@@ -586,12 +614,18 @@ let decode core rate duration seed process prompt_mean prompt_max
                 ~prompt_max ~output_mean ~output_max ~fixed_prompt
                 ~fixed_output))
      in
+     let llm =
+       if small_llm then Ascend.Nn.Llm.small_config
+       else Ascend.Nn.Llm.tiny_config
+     in
+     let* () =
+       check_core core
+         [ ("llm-decode", Ascend.Nn.Llm.decode ~batch:1 ~cache_len:1 llm) ]
+     in
      let config mode =
        {
          (Decode_engine.default_config ~core ()) with
-         Decode_engine.llm =
-           (if small_llm then Ascend.Nn.Llm.small_config
-            else Ascend.Nn.Llm.tiny_config);
+         Decode_engine.llm;
          mode;
          costing;
          max_batch = batch_max;
@@ -746,7 +780,7 @@ let kv_bytes ~batch_max name =
 let fleet models core nodes cores_per_node policy replicas t train_nodes
     train_model train_batch node_hbm_gb json_path pagein_path trace_path =
   exit_of
-    (let* specs = model_specs t models in
+    (let* specs = model_specs ~core t models in
      let* replicas =
        broadcast ~what:"--replicas" (List.length models) replicas
      in
@@ -814,7 +848,7 @@ let fleet_cmd =
       $ train_nodes_arg $ train_model_arg $ train_batch_arg $ node_hbm_gb_arg
       $ json_arg $ pagein_json_arg $ serve_trace_arg)
 
-(* --- lint / sanitize ---------------------------------------------- *)
+(* --- sweeps: lint / sanitize --------------------------------------- *)
 
 module Codegen = Ascend.Compiler.Codegen
 module Fusion = Ascend.Compiler.Fusion
@@ -848,18 +882,11 @@ let describe_options (o : Codegen.options) =
     | None -> "none"
     | Some r -> Printf.sprintf "%.2f" r)
 
-(* each combo renders its findings into its own buffer so combos can be
-   verified on worker domains and the reports printed in submission
-   order — `--jobs N` output is byte-identical to `--jobs 1` *)
-type combo_report = {
-  model : string;
-  core : string;
-  options : Codegen.options option;
-      (* None for the per-(model, core) soc/sanitize sweeps, which run
-         default codegen options only *)
-  text : string;
-  findings : Finding.t list;
-}
+(* every sweep's combination renders into its own buffer, so
+   combinations can run on worker domains and print in submission
+   order — `--jobs N` output is byte-identical to `--jobs 1`; [json] is
+   the combination's entry in the --json document *)
+type combo = { text : string; findings : Finding.t list; json : Json.t }
 
 let severity_counts findings =
   List.fold_left
@@ -869,553 +896,400 @@ let severity_counts findings =
       | Finding.Warning -> (e, w + 1))
     (0, 0) findings
 
-let lint_one ~verbose config options name graph =
+let findings_phrase findings =
+  let errors, warnings = severity_counts findings in
+  Printf.sprintf "%d finding(s) (%d error(s), %d warning(s))"
+    (List.length findings) errors warnings
+
+(* the skeleton of one combination: [analyze emit ppf] runs the mode's
+   own analysis and hands each batch of findings to [emit], which heads
+   it "LABEL / WHAT:" ("LABEL:" for [None]); it returns the --verbose
+   line of a clean combination, if any.  A codegen [Invalid_argument]
+   becomes a Malformed finding. *)
+let render ~verbose ~fields label analyze =
   let buf = Buffer.create 256 in
   let ppf = Format.formatter_of_buffer buf in
   let findings = ref [] in
-  let n_programs = ref 0 in
-  (try
-     List.iter
-       (fun ((grp : Fusion.t), p) ->
-         incr n_programs;
-         match Verify.analyze config p with
-         | [] -> ()
-         | fs ->
-           findings := !findings @ fs;
-           Format.fprintf ppf "%s / %s / %s / %s:@." name config.Config.name
-             (describe_options options) grp.Fusion.tag;
-           Format.fprintf ppf "%a" Verify.pp_report fs)
-       (Codegen.graph_programs ~options config graph)
-   with Invalid_argument e ->
-     findings :=
-       !findings @ [ Finding.make Finding.Malformed ("codegen rejected: " ^ e) ];
-     Format.fprintf ppf "%s / %s / %s: codegen rejected: %s@." name
-       config.Config.name (describe_options options) e);
-  if verbose && !findings = [] then
-    Format.fprintf ppf "%s / %s / %s: %d program(s) clean@." name
-      config.Config.name (describe_options options) !n_programs;
+  let emit what fs =
+    if fs <> [] then begin
+      findings := !findings @ fs;
+      Format.fprintf ppf "%s%s:@.%a" label
+        (match what with None -> "" | Some w -> " / " ^ w)
+        Verify.pp_report fs
+    end
+  in
+  (match analyze emit ppf with
+  | clean ->
+    if verbose && !findings = [] then
+      Option.iter (Format.fprintf ppf "%s: %s@." label) clean
+  | exception Invalid_argument e ->
+    let rejected = "codegen rejected: " ^ e in
+    findings := !findings @ [ Finding.make Finding.Malformed rejected ];
+    Format.fprintf ppf "%s: %s@." label rejected);
   Format.pp_print_flush ppf ();
-  { model = name; core = config.Config.name; options = Some options;
-    text = Buffer.contents buf; findings = !findings }
+  let findings = !findings in
+  let verdict = if findings = [] then "clean" else "dirty" in
+  { text = Buffer.contents buf; findings;
+    json =
+      Json.Obj
+        (fields
+        @ [
+            ("verdict", Json.String verdict);
+            ("findings",
+             Json.List
+               (List.map Finding.to_json (List.sort Finding.compare findings)));
+          ]) }
 
-(* --soc: one combo per (model, core) at default codegen options — the
-   per-program lint plus the whole-SoC schedule analysis (cross-core
+(* a (model, core[, codegen options]) combination of lint, lint --soc or
+   sanitize *)
+let program_combo ~verbose ?options (name, _, _, (config : Config.t))
+    analyze =
+  let options = Option.to_list (Option.map describe_options options) in
+  render ~verbose
+    ~fields:
+      (("model", Json.String name)
+      :: ("core", Json.String config.Config.name)
+      :: List.map (fun o -> ("options", Json.String o)) options)
+    (String.concat " / " (name :: config.Config.name :: options))
+    analyze
+
+let lint_programs emit config programs =
+  List.iter
+    (fun ((grp : Fusion.t), p) ->
+      emit (Some grp.Fusion.tag) (Verify.analyze config p))
+    programs
+
+let lint_one ~verbose (((_, _, graph, config) as combo), options) =
+  program_combo ~verbose ~options combo (fun emit _ ->
+      let programs = Codegen.graph_programs ~options config graph in
+      lint_programs emit config programs;
+      Some (Printf.sprintf "%d program(s) clean" (List.length programs)))
+
+(* --soc: one combination per (model, core) at default codegen options —
+   the per-program lint plus the whole-SoC schedule analysis (cross-core
    races, dependency cycles, optional LLC/HBM capacity) over the same
    compiled artifacts *)
-let lint_soc_one ~verbose ?llc_bytes ?hbm_bytes ~cores:soc_cores config name
-    graph =
-  let buf = Buffer.create 256 in
-  let ppf = Format.formatter_of_buffer buf in
-  let findings = ref [] in
-  let n_programs = ref 0 in
-  (try
-     let plan, programs =
-       Soc_schedule.build ~cores:soc_cores ?llc_bytes ?hbm_bytes config graph
-     in
-     List.iter
-       (fun ((grp : Fusion.t), p) ->
-         incr n_programs;
-         match Verify.analyze config p with
-         | [] -> ()
-         | fs ->
-           findings := !findings @ fs;
-           Format.fprintf ppf "%s / %s / %s:@." name config.Config.name
-             grp.Fusion.tag;
-           Format.fprintf ppf "%a" Verify.pp_report fs)
-       programs;
-     match Verify.Soc.analyze plan with
-     | [] -> ()
-     | fs ->
-       findings := !findings @ fs;
-       Format.fprintf ppf "%s / %s / soc schedule (%d cores):@." name
-         config.Config.name soc_cores;
-       Format.fprintf ppf "%a" Verify.pp_report fs
-   with Invalid_argument e ->
-     findings :=
-       !findings @ [ Finding.make Finding.Malformed ("codegen rejected: " ^ e) ];
-     Format.fprintf ppf "%s / %s: codegen rejected: %s@." name
-       config.Config.name e);
-  if verbose && !findings = [] then
-    Format.fprintf ppf "%s / %s: %d program(s) + soc schedule clean@." name
-      config.Config.name !n_programs;
-  Format.pp_print_flush ppf ();
-  { model = name; core = config.Config.name; options = None;
-    text = Buffer.contents buf; findings = !findings }
+let lint_soc_one ~verbose ?llc_bytes ?hbm_bytes ~cores
+    ((_, _, graph, config) as combo) =
+  program_combo ~verbose combo (fun emit _ ->
+      let plan, programs =
+        Soc_schedule.build ~cores ?llc_bytes ?hbm_bytes config graph
+      in
+      lint_programs emit config programs;
+      emit
+        (Some (Printf.sprintf "soc schedule (%d cores)" cores))
+        (Verify.Soc.analyze plan);
+      Some
+        (Printf.sprintf "%d program(s) + soc schedule clean"
+           (List.length programs)))
 
 (* the dynamic half of the differential gate: replay every generated
-   program (default codegen options, same combo iteration as
+   program (default codegen options, the same combinations as
    `lint --soc`) through the shadow-state sanitizer *)
-let sanitize_one ~verbose config name graph =
-  let buf = Buffer.create 256 in
-  let ppf = Format.formatter_of_buffer buf in
-  let findings = ref [] in
-  let n_programs = ref 0 in
-  let n_instrs = ref 0 in
-  (try
-     List.iter
-       (fun ((grp : Fusion.t), p) ->
-         incr n_programs;
-         let r = Sanitizer.run config p in
-         n_instrs := !n_instrs + r.Sanitizer.instructions_executed;
-         match r.Sanitizer.findings with
-         | [] -> ()
-         | fs ->
-           findings := !findings @ fs;
-           Format.fprintf ppf "%s / %s / %s:@." name config.Config.name
-             grp.Fusion.tag;
-           Format.fprintf ppf "%a" Verify.pp_report fs)
-       (Codegen.graph_programs config graph)
-   with Invalid_argument e ->
-     findings :=
-       !findings @ [ Finding.make Finding.Malformed ("codegen rejected: " ^ e) ];
-     Format.fprintf ppf "%s / %s: codegen rejected: %s@." name
-       config.Config.name e);
-  if verbose && !findings = [] then
-    Format.fprintf ppf
-      "%s / %s: %d program(s) clean (%d instruction(s) replayed)@." name
-      config.Config.name !n_programs !n_instrs;
-  Format.pp_print_flush ppf ();
-  { model = name; core = config.Config.name; options = None;
-    text = Buffer.contents buf; findings = !findings }
-
-(* the differential-gate document: `lint --soc --json` and
-   `sanitize --json` emit the same combo iteration and field order, so
-   two sweeps that agree are byte-identical and CI can `cmp` them *)
-let sweep_json results =
-  let module J = Ascend.Util.Json in
-  let combo r =
-    J.Obj
-      ([ ("model", J.String r.model); ("core", J.String r.core) ]
-      @ (match r.options with
-        | None -> []
-        | Some o -> [ ("options", J.String (describe_options o)) ])
-      @ [
-          ("verdict", J.String (if r.findings = [] then "clean" else "dirty"));
-          ("findings",
-           J.List
-             (List.map Finding.to_json (List.sort Finding.compare r.findings)));
-        ])
-  in
-  J.Obj
-    [
-      ("combos", J.List (List.map combo results));
-      ("combinations", J.Int (List.length results));
-      ("dirty",
-       J.Int (List.length (List.filter (fun r -> r.findings <> []) results)));
-    ]
-
-let write_sweep_json path results =
-  Option.iter (fun p -> write_json p (sweep_json results)) path
+let sanitize_one ~verbose ((_, _, graph, config) as combo) =
+  program_combo ~verbose combo (fun emit _ ->
+      let programs = Codegen.graph_programs config graph in
+      let replayed =
+        List.fold_left
+          (fun n ((grp : Fusion.t), p) ->
+            let r = Sanitizer.run config p in
+            emit (Some grp.Fusion.tag) r.Sanitizer.findings;
+            n + r.Sanitizer.instructions_executed)
+          0 programs
+      in
+      Some
+        (Printf.sprintf "%d program(s) clean (%d instruction(s) replayed)"
+           (List.length programs) replayed))
 
 let select_models model_opt all =
   match (model_opt, all) with
-  | Some (name, build), _ -> [ (name, build) ]
-  | None, true -> models
-  | None, false ->
-    prerr_endline "error: pass a MODEL or --all";
-    exit 2
+  | Some m, _ -> Ok [ m ]
+  | None, true -> Ok models
+  | None, false -> Error "pass a MODEL or --all"
 
-let select_cores core_opt =
-  match core_opt with Some c -> [ c ] | None -> List.map snd cores
+(* the (model, core) pairs lint, sanitize and calibrate cover, in zoo
+   order, each with the model's batch-1 graph: the same selection is
+   what makes the lint --soc and sanitize documents comparable *)
+let select_combos ~what selected core_opt =
+  let selected_cores =
+    match core_opt with Some c -> [ c ] | None -> List.map snd cores
+  in
+  match
+    List.concat_map
+      (fun (name, build) ->
+        let graph = build ~batch:1 in
+        List.filter_map
+          (fun config ->
+            if supports config graph then Some (name, build, graph, config)
+            else None)
+          selected_cores)
+      selected
+  with
+  | [] ->
+    Error
+      (Printf.sprintf
+         "nothing to %s (selected core does not support the model's dtype)"
+         what)
+  | combos -> Ok combos
 
-(* the per-(model, core) combo list shared by `lint --soc` and
-   `sanitize`: same model order, same dtype gating — agreement here is
-   what makes the two JSON sweeps comparable *)
-let model_core_combos selected_models selected_cores =
-  List.concat_map
-    (fun (name, build) ->
-      let graph = build ~batch:1 in
-      List.filter_map
-        (fun config ->
-          if Config.supports config (Graph.dtype graph) then
-            Some (name, graph, config)
-          else None)
-        selected_cores)
-    selected_models
-
-(* combos fan out over the execution service's worker pool; results
-   come back in submission order, so reports and JSON stay
-   byte-identical across --jobs *)
-let run_combos ~jobs f combo_list =
+(* one execution service per sweep: lint and sanitize fan combinations
+   out over its worker pool (results in submission order), calibrate
+   prices through its pool and cache *)
+let with_service ~jobs f =
   let service =
     Ascend.Exec.Service.create
       ?jobs:(if jobs <= 0 then None else Some jobs)
       ()
   in
-  let results = Ascend.Exec.Service.map service f combo_list in
+  let result = f service in
   Ascend.Exec.Service.shutdown service;
-  results
+  result
 
-let finish ~what ~strict ~json_path results =
-  List.iter (fun r -> print_string r.text) results;
-  write_sweep_json json_path results;
-  let all = List.concat_map (fun r -> r.findings) results in
-  let errors, warnings = severity_counts all in
-  let combos = List.length results in
-  if combos = 0 then begin
-    prerr_endline
-      (Printf.sprintf
-         "error: nothing to %s (selected core does not support the model's \
-          dtype)"
-         what);
-    2
-  end
-  else if all = [] then begin
-    Format.printf "%s: %d combination(s) clean@." what combos;
-    0
-  end
-  else begin
-    Format.printf
-      "%s: %d finding(s) (%d error(s), %d warning(s)) across %d \
-       combination(s)@."
-      what (List.length all) errors warnings combos;
-    if errors > 0 || strict then 1 else 0
-  end
+(* every sweep ends here, in one order: the combinations' reports, then
+   the requested documents, then the summary.  Exit 1 on an error
+   finding or a failure (a failed gate or calibration budget), and under
+   --strict on any finding. *)
+let end_sweep ?(strict = false) ?(failures = 0) combos ~docs ~summary =
+  List.iter (fun c -> print_string c.text) combos;
+  write_docs docs;
+  let findings = List.concat_map (fun c -> c.findings) combos in
+  print_string (summary findings);
+  if fst (severity_counts findings) > 0 || failures > 0
+     || (strict && findings <> [])
+  then 1
+  else 0
+
+(* the differential-gate document: `lint --soc --json` and
+   `sanitize --json` emit the same combinations and field order, so two
+   sweeps that agree are byte-identical and CI can `cmp` them *)
+let sweep_json ?(extra = []) combos =
+  Json.Obj
+    ([
+       ("combos", Json.List (List.map (fun c -> c.json) combos));
+       ("combinations", Json.Int (List.length combos));
+       ("dirty",
+        Json.Int
+          (List.length (List.filter (fun c -> c.findings <> []) combos)));
+     ]
+    @ extra)
+
+(* lint, lint --soc and sanitize *)
+let program_sweep ~what ~strict ~json_path ~jobs one combos =
+  let combos =
+    with_service ~jobs (fun s -> Ascend.Exec.Service.map s one combos)
+  in
+  let n = List.length combos in
+  end_sweep ~strict combos ~docs:[ (json_path, sweep_json combos) ]
+    ~summary:(fun findings ->
+      if findings = [] then
+        Printf.sprintf "%s: %d combination(s) clean\n" what n
+      else
+        Printf.sprintf "%s: %s across %d combination(s)\n" what
+          (findings_phrase findings) n)
 
 (* --- lint --cluster / --placement ---------------------------------- *)
 
 module Vcluster = Ascend.Verify.Cluster
-module Collective = Ascend.Cluster.Collective
 module Coll_sched = Ascend.Cluster.Collective_schedule
-module Cserver = Ascend.Cluster.Server
-module Fat_tree = Ascend.Noc.Fat_tree
 module Placement = Ascend.Fleet.Placement
-
-(* one cluster combination: a closed-form time and the thunk expanding
-   the same (algorithm, topology, bytes) point into an explicit
-   schedule — [lint_cluster_one] analyzes the schedule and holds the
-   two times within 1e-6 relative (the differential gate) *)
-type cluster_combo = {
-  cc_algorithm : string;
-  cc_peers : int;
-  cc_bytes : float;
-  cc_closed : float;
-  cc_build : unit -> Vcluster.schedule;
-}
-
-type cluster_report = {
-  cl_name : string;  (** the schedule's own name, e.g. "ring(n=4)" *)
-  cl_algorithm : string;
-  cl_peers : int;
-  cl_bytes : float;
-  cl_closed : float;
-  cl_derived : float;
-  cl_rel_err : float;
-  cl_gate_ok : bool;
-  cl_text : string;
-  cl_findings : Finding.t list;
-}
 
 let cluster_gate_rel = 1e-6
 
-(* the sweep: every collective builder at several node counts
-   (power-of-two and not) and message sizes, over the real topologies —
-   flat algorithms on the fat-tree NIC rate, the intra-server hierarchy
-   on the 910 board, and the full hierarchical cluster collective *)
-let cluster_combos =
-  let nic = Fat_tree.server_bandwidth Fat_tree.ascend_cluster in
-  let server = Cserver.ascend910_server in
-  let bytes_axis = [ 1e6; 1e8 ] in
-  let flat =
-    List.concat_map
-      (fun nodes ->
-        List.concat_map
-          (fun bytes ->
-            [
-              { cc_algorithm = "ring"; cc_peers = nodes; cc_bytes = bytes;
-                cc_closed =
-                  Collective.ring_allreduce_seconds ~bytes ~nodes
-                    ~bandwidth:nic ();
-                cc_build =
-                  (fun () ->
-                    Coll_sched.ring ~bytes ~nodes ~bandwidth:nic ()) };
-              { cc_algorithm = "halving-doubling"; cc_peers = nodes;
-                cc_bytes = bytes;
-                cc_closed =
-                  Collective.halving_doubling_seconds ~bytes ~nodes
-                    ~bandwidth:nic ();
-                cc_build =
-                  (fun () ->
-                    Coll_sched.halving_doubling ~bytes ~nodes ~bandwidth:nic
-                      ()) };
-            ])
-          bytes_axis)
-      [ 2; 3; 4; 5; 8; 16; 17 ]
-  in
-  let intra =
-    List.map
-      (fun bytes ->
-        { cc_algorithm = "intra-server"; cc_peers = server.Cserver.chips;
-          cc_bytes = bytes;
-          cc_closed = Cserver.intra_server_allreduce_seconds server ~bytes;
-          cc_build = (fun () -> Coll_sched.intra_server ~server ~bytes) })
-      bytes_axis
-  in
-  let hier =
-    List.concat_map
-      (fun servers ->
-        let network = Fat_tree.create ~servers () in
-        List.map
-          (fun bytes ->
-            { cc_algorithm = "hierarchical"; cc_peers = servers;
-              cc_bytes = bytes;
-              cc_closed =
-                Collective.hierarchical_allreduce_seconds ~server ~network
-                  ~servers ~bytes;
-              cc_build =
-                (fun () ->
-                  Coll_sched.hierarchical ~server ~network ~servers ~bytes) })
-          bytes_axis)
-      [ 1; 2; 3; 4; 8; 16 ]
-  in
-  flat @ intra @ hier
-
-let lint_cluster_one ~verbose combo =
-  let buf = Buffer.create 256 in
-  let ppf = Format.formatter_of_buffer buf in
-  let sched = combo.cc_build () in
-  let findings = Vcluster.analyze sched in
+(* one collective schedule: the verifier's findings plus the
+   differential gate, which holds the schedule-derived time within 1e-6
+   relative of the closed form.  With --times it also gives its row of
+   the times document: both sides print the same rows with the chosen
+   side's seconds rounded to %.3e, so when the gate holds the two files
+   are byte-identical and CI can `cmp` them. *)
+let lint_cluster_one ~verbose ~times (p : Coll_sched.point) =
+  let sched = p.Coll_sched.build () in
+  let name = sched.Vcluster.sched_name in
+  let closed = p.Coll_sched.closed_form_s in
   let derived = Vcluster.schedule_seconds sched in
-  let closed = combo.cc_closed in
   let rel_err =
     Float.abs (derived -. closed) /. Float.max (Float.abs closed) 1e-300
   in
   let gate_ok = rel_err <= cluster_gate_rel in
-  let label =
-    Printf.sprintf "%s / %.1e B" sched.Vcluster.sched_name combo.cc_bytes
+  let label = Printf.sprintf "%s / %.1e B" name p.Coll_sched.bytes in
+  let combo =
+    render ~verbose label
+      ~fields:
+        [
+          ("schedule", Json.String name);
+          ("algorithm", Json.String p.Coll_sched.algorithm);
+          ("peers", Json.Int p.Coll_sched.peers);
+          ("bytes", Json.Float p.Coll_sched.bytes);
+          ("closed_form_s", Json.Float closed);
+          ("schedule_s", Json.Float derived);
+          ("rel_err", Json.String (Printf.sprintf "%.3e" rel_err));
+          ("gate", Json.String (if gate_ok then "ok" else "failed"));
+        ]
+      (fun emit ppf ->
+        emit None (Vcluster.analyze sched);
+        if gate_ok then
+          Some
+            (Printf.sprintf "clean (closed %.9e s, schedule %.9e s)" closed
+               derived)
+        else begin
+          Format.fprintf ppf
+            "%s: differential gate FAILED: closed-form %.9e s vs \
+             schedule-derived %.9e s (rel err %.3e > %.0e)@."
+            label closed derived rel_err cluster_gate_rel;
+          None
+        end)
   in
-  if findings <> [] then begin
-    Format.fprintf ppf "%s:@." label;
-    Format.fprintf ppf "%a" Verify.pp_report findings
-  end;
-  if not gate_ok then
-    Format.fprintf ppf
-      "%s: differential gate FAILED: closed-form %.9e s vs schedule-derived \
-       %.9e s (rel err %.3e > %.0e)@."
-      label closed derived rel_err cluster_gate_rel;
-  if verbose && findings = [] && gate_ok then
-    Format.fprintf ppf "%s: clean (closed %.9e s, schedule %.9e s)@." label
-      closed derived;
-  Format.pp_print_flush ppf ();
-  { cl_name = sched.Vcluster.sched_name; cl_algorithm = combo.cc_algorithm;
-    cl_peers = combo.cc_peers; cl_bytes = combo.cc_bytes; cl_closed = closed;
-    cl_derived = derived; cl_rel_err = rel_err; cl_gate_ok = gate_ok;
-    cl_text = Buffer.contents buf; cl_findings = findings }
-
-let cluster_sweep_json results =
-  let module J = Ascend.Util.Json in
-  let combo r =
-    J.Obj
+  let row which =
+    Json.Obj
       [
-        ("schedule", J.String r.cl_name);
-        ("algorithm", J.String r.cl_algorithm);
-        ("peers", J.Int r.cl_peers);
-        ("bytes", J.Float r.cl_bytes);
-        ("closed_form_s", J.Float r.cl_closed);
-        ("schedule_s", J.Float r.cl_derived);
-        ("rel_err", J.String (Printf.sprintf "%.3e" r.cl_rel_err));
-        ("gate", J.String (if r.cl_gate_ok then "ok" else "failed"));
-        ("verdict",
-         J.String (if r.cl_findings = [] then "clean" else "dirty"));
-        ("findings",
-         J.List
-           (List.map Finding.to_json (List.sort Finding.compare r.cl_findings)));
-      ]
-  in
-  J.Obj
-    [
-      ("combos", J.List (List.map combo results));
-      ("combinations", J.Int (List.length results));
-      ("dirty",
-       J.Int
-         (List.length (List.filter (fun r -> r.cl_findings <> []) results)));
-      ("gate_failures",
-       J.Int (List.length (List.filter (fun r -> not r.cl_gate_ok) results)));
-    ]
-
-(* the closed-vs-schedule differential document: `--times closed` and
-   `--times schedule` print the same combos, labels and field order
-   with the selected side's seconds rounded to %.3e — when the gate
-   holds the two files are byte-identical, so CI can `cmp` them *)
-let cluster_times_json which results =
-  let module J = Ascend.Util.Json in
-  let row r =
-    J.Obj
-      [
-        ("schedule", J.String r.cl_name);
-        ("bytes", J.String (Printf.sprintf "%.1e" r.cl_bytes));
+        ("schedule", Json.String name);
+        ("bytes", Json.String (Printf.sprintf "%.1e" p.Coll_sched.bytes));
         ("seconds",
-         J.String
+         Json.String
            (Printf.sprintf "%.3e"
-              (match which with
-              | `Closed -> r.cl_closed
-              | `Schedule -> r.cl_derived)));
+              (match which with `Closed -> closed | `Schedule -> derived)));
       ]
   in
-  J.Obj
-    [
-      ("times", J.List (List.map row results));
-      ("combinations", J.Int (List.length results));
-    ]
+  (combo, gate_ok, Option.map row times)
 
 let lint_cluster ~verbose ~strict ~json_path ~times ~jobs =
-  let results = run_combos ~jobs (lint_cluster_one ~verbose) cluster_combos in
-  List.iter (fun r -> print_string r.cl_text) results;
-  (let doc =
-     match times with
-     | Some which -> Some (cluster_times_json which results)
-     | None when json_path <> None -> Some (cluster_sweep_json results)
-     | None -> None
-   in
-   Option.iter (write_json (Option.value json_path ~default:"-")) doc);
-  let all = List.concat_map (fun r -> r.cl_findings) results in
-  let errors, warnings = severity_counts all in
-  let gate_failures =
-    List.length (List.filter (fun r -> not r.cl_gate_ok) results)
+  let results =
+    with_service ~jobs (fun s ->
+        Ascend.Exec.Service.map s
+          (lint_cluster_one ~verbose ~times)
+          (Coll_sched.sweep ()))
   in
-  let combos = List.length results in
-  if all = [] && gate_failures = 0 then begin
-    Format.printf
-      "lint --cluster: %d combination(s) clean, closed-form and \
-       schedule-derived times within %.0e relative@."
-      combos cluster_gate_rel;
-    0
-  end
-  else begin
-    Format.printf
-      "lint --cluster: %d finding(s) (%d error(s), %d warning(s)), %d gate \
-       failure(s) across %d combination(s)@."
-      (List.length all) errors warnings gate_failures combos;
-    if errors > 0 || gate_failures > 0 || strict then 1 else 0
-  end
+  let combos = List.map (fun (c, _, _) -> c) results in
+  let n = List.length combos in
+  let failures =
+    List.length (List.filter (fun (_, ok, _) -> not ok) results)
+  in
+  let doc =
+    match times with
+    | Some _ ->
+      let rows = List.filter_map (fun (_, _, row) -> row) results in
+      ( Some (Option.value json_path ~default:"-"),
+        Json.Obj
+          [ ("times", Json.List rows); ("combinations", Json.Int n) ] )
+    | None ->
+      ( json_path,
+        sweep_json ~extra:[ ("gate_failures", Json.Int failures) ] combos )
+  in
+  end_sweep ~strict ~failures combos ~docs:[ doc ] ~summary:(fun findings ->
+      if findings = [] && failures = 0 then
+        Printf.sprintf
+          "lint --cluster: %d combination(s) clean, closed-form and \
+           schedule-derived times within %.0e relative\n"
+          n cluster_gate_rel
+      else
+        Printf.sprintf
+          "lint --cluster: %s, %d gate failure(s) across %d combination(s)\n"
+          (findings_phrase findings) failures n)
 
 (* --placement: lint a fleet placement plan statically — per-node HBM
    overcommit against the policy-reachable resident set, plus the
    predicted page-in counts the CI gate compares against `fleet
    --pagein-json` *)
-let lint_placement_mode models ~nodes ~policy ~replicas ~hbm_gb ~pagein_path
+let lint_placement models ~nodes ~policy ~replicas ~hbm_gb ~pagein_path
     ~strict ~json_path =
-  let n = List.length models in
-  match broadcast ~what:"--replicas" n replicas with
-  | Error e ->
-    prerr_endline ("error: " ^ e);
-    2
-  | Ok replicas -> (
-    let hbm_bytes_per_node =
-      Option.map (fun gb -> int_of_float (gb *. 1e9)) hbm_gb
-    in
-    let policy_name = Router.policy_name policy in
-    try
-      (* capacity goes to the verifier, not to [build]: the lint mode
-         reports HBM overflow as a finding instead of raising *)
-      let placement =
-        Placement.build ~nodes
-          (List.map2
-             (fun (name, build) r ->
-               (name, Fleet.model_weight_bytes build, 0, r))
-             models replicas)
-      in
-      let plan =
-        Placement.verify_plan ?hbm_bytes_per_node ~policy:policy_name
-          placement
-      in
-      let findings = Vcluster.lint_placement plan in
-      let predicted = Vcluster.predicted_page_ins plan in
-      let pagein_doc =
-        Fleet.pagein_json ~policy ~placement ~counts:predicted
-      in
-      Option.iter (fun p -> write_json p pagein_doc) pagein_path;
-      (match json_path with
-      | None -> ()
-      | Some path ->
-        let module J = Ascend.Util.Json in
-        let doc =
-          J.Obj
-            [
-              ("plan", J.String plan.Vcluster.plan_name);
-              ("policy", J.String policy_name);
-              ("nodes", J.Int nodes);
-              ("placement", Placement.to_json placement);
-              ("predicted_page_ins",
-               J.List
-                 (Array.to_list (Array.map (fun c -> J.Int c) predicted)));
-              ("verdict",
-               J.String (if findings = [] then "clean" else "dirty"));
-              ("findings",
-               J.List
-                 (List.map Finding.to_json (List.sort Finding.compare findings)));
-            ]
+  let* replicas =
+    broadcast ~what:"--replicas" (List.length models) replicas
+  in
+  let policy_name = Router.policy_name policy in
+  let* placement, plan, findings, predicted =
+    catching_invalid (fun () ->
+        (* capacity goes to the verifier, not to [build]: the lint mode
+           reports HBM overflow as a finding instead of raising *)
+        let placement =
+          Placement.build ~nodes
+            (List.map2
+               (fun (name, build) r ->
+                 (name, Fleet.model_weight_bytes build, 0, r))
+               models replicas)
         in
-        write_json path doc);
-      if findings <> [] then begin
-        Format.printf "%s (%s):@." plan.Vcluster.plan_name policy_name;
-        Format.printf "%a" Verify.pp_report findings
-      end;
-      let errors, warnings = severity_counts findings in
-      Format.printf
-        "lint --placement: %s, %s routing: predicted page-ins per node [%s] \
-         (total %d)@."
-        plan.Vcluster.plan_name policy_name
-        (String.concat "; "
-           (Array.to_list (Array.map string_of_int predicted)))
-        (Array.fold_left ( + ) 0 predicted);
-      if findings = [] then begin
-        Format.printf "lint --placement: plan clean@.";
-        0
-      end
-      else begin
-        Format.printf "lint --placement: %d finding(s) (%d error(s), %d \
-                       warning(s))@."
-          (List.length findings) errors warnings;
-        if errors > 0 || strict then 1 else 0
-      end
-    with Invalid_argument e ->
-      prerr_endline ("error: " ^ e);
-      1)
+        let plan =
+          Placement.verify_plan
+            ?hbm_bytes_per_node:
+              (Option.map (fun gb -> int_of_float (gb *. 1e9)) hbm_gb)
+            ~policy:policy_name placement
+        in
+        Ok
+          ( placement, plan, Vcluster.lint_placement plan,
+            Vcluster.predicted_page_ins plan ))
+  in
+  let plan_name = plan.Vcluster.plan_name in
+  let combo =
+    render ~verbose:false
+      ~fields:
+        [
+          ("plan", Json.String plan_name);
+          ("policy", Json.String policy_name);
+          ("nodes", Json.Int nodes);
+          ("placement", Placement.to_json placement);
+          ("predicted_page_ins",
+           Json.List
+             (Array.to_list (Array.map (fun c -> Json.Int c) predicted)));
+        ]
+      (Printf.sprintf "%s (%s)" plan_name policy_name)
+      (fun emit _ ->
+        emit None findings;
+        None)
+  in
+  Ok
+    (end_sweep ~strict [ combo ]
+       ~docs:
+         [
+           ( pagein_path,
+             Fleet.pagein_json ~policy ~placement ~counts:predicted );
+           (json_path, combo.json);
+         ]
+       ~summary:(fun findings ->
+         Printf.sprintf
+           "lint --placement: %s, %s routing: predicted page-ins per node \
+            [%s] (total %d)\n\
+            lint --placement: %s\n"
+           plan_name policy_name
+           (String.concat "; "
+              (Array.to_list (Array.map string_of_int predicted)))
+           (Array.fold_left ( + ) 0 predicted)
+           (if findings = [] then "plan clean" else findings_phrase findings)))
 
 let lint model_opt all core_opt soc soc_cores llc_mb hbm_mb cluster times
     placement_models nodes policy replicas hbm_gb pagein_path verbose strict
     json_path jobs =
-  match placement_models with
-  | Some models ->
-    lint_placement_mode models ~nodes ~policy ~replicas ~hbm_gb ~pagein_path
-      ~strict ~json_path
-  | None when cluster -> lint_cluster ~verbose ~strict ~json_path ~times ~jobs
-  | None when times <> None ->
-    prerr_endline "error: --times requires --cluster";
-    2
-  | None ->
-  let selected_models = select_models model_opt all in
-  let selected_cores = select_cores core_opt in
-  let results =
-    if soc then
-      let llc_bytes = Option.map (fun mb -> mb * 1024 * 1024) llc_mb in
-      let hbm_bytes = Option.map (fun mb -> mb * 1024 * 1024) hbm_mb in
-      run_combos ~jobs
-        (fun (name, graph, config) ->
-          lint_soc_one ~verbose ?llc_bytes ?hbm_bytes ~cores:soc_cores config
-            name graph)
-        (model_core_combos selected_models selected_cores)
-    else
-      run_combos ~jobs
-        (fun (name, graph, config, options) ->
-          lint_one ~verbose config options name graph)
-        (List.concat_map
-           (fun (name, graph, config) ->
-             List.map
-               (fun options -> (name, graph, config, options))
-               lint_option_combos)
-           (model_core_combos selected_models selected_cores))
-  in
-  finish ~what:"lint" ~strict ~json_path results
+  exit_code
+    (match placement_models with
+    | Some models ->
+      lint_placement models ~nodes ~policy ~replicas ~hbm_gb ~pagein_path
+        ~strict ~json_path
+    | None when cluster ->
+      Ok (lint_cluster ~verbose ~strict ~json_path ~times ~jobs)
+    | None when times <> None -> Error "--times requires --cluster"
+    | None ->
+      let* selected = select_models model_opt all in
+      let* combos = select_combos ~what:"lint" selected core_opt in
+      let sweep one =
+        program_sweep ~what:"lint" ~strict ~json_path ~jobs one
+      in
+      Ok
+        (if soc then
+           let mib = Option.map (fun mb -> mb * 1024 * 1024) in
+           sweep
+             (lint_soc_one ~verbose ?llc_bytes:(mib llc_mb)
+                ?hbm_bytes:(mib hbm_mb) ~cores:soc_cores)
+             combos
+         else
+           sweep (lint_one ~verbose)
+             (List.concat_map
+                (fun c -> List.map (fun o -> (c, o)) lint_option_combos)
+                combos)))
 
 let sanitize model_opt all core_opt verbose strict json_path jobs =
-  let results =
-    run_combos ~jobs
-      (fun (name, graph, config) -> sanitize_one ~verbose config name graph)
-      (model_core_combos (select_models model_opt all) (select_cores core_opt))
-  in
-  finish ~what:"sanitize" ~strict ~json_path results
+  exit_code
+    (let* selected = select_models model_opt all in
+     let* combos = select_combos ~what:"sanitize" selected core_opt in
+     Ok
+       (program_sweep ~what:"sanitize" ~strict ~json_path ~jobs
+          (sanitize_one ~verbose) combos))
 
 let lint_model_arg =
   Arg.(value & pos 0 (some named_model_conv) None & info [] ~docv:"MODEL")
@@ -1581,35 +1455,27 @@ let trace_output_arg =
         ~doc:"Chrome trace-event JSON output path.")
 
 let trace model_pos model_opt core batch output =
-  let chosen =
-    match (model_pos, model_opt) with
-    | Some m, None | None, Some m -> Ok m
-    | Some _, Some _ ->
-      Error "pass MODEL either positionally or via --model, not both"
-    | None, None -> Error "pass a MODEL (positionally or via --model)"
-  in
-  match chosen with
-  | Error e ->
-    prerr_endline ("error: " ^ e);
-    2
-  | Ok (name, build) ->
-    exit_of
-      (match Exec_trace.model core (build ~batch) with
-      | Error _ as e -> e
-      | Ok c ->
-        Ascend.Util.Json.write_file output c.Exec_trace.json;
-        print_string (Obs.Summary.render c.Exec_trace.summary);
-        Format.printf "%s on %s (batch %d): %d simulated cycles@." name
-          core.Config.name batch c.Exec_trace.total_cycles;
-        (* the capture itself is deliberately serial (never the pooled
-           service), so these counters are the process-wide default
-           service's — all zero unless ASCEND_CACHE_DIR points at a
-           populated persistent tier *)
-        Format.printf "exec cache: %a@." Ascend.Exec.Cache.pp_stats
-          (Ascend.Exec.Service.stats (Ascend.Exec.Service.default ()));
-        Format.printf "wrote %s (load in Perfetto or chrome://tracing)@."
-          output;
-        Ok ())
+  exit_of
+    (let* name, build =
+       match (model_pos, model_opt) with
+       | Some m, None | None, Some m -> Ok m
+       | Some _, Some _ ->
+         Error "pass MODEL either positionally or via --model, not both"
+       | None, None -> Error "pass a MODEL (positionally or via --model)"
+     in
+     let* c = Exec_trace.model core (build ~batch) in
+     Json.write_file output c.Exec_trace.json;
+     print_string (Obs.Summary.render c.Exec_trace.summary);
+     Format.printf "%s on %s (batch %d): %d simulated cycles@." name
+       core.Config.name batch c.Exec_trace.total_cycles;
+     (* the capture itself is deliberately serial (never the pooled
+        service), so these counters are the process-wide default
+        service's — all zero unless ASCEND_CACHE_DIR points at a
+        populated persistent tier *)
+     Format.printf "exec cache: %a@." Ascend.Exec.Cache.pp_stats
+       (Ascend.Exec.Service.stats (Ascend.Exec.Service.default ()));
+     Format.printf "wrote %s (load in Perfetto or chrome://tracing)@." output;
+     Ok ())
 
 let trace_cmd =
   Cmd.v
@@ -1628,217 +1494,94 @@ let trace_cmd =
 (* --- calibrate ---------------------------------------------------- *)
 
 module Calibration = Ascend.Cost.Calibration
-
-(* same model order and dtype gating as [model_core_combos], but keeps
-   the graph builder (calibration prices many batch sizes, not one
-   batch-1 graph) *)
-let calibrate_combos selected_models selected_cores =
-  List.concat_map
-    (fun (name, build) ->
-      let dtype = Graph.dtype (build ~batch:1) in
-      List.filter_map
-        (fun config ->
-          if Config.supports config dtype then Some (name, build, config)
-          else None)
-        selected_cores)
-    selected_models
-
 module Calibration2d = Ascend.Cost.Calibration2d
 
-(* --decode: the 2-D (batch x cache-length) protocol over the LLM
-   decode step, one report per fp16-capable selected core *)
-let calibrate_decode core_opt max_batch max_len fail_above verbose json_path
-    jobs =
-  let llm = Ascend.Nn.Llm.tiny_config in
-  let selected_cores =
-    List.filter
-      (fun config -> Config.supports config Ascend.Arch.Precision.Fp16)
-      (select_cores core_opt)
-  in
-  if selected_cores = [] then begin
-    prerr_endline
-      "error: nothing to calibrate (selected core does not support fp16)";
-    2
-  end
-  else begin
-    let service =
-      Ascend.Exec.Service.create
-        ?jobs:(if jobs <= 0 then None else Some jobs)
-        ()
-    in
-    let results =
-      List.map
-        (fun config ->
-          ( config,
-            Calibration2d.run ~budget_pct:fail_above ~service ~core:config
-              ~model:"llm-decode"
-              ~build:(fun ~batch ~cache_len ->
-                Ascend.Nn.Llm.decode ~batch ~cache_len llm)
-              ~max_batch ~max_len () ))
-        selected_cores
-    in
-    Ascend.Exec.Service.shutdown service;
-    match
-      List.filter_map
-        (fun ((config : Config.t), r) ->
-          match r with
-          | Error e -> Some (config.Config.name ^ ": " ^ e)
-          | Ok _ -> None)
-        results
-    with
-    | e :: _ ->
-      prerr_endline ("error: " ^ e);
-      1
-    | [] ->
-      let reports =
-        List.filter_map (fun (_, r) -> Result.to_option r) results
-      in
-      List.iter
-        (fun r -> Format.printf "%a" (Calibration2d.pp ~verbose ()) r)
-        reports;
-      let worst =
-        List.fold_left
-          (fun acc (r : Calibration2d.report) ->
-            Float.max acc r.Calibration2d.max_abs_pct_error)
-          0. reports
-      in
-      (match json_path with
-      | None -> ()
-      | Some path ->
-        let doc =
-          Ascend.Util.Json.Obj
-            [
-              ("max_batch", Ascend.Util.Json.Int max_batch);
-              ("max_len", Ascend.Util.Json.Int max_len);
-              ("fail_above_pct", Ascend.Util.Json.Float fail_above);
-              ("worst_max_abs_pct_error", Ascend.Util.Json.Float worst);
-              ( "combos",
-                Ascend.Util.Json.List
-                  (List.map Calibration2d.to_json reports) );
-            ]
-        in
-        write_json path doc);
-      Format.printf
-        "calibrate --decode: %d core(s), worst max |err| %.2f%% (budget \
-         %.2f%%)@."
-        (List.length reports) worst fail_above;
-      let over =
-        List.filter
-          (fun (r : Calibration2d.report) ->
-            r.Calibration2d.max_abs_pct_error > fail_above)
-          reports
-      in
-      if over = [] then 0
-      else begin
-        List.iter
-          (fun (r : Calibration2d.report) ->
-            Format.printf "over budget: %s on %s (max |err| %.2f%%)@."
-              r.Calibration2d.model r.Calibration2d.core
-              r.Calibration2d.max_abs_pct_error)
-          over;
-        1
-      end
-  end
+(* the first [Error] in list order, or every [Ok] value *)
+let all_ok results =
+  List.fold_right
+    (fun r acc ->
+      let* x = r in
+      let* xs = acc in
+      Ok (x :: xs))
+    results (Ok [])
 
-let calibrate_1d model_opt all core_opt max_batch fail_above verbose json_path
-    jobs =
-  let selected_models = select_models model_opt all in
-  let selected_cores = select_cores core_opt in
-  let combos = calibrate_combos selected_models selected_cores in
-  if combos = [] then begin
-    prerr_endline
-      "error: nothing to calibrate (selected core does not support the \
-       model's dtype)";
-    2
-  end
-  else begin
-    let service =
-      Ascend.Exec.Service.create
-        ?jobs:(if jobs <= 0 then None else Some jobs)
-        ()
-    in
-    let results =
-      List.map
-        (fun (name, build, config) ->
-          ( name,
-            config,
-            Calibration.run ~budget_pct:fail_above ~service ~core:config
-              ~model:name ~build ~max_batch () ))
-        combos
-    in
-    Ascend.Exec.Service.shutdown service;
-    let errors =
-      List.filter_map
-        (fun (name, (config : Config.t), r) ->
-          match r with
-          | Error e -> Some (name ^ " on " ^ config.Config.name ^ ": " ^ e)
-          | Ok _ -> None)
-        results
-    in
-    match errors with
-    | e :: _ ->
-      prerr_endline ("error: " ^ e);
-      1
-    | [] ->
-      let reports =
-        List.filter_map
-          (fun (_, _, r) -> Result.to_option r)
-          results
-      in
-      List.iter
-        (fun r -> Format.printf "%a" (Calibration.pp ~verbose ()) r)
-        reports;
-      let worst =
-        List.fold_left
-          (fun acc (r : Calibration.report) ->
-            Float.max acc r.Calibration.max_abs_pct_error)
-          0. reports
-      in
-      let over =
-        List.filter
-          (fun (r : Calibration.report) ->
-            r.Calibration.max_abs_pct_error > fail_above)
-          reports
-      in
-      (match json_path with
-      | None -> ()
-      | Some path ->
-        let doc =
-          Ascend.Util.Json.Obj
-            [
-              ("max_batch", Ascend.Util.Json.Int max_batch);
-              ("fail_above_pct", Ascend.Util.Json.Float fail_above);
-              ("worst_max_abs_pct_error", Ascend.Util.Json.Float worst);
-              ( "combos",
-                Ascend.Util.Json.List (List.map Calibration.to_json reports)
-              );
-            ]
-        in
-        write_json path doc);
-      Format.printf
-        "calibrate: %d combination(s), worst max |err| %.2f%% (budget \
-         %.2f%%)@."
-        (List.length reports) worst fail_above;
-      if over = [] then 0
-      else begin
-        List.iter
-          (fun (r : Calibration.report) ->
-            Format.printf "over budget: %s on %s (max |err| %.2f%%)@."
-              r.Calibration.model r.Calibration.core
-              r.Calibration.max_abs_pct_error)
-          over;
-        1
-      end
-  end
-
-let calibrate model_opt all core_opt max_batch max_len decode_flag fail_above
+(* one path for both protocols: the 1-D batch protocol per (model,
+   core), or with --decode the 2-D (batch x cache-length) protocol of
+   the tiny LLM's decode step per selected core that runs it.  The sweep
+   fails when a combination's max cycle error exceeds --fail-above. *)
+let calibrate model_opt all core_opt max_batch max_len decode fail_above
     verbose json_path jobs =
-  if decode_flag then
-    calibrate_decode core_opt max_batch max_len fail_above verbose json_path
-      jobs
-  else
-    calibrate_1d model_opt all core_opt max_batch fail_above verbose json_path
-      jobs
+  let what, unit, params =
+    if decode then
+      ( "calibrate --decode", "core(s)",
+        [ ("max_batch", Json.Int max_batch); ("max_len", Json.Int max_len) ] )
+    else ("calibrate", "combination(s)", [ ("max_batch", Json.Int max_batch) ])
+  in
+  (* a combination's report and entry, its max error, and the line
+     naming it when that error is over budget *)
+  let scored text json model core err =
+    ( { text; findings = []; json },
+      err,
+      Printf.sprintf "over budget: %s on %s (max |err| %.2f%%)\n" model core
+        err )
+  in
+  let score service (name, build, _, (config : Config.t)) =
+    if decode then
+      Calibration2d.run ~budget_pct:fail_above ~service ~core:config
+        ~model:name
+        ~build:(fun ~batch ~cache_len ->
+          Ascend.Nn.Llm.decode ~batch ~cache_len Ascend.Nn.Llm.tiny_config)
+        ~max_batch ~max_len ()
+      |> Result.map (fun (r : Calibration2d.report) ->
+             scored
+               (Format.asprintf "%a" (Calibration2d.pp ~verbose ()) r)
+               (Calibration2d.to_json r) r.Calibration2d.model
+               r.Calibration2d.core r.Calibration2d.max_abs_pct_error)
+      |> Result.map_error (fun e -> config.Config.name ^ ": " ^ e)
+    else
+      Calibration.run ~budget_pct:fail_above ~service ~core:config ~model:name
+        ~build ~max_batch ()
+      |> Result.map (fun (r : Calibration.report) ->
+             scored
+               (Format.asprintf "%a" (Calibration.pp ~verbose ()) r)
+               (Calibration.to_json r) r.Calibration.model r.Calibration.core
+               r.Calibration.max_abs_pct_error)
+      |> Result.map_error (fun e ->
+             name ^ " on " ^ config.Config.name ^ ": " ^ e)
+  in
+  exit_code
+    (let* selected =
+       if decode then Ok [ ("llm-decode", List.assoc "llm-decode" models) ]
+       else select_models model_opt all
+     in
+     let* combos = select_combos ~what:"calibrate" selected core_opt in
+     let* results =
+       all_ok (with_service ~jobs (fun s -> List.map (score s) combos))
+     in
+     let combos = List.map (fun (c, _, _) -> c) results in
+     let worst =
+       List.fold_left (fun acc (_, e, _) -> Float.max acc e) 0. results
+     in
+     let over = List.filter (fun (_, e, _) -> e > fail_above) results in
+     Ok
+       (end_sweep ~failures:(List.length over) combos
+          ~docs:
+            [
+              ( json_path,
+                Json.Obj
+                  (params
+                  @ [
+                      ("fail_above_pct", Json.Float fail_above);
+                      ("worst_max_abs_pct_error", Json.Float worst);
+                      ("combos",
+                       Json.List (List.map (fun c -> c.json) combos));
+                    ]) );
+            ]
+          ~summary:(fun _ ->
+            Printf.sprintf
+              "%s: %d %s, worst max |err| %.2f%% (budget %.2f%%)\n" what
+              (List.length combos) unit worst fail_above
+            ^ String.concat "" (List.map (fun (_, _, line) -> line) over))))
 
 let calibrate_all_arg =
   Arg.(
@@ -1862,7 +1605,7 @@ let fail_above_arg =
           "Exit non-zero when any combination's max absolute cycle error \
            exceeds this percentage.")
 
-let calibrate_decode_arg =
+let decode_protocol_arg =
   Arg.(
     value & flag
     & info [ "decode" ]
@@ -1899,7 +1642,7 @@ let calibrate_cmd =
           budget — the CI gate that keeps '--costing surrogate' honest.")
     Term.(
       const calibrate $ lint_model_arg $ calibrate_all_arg $ lint_core_arg
-      $ calibrate_max_batch_arg $ calibrate_max_len_arg $ calibrate_decode_arg
+      $ calibrate_max_batch_arg $ calibrate_max_len_arg $ decode_protocol_arg
       $ fail_above_arg $ lint_verbose_arg $ calibrate_json_arg $ lint_jobs_arg)
 
 (* --- list --------------------------------------------------------- *)
@@ -1946,130 +1689,28 @@ let list_cmd =
        ~doc:"List available models and the Table-5 core configurations.")
     Term.(const list_all $ const ())
 
-(* --- consolidated usage ------------------------------------------- *)
-
-(* one screen listing every subcommand with its flags; printed when the
-   CLI is invoked without a subcommand (README examples are synced
-   against this block) *)
-let usage =
-  {|ascend_cli - Ascend architectural simulator CLI
-
-usage: ascend_cli COMMAND [OPTIONS]
-
-  list
-      List available models and the Table-5 core configurations.
-
-  simulate MODEL [--core CORE] [--batch N] [--training]
-      Compile and simulate a model on one core.
-
-  profile MODEL [--core CORE] [--batch N] [--training]
-      Per-layer cube/vector cycle profile (paper Figures 4-8).
-
-  disasm MODEL [--core CORE] [--batch N] [--layer I]
-      Disassemble the generated program of one fused layer.
-
-  streams MODEL [--core CORE] [--batch N] [--cores N]
-      Graph-engine stream decomposition scheduled across cores.
-
-  serve MODEL[,MODEL...] [--core CORE] [--cores N] [--rate R[,R...]]
-        [--duration S] [--batch-max B] [--batch-delay-ms MS]
-        [--queue-depth N] [--slo-ms MS[,MS...]] [--priority P[,P...]]
-        [--process uniform|poisson|bursty] [--burst-factor F]
-        [--burst-period-ms MS] [--seed N] [--closed CLIENTS]
-        [--think-ms MS] [--bucket-ms MS] [--costing exact|surrogate]
-        [--json FILE] [--trace FILE]
-      Request-level serving simulation: seeded load, dynamic batching,
-      QoS admission control, SLO metrics; --costing surrogate prices
-      batches by the calibrated interpolation table instead of the
-      cycle-level path; --trace captures the run as Chrome trace-event
-      JSON.
-
-  decode [--core CORE] [--rate R] [--duration S] [--seed N]
-         [--process uniform|poisson|bursty] [--prompt-mean TOK]
-         [--prompt-max TOK] [--output-mean TOK] [--output-max TOK]
-         [--fixed-prompt TOK] [--fixed-output TOK] [--batch-max B]
-         [--hbm-mb MB] [--max-cache-len TOK]
-         [--mode continuous|static|compare] [--small-llm]
-         [--costing exact|surrogate] [--json FILE] [--trace FILE]
-      LLM decode serving: seeded generation requests (geometric or
-      fixed prompt/output lengths) through the continuous batcher —
-      join/leave at token boundaries, prefill interleaved with decode
-      steps, KV caches budgeted against HBM — with TTFT/ITL
-      percentiles and tokens/s goodput; --mode compare also runs the
-      static-batching baseline and reports the speedup.
-
-  fleet MODEL[,MODEL...] [--core CORE] [--nodes N] [--cores-per-node N]
-        [--policy round-robin|least-loaded|affinity] [--replicas R[,R...]]
-        [--rate R[,R...]] [--duration S] [--slo-ms MS[,MS...]]
-        [--priority P[,P...]] [--train-nodes K] [--train-model MODEL]
-        [--train-batch N] [--seed N] [--costing exact|surrogate]
-        [--json FILE] [--pagein-json FILE] [--trace FILE]
-      Multi-node inference fleet: policy routing against a
-      replication/placement plan (cold models page in over the server
-      interconnect), optional colocated training competing for
-      bandwidth, per-node and cross-node SLO metrics; --pagein-json
-      emits the observed per-node page-in counts for the differential
-      gate against lint --placement.
-
-  lint [MODEL | --all] [--core CORE] [--soc] [--cores N] [--llc-mb MB]
-       [--hbm-mb MB] [--cluster] [--times closed|schedule]
-       [--placement MODEL[,MODEL...]] [--nodes N] [--policy P]
-       [--replicas R[,R...]] [--hbm-gb G] [--pagein-json FILE]
-       [--json FILE] [--strict] [--verbose] [--jobs N]
-      Statically verify generated programs (deadlocks, RAW/WAR/WAW
-      hazards, buffer peaks, flag leaks); --soc lifts the analysis to
-      the whole-SoC fused-group schedule (cross-core races, schedule
-      deadlocks, LLC/HBM overcommit); --cluster verifies collective
-      step schedules over the server/fat-tree links (send/recv
-      matching, deadlock, link overcommit, reduction completeness)
-      and holds schedule-derived times within 1e-6 of the closed
-      forms (--times emits either side for cmp); --placement lints a
-      fleet placement plan (HBM overcommit, predicted page-ins).
-      Non-zero exit on errors (--strict: on any finding).
-
-  sanitize [MODEL | --all] [--core CORE] [--json FILE] [--strict]
-           [--verbose] [--jobs N]
-      Replay generated programs through the dynamic shadow-state
-      sanitizer (uninitialized reads, footprint overflows, cross-pipe
-      hazards, runtime capacity, flag leaks); emits the same JSON
-      shape as lint --soc, so sweeps that agree compare byte-equal.
-
-  calibrate [MODEL | --all | --decode] [--core CORE] [--max-batch N]
-            [--max-len TOK] [--fail-above PCT] [--json FILE]
-            [--verbose] [--jobs N]
-      Fit the per-model batch-cost surrogate on cycle-level anchor
-      prices and score every batch 1..max-batch against the oracle;
-      non-zero exit when any model's max cycle error exceeds the
-      budget (default 5%).  --decode calibrates the 2-D
-      (batch x cache-length) decode-step grid of the tiny LLM
-      instead, validated over anchor lengths and bracket midpoints.
-
-  trace MODEL [--model MODEL] [--core CORE] [--batch N] [-o FILE]
-      Deterministic Chrome trace of the compiled model's simulation
-      (per-instruction pipe spans, barrier instants) plus a
-      per-category self-time summary; byte-identical across runs and
-      --jobs/ASCEND_JOBS settings.
-
-models: resnet50 resnet18 mobilenet vgg16 bert-base bert-large gesture
-        siamese wide-deep pointnet face-detect fpn-detector
-cores:  tiny lite mini standard max   (--core, default: max)
-
-Run 'ascend_cli COMMAND --help' for full option documentation.|}
-
-let usage_term =
-  Term.(
-    const (fun () ->
-        print_endline usage;
-        0)
-    $ const ())
-
 let () =
   let info =
     Cmd.info "ascend_cli" ~version:Ascend.version
       ~doc:"Ascend architectural simulator command-line interface."
+      ~exits:
+        [
+          Cmd.Exit.info 0 ~doc:"on success.";
+          Cmd.Exit.info 1
+            ~doc:
+              "on an error, reported as one $(b,error:) line on standard \
+               error, or when a check fails: an error finding (any finding \
+               with $(b,--strict)), a failed differential gate or an \
+               over-budget calibration.";
+          Cmd.Exit.info Cmd.Exit.cli_error
+            ~doc:"when the command line does not parse.";
+          Cmd.Exit.info Cmd.Exit.internal_error ~doc:"on an internal error.";
+        ]
   in
   let cmd =
-    Cmd.group ~default:usage_term info
+    Cmd.group
+      ~default:Term.(ret (const (`Help (`Plain, None))))
+      info
       [ simulate_cmd; profile_cmd; disasm_cmd; streams_cmd; serve_cmd;
         decode_cmd; fleet_cmd; lint_cmd; sanitize_cmd; calibrate_cmd;
         list_cmd; trace_cmd ]

@@ -501,3 +501,68 @@ let hierarchical ~server ~network ~servers ~bytes =
          (if servers = 1 then "intra" else algorithm))
     ~chips:(servers * server.Server.chips)
     ~chunks:(g * width)
+
+(* ------------------------------------------------------------------ *)
+(* The lint --cluster sweep: every builder at several node counts
+   (power-of-two and not) and message sizes, over the real topologies —
+   flat algorithms on the fat-tree NIC rate, the intra-server hierarchy
+   on the 910 board, and the full hierarchical cluster collective. *)
+
+type point = {
+  algorithm : string;
+  peers : int;
+  bytes : float;
+  closed_form_s : float;
+  build : unit -> V.schedule;
+}
+
+let sweep () =
+  let nic = Ascend_noc.Fat_tree.(server_bandwidth ascend_cluster) in
+  let server = Server.ascend910_server in
+  let bytes_axis = [ 1e6; 1e8 ] in
+  let flat =
+    List.concat_map
+      (fun nodes ->
+        List.concat_map
+          (fun bytes ->
+            [
+              { algorithm = "ring"; peers = nodes; bytes;
+                closed_form_s =
+                  Collective.ring_allreduce_seconds ~bytes ~nodes
+                    ~bandwidth:nic ();
+                build = (fun () -> ring ~bytes ~nodes ~bandwidth:nic ()) };
+              { algorithm = "halving-doubling"; peers = nodes; bytes;
+                closed_form_s =
+                  Collective.halving_doubling_seconds ~bytes ~nodes
+                    ~bandwidth:nic ();
+                build =
+                  (fun () -> halving_doubling ~bytes ~nodes ~bandwidth:nic ())
+              };
+            ])
+          bytes_axis)
+      [ 2; 3; 4; 5; 8; 16; 17 ]
+  in
+  let intra =
+    List.map
+      (fun bytes ->
+        { algorithm = "intra-server"; peers = server.Server.chips; bytes;
+          closed_form_s = Server.intra_server_allreduce_seconds server ~bytes;
+          build = (fun () -> intra_server ~server ~bytes) })
+      bytes_axis
+  in
+  let hier =
+    List.concat_map
+      (fun servers ->
+        let network = Ascend_noc.Fat_tree.create ~servers () in
+        List.map
+          (fun bytes ->
+            { algorithm = "hierarchical"; peers = servers; bytes;
+              closed_form_s =
+                Collective.hierarchical_allreduce_seconds ~server ~network
+                  ~servers ~bytes;
+              build = (fun () -> hierarchical ~server ~network ~servers ~bytes)
+            })
+          bytes_axis)
+      [ 1; 2; 3; 4; 8; 16 ]
+  in
+  flat @ intra @ hier

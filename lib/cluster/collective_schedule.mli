@@ -55,3 +55,22 @@ val hierarchical :
     links (each owner claiming a [1/chips_per_group] share), then the
     results flow back out.  Derived time =
     [Collective.hierarchical_allreduce_seconds]. *)
+
+(** {1 The verification sweep} *)
+
+type point = {
+  algorithm : string;  (** "ring", "halving-doubling", "intra-server" or
+                           "hierarchical" *)
+  peers : int;         (** nodes, chips or servers *)
+  bytes : float;
+  closed_form_s : float;  (** the matching [Collective]/[Server] formula *)
+  build : unit -> Ascend_verify.Cluster.schedule;
+}
+
+val sweep : unit -> point list
+(** The 42 points [ascend_cli lint --cluster] verifies and [bench lint]
+    times: ring and halving/doubling at 2, 3, 4, 5, 8, 16 and 17 nodes
+    on the fat-tree NIC rate, the 910 board's intra-server hierarchy,
+    and the hierarchical collective at 1, 2, 3, 4, 8 and 16 servers,
+    each at 1 MB and 100 MB.  Closed forms are evaluated eagerly;
+    schedules are expanded only when [build] is called. *)

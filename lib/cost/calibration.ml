@@ -95,7 +95,15 @@ let fit ?(budget_pct = 5.) ~model ~price ~max_batch () =
 let run ?(budget_pct = 5.) ~service ~core ~model ~build ~max_batch () =
   if max_batch < 1 then invalid_arg "Calibration.run: max_batch < 1";
   if budget_pct < 0. then invalid_arg "Calibration.run: negative budget";
-  let price ~batch = price ~service ~core ~build ~batch in
+  (* no fused group recurs across batch sizes, so a batch's cache entries
+     are never hit again: persist and drop them once the batch is priced,
+     or the memory tier holds every compiled program of every batch *)
+  let price ~batch =
+    let entry = price ~service ~core ~build ~batch in
+    Service.flush service;
+    Service.clear service;
+    entry
+  in
   match price_all ~price ~max_batch with
   | Error _ as e -> e
   | Ok exact -> (

@@ -238,6 +238,21 @@ let test_calibration_within_budget_on_zoo () =
     cases;
   Ascend.Exec.Service.shutdown service
 
+(* the 1-D protocol's batches share no fused group, so no cache entry
+   outlives the batch that priced it *)
+let test_calibration_drops_batch_entries () =
+  let service = Ascend.Exec.Service.create ~jobs:1 () in
+  (match
+     Calibration.run ~service ~core:Config.tiny ~model:"gesture"
+       ~build:(fun ~batch -> Ascend.Nn.Gesture.build ~batch ())
+       ~max_batch:4 ()
+   with
+  | Error e -> Alcotest.fail e
+  | Ok _ -> ());
+  Alcotest.(check int) "memory tier empty after the run" 0
+    (Ascend.Exec.Service.stats service).Ascend.Exec.Cache.entries;
+  Ascend.Exec.Service.shutdown service
+
 (* ------------------------------------------------------------------ *)
 (* Serving Cost wrapper: tier selection, fallback, determinism        *)
 
@@ -358,6 +373,8 @@ let () =
             test_calibration_propagates_pricing_error;
           Alcotest.test_case "zoo spot-check within budget" `Quick
             test_calibration_within_budget_on_zoo;
+          Alcotest.test_case "batch entries dropped" `Quick
+            test_calibration_drops_batch_entries;
         ] );
       ( "serving-cost",
         [
