@@ -26,29 +26,35 @@ lint-cluster:
 sanitize:
 	dune exec bin/ascend_cli.exe -- sanitize --all
 
-# differential gates: (a) the static whole-SoC lint and the dynamic
-# sanitizer agree byte-for-byte on the zoo-wide findings document;
-# (b) closed-form and schedule-derived collective times agree to three
-# significant digits; (c) statically predicted page-in counts equal
-# what the fleet run observes
+# differential gates (CI runs this target): (a) the static whole-SoC
+# lint and the dynamic sanitizer agree byte-for-byte on the zoo-wide
+# findings document, which is the same under --jobs 4; (b) closed-form
+# and schedule-derived collective times agree to three significant
+# digits; (c) statically predicted page-in counts equal what the fleet
+# run observes, under each routing policy
 differential:
 	dune exec bin/ascend_cli.exe -- lint --all --soc --json lint_soc.json
 	dune exec bin/ascend_cli.exe -- sanitize --all --json sanitize.json
 	cmp lint_soc.json sanitize.json
-	@echo "differential gate: lint --soc and sanitize agree"
+	dune exec bin/ascend_cli.exe -- sanitize --all --jobs 4 \
+	  --json sanitize_j4.json
+	cmp sanitize.json sanitize_j4.json
+	@echo "differential gate: lint --soc and sanitize agree, at any --jobs"
 	dune exec bin/ascend_cli.exe -- lint --cluster --times closed \
 	  --json times_closed.json
 	dune exec bin/ascend_cli.exe -- lint --cluster --times schedule \
 	  --json times_schedule.json
 	cmp times_closed.json times_schedule.json
 	@echo "differential gate: closed-form and schedule-derived times agree"
-	dune exec bin/ascend_cli.exe -- lint --placement gesture,face-detect \
-	  --replicas 0,1 --nodes 3 --policy round-robin \
-	  --pagein-json pagein_predicted.json
-	dune exec bin/ascend_cli.exe -- fleet gesture,face-detect --core tiny \
-	  --nodes 3 --policy round-robin --replicas 0,1 --rate 300 \
-	  --duration 0.2 --pagein-json pagein_observed.json
-	cmp pagein_predicted.json pagein_observed.json
+	set -e; for policy in round-robin affinity; do \
+	  dune exec bin/ascend_cli.exe -- lint --placement gesture,face-detect \
+	    --replicas 0,1 --nodes 3 --policy $$policy \
+	    --pagein-json pagein_predicted_$$policy.json; \
+	  dune exec bin/ascend_cli.exe -- fleet gesture,face-detect --core tiny \
+	    --nodes 3 --policy $$policy --replicas 0,1 --rate 300 \
+	    --duration 0.2 --pagein-json pagein_observed_$$policy.json; \
+	  cmp pagein_predicted_$$policy.json pagein_observed_$$policy.json; \
+	done
 	@echo "differential gate: predicted and observed page-ins agree"
 
 bench:

@@ -73,7 +73,7 @@ type group_runner =
 
 (* [Ascend_exec.Service.install] routes this through its domain pool and
    content-addressed cache; kept as a ref so lib/compiler does not
-   depend upward on lib/exec (same pattern as [Program.strict_checker]) *)
+   depend upward on lib/exec *)
 let group_runner : group_runner option ref = ref None
 
 let run_groups ?options config graph_name groups =

@@ -59,7 +59,7 @@ val group_runner : group_runner option ref
     built-in serial loop.  [Ascend_exec.Service.install] points it at a
     domain pool with a content-addressed result cache; results must be
     returned in submission order.  Kept as a ref so [lib/compiler] does
-    not depend on [lib/exec] (the [Program.strict_checker] pattern). *)
+    not depend on [lib/exec]. *)
 
 val seconds : network_result -> float
 val average_power_w : network_result -> float

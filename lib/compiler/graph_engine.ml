@@ -10,8 +10,7 @@ type task = {
 
 type plan = { stream_count : int; tasks : task list }
 
-let plan config graph =
-  let groups = Fusion.partition graph in
+let streams graph groups =
   (* map node id -> group index *)
   let node_group = Hashtbl.create 64 in
   List.iteri
@@ -28,68 +27,69 @@ let plan config graph =
     | None ->
       List.concat_map resolve_groups (Graph.find graph input).Graph.inputs
   in
-  let deps_of gi (g : Fusion.t) =
-    List.concat_map
-      (fun (n : Graph.node) ->
-        List.concat_map resolve_groups n.inputs
-        |> List.filter (fun gj -> gj <> gi))
-      g.nodes
-    |> List.sort_uniq compare
-  in
+  (* greedy chain cover: extend the stream of the most recent producer
+     (the natural continuation) when this group is the first to consume
+     that stream's tail; otherwise open a new stream *)
+  let stream_of = Hashtbl.create 16 in
+  let stream_tail = Hashtbl.create 16 (* stream -> last group idx *) in
+  let next_stream = ref 0 in
+  List.mapi
+    (fun gi (g : Fusion.t) ->
+      let deps =
+        List.concat_map
+          (fun (n : Graph.node) ->
+            List.concat_map resolve_groups n.inputs
+            |> List.filter (fun gj -> gj <> gi))
+          g.nodes
+        |> List.sort_uniq compare
+      in
+      let stream =
+        match
+          List.find_map
+            (fun dep ->
+              match Hashtbl.find_opt stream_of dep with
+              | Some s when Hashtbl.find_opt stream_tail s = Some dep -> Some s
+              | _ -> None)
+            (List.rev deps)
+        with
+        | Some s -> s
+        | None ->
+          let s = !next_stream in
+          incr next_stream;
+          s
+      in
+      Hashtbl.replace stream_of gi stream;
+      Hashtbl.replace stream_tail stream gi;
+      (deps, stream))
+    groups
+
+let plan config graph =
+  let groups = Fusion.partition graph in
+  let assigned = Array.of_list (streams graph groups) in
   (* simulate each group for its cycle cost *)
   let rec sim acc gi = function
     | [] -> Ok (List.rev acc)
-    | g :: rest -> (
+    | (g : Fusion.t) :: rest -> (
       match Engine.run_group config g with
       | Error _ as e -> e
       | Ok r ->
+        let deps, stream = assigned.(gi) in
+        (* cross-stream deps become explicit events *)
+        let cross =
+          List.filter (fun dep -> snd assigned.(dep) <> stream) deps
+        in
+        let cycles = r.Engine.report.Ascend_core_sim.Simulator.total_cycles in
         sim
-          ((gi, g, deps_of gi g, r.Engine.report.Ascend_core_sim.Simulator.total_cycles)
-           :: acc)
+          ({ id = gi; tag = g.Fusion.tag; cycles; stream; deps = cross } :: acc)
           (gi + 1) rest)
   in
-  match sim [] 0 groups with
-  | Error e -> Error e
-  | Ok rows ->
-    (* greedy chain cover: extend the producer's stream when this group is
-       the first to consume that stream's tail *)
-    let stream_of = Hashtbl.create 16 in
-    let stream_tail = Hashtbl.create 16 (* stream -> last group idx *) in
-    let next_stream = ref 0 in
-    let tasks =
-      List.map
-        (fun (gi, (g : Fusion.t), deps, cycles) ->
-          (* prefer extending the chain of the most recent producer (the
-             natural continuation); earlier producers become events *)
-          let chosen =
-            List.find_map
-              (fun dep ->
-                match Hashtbl.find_opt stream_of dep with
-                | Some s when Hashtbl.find_opt stream_tail s = Some dep ->
-                  Some s
-                | _ -> None)
-              (List.rev deps)
-          in
-          let stream =
-            match chosen with
-            | Some s -> s
-            | None ->
-              let s = !next_stream in
-              incr next_stream;
-              s
-          in
-          Hashtbl.replace stream_of gi stream;
-          Hashtbl.replace stream_tail stream gi;
-          (* cross-stream deps become explicit events *)
-          let cross =
-            List.filter
-              (fun dep -> Hashtbl.find_opt stream_of dep <> Some stream)
-              deps
-          in
-          { id = gi; tag = g.Fusion.tag; cycles; stream; deps = cross })
-        rows
-    in
-    Ok { stream_count = !next_stream; tasks }
+  Result.map
+    (fun tasks ->
+      let stream_count =
+        Array.fold_left (fun n (_, s) -> max n (s + 1)) 0 assigned
+      in
+      { stream_count; tasks })
+    (sim [] 0 groups)
 
 let serial_cycles p = List.fold_left (fun acc t -> acc + t.cycles) 0 p.tasks
 

@@ -24,6 +24,12 @@ type plan = {
   tasks : task list;      (** in topological order *)
 }
 
+val streams : Ascend_nn.Graph.t -> Fusion.t list -> (int list * int) list
+(** For each group of the graph's partition, in order: the indices of
+    the groups it consumes (resolved through bookkeeping nodes, sorted,
+    all earlier) and its stream by the greedy chain cover.
+    {!Soc_schedule.build} pins each group to [stream mod cores]. *)
+
 val plan :
   Ascend_arch.Config.t -> Ascend_nn.Graph.t -> (plan, string) result
 (** Fuse, compile and simulate every group on one core, then decompose

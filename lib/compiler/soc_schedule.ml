@@ -58,70 +58,23 @@ let build ?options ?(cores = default_cores) ?llc_bytes ?hbm_bytes config graph
             bytes = a.Memory_planner.size_bytes } )
     | None -> None
   in
-  (* node id -> group index *)
-  let node_group = Hashtbl.create 64 in
-  List.iteri
-    (fun gi ((g : Fusion.t), _) ->
-      List.iter
-        (fun (n : Graph.node) -> Hashtbl.replace node_group n.id gi)
-        g.nodes)
-    compiled;
-  (* group-level data deps, resolved transitively through bookkeeping
-     nodes exactly like the stream scheduler *)
-  let rec resolve_groups input =
-    match Hashtbl.find_opt node_group input with
-    | Some gj -> [ gj ]
-    | None ->
-      List.concat_map resolve_groups (Graph.find graph input).Graph.inputs
-  in
-  let data_deps gi (g : Fusion.t) =
-    List.concat_map
-      (fun (n : Graph.node) ->
-        List.concat_map resolve_groups n.inputs
-        |> List.filter (fun gj -> gj <> gi))
-      g.nodes
-    |> List.sort_uniq compare
-  in
-  (* greedy chain cover for core assignment: extend the most recent
-     producer's stream when this group is the first to consume its
-     tail; core = stream mod cores *)
-  let stream_of = Hashtbl.create 16 in
-  let stream_tail = Hashtbl.create 16 in
-  let next_stream = ref 0 in
   let rows =
     List.mapi
-      (fun gi ((g : Fusion.t), p) ->
-        let deps = data_deps gi g in
-        let chosen =
-          List.find_map
-            (fun dep ->
-              match Hashtbl.find_opt stream_of dep with
-              | Some s when Hashtbl.find_opt stream_tail s = Some dep -> Some s
-              | _ -> None)
-            (List.rev deps)
-        in
-        let stream =
-          match chosen with
-          | Some s -> s
-          | None ->
-            let s = !next_stream in
-            incr next_stream;
-            s
-        in
-        Hashtbl.replace stream_of gi stream;
-        Hashtbl.replace stream_tail stream gi;
+      (fun gi (((g : Fusion.t), p), (deps, stream)) ->
         (gi, g, p, deps, stream mod cores))
-      compiled
+      (List.combine compiled
+         (Graph_engine.streams graph (List.map fst compiled)))
   in
   let writes_of (g : Fusion.t) =
     List.filter_map (fun (n : Graph.node) -> region_of n.id) g.nodes
   in
-  let reads_of gi (g : Fusion.t) =
+  let reads_of (g : Fusion.t) =
     List.concat_map
       (fun (n : Graph.node) ->
         List.filter_map
           (fun input ->
-            if Hashtbl.find_opt node_group input = Some gi then None
+            if List.exists (fun (m : Graph.node) -> m.id = input) g.nodes
+            then None
             else region_of input)
           n.Graph.inputs)
       g.nodes
@@ -135,7 +88,7 @@ let build ?options ?(cores = default_cores) ?llc_bytes ?hbm_bytes config graph
           core;
           tag = g.Fusion.tag;
           deps;
-          reads = reads_of gi g;
+          reads = reads_of g;
           writes = writes_of g;
           ext_read_bytes;
           ext_write_bytes;

@@ -12,8 +12,7 @@
     - {!Isa} — pipes, buffers, instructions, programs;
     - {!Verify} — the static happens-before verifier and hazard linter
       (deadlocks, RAW/WAR/WAW races, buffer-peak cross-checks, flag
-      leaks); linking this module installs it as
-      [Program.validate ~strict:true]'s checker;
+      leaks);
     - {!Memory} — LLC, DRAM/HBM, MPAM/QoS, the memory-wall arithmetic;
     - {!Obs} — the tracing/profiling hook, bounded event collector and
       Chrome-trace / summary sinks; instrumented layers emit through
@@ -77,10 +76,6 @@ module Serving = Ascend_serving
 module Decode = Ascend_decode
 module Fleet = Ascend_fleet
 module Vector_core = Ascend_vector_core
-
-(* make [Program.validate ~strict:true] work out of the box for every
-   user of the umbrella library *)
-let () = Ascend_verify.install ()
 
 (* route every compile+simulate fan-out through the execution service's
    domain pool and content-addressed cache ([ASCEND_JOBS] overrides the

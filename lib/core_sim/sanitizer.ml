@@ -2,11 +2,12 @@
     a program's synchronisation skeleton (no latencies) while keeping
     shadow init/ownership state per (buffer, slot).
 
-    The replay mirrors [Simulator]'s queue semantics exactly — per-pipe
-    issue queues filled in program order, counting semaphores per
-    [(from_pipe, to_pipe, flag)] triple, all-pipe barriers — but each
-    executed instruction also carries a per-pipe vector clock, so every
-    access is checked against the shadow state *with the ordering the
+    The replay runs on {!Dispatch}, the issue engine {!Simulator} runs
+    on — per-pipe issue queues filled in program order, counting
+    semaphores per [(from_pipe, to_pipe, flag)] triple, all-pipe
+    barriers — but each executed instruction carries a per-pipe vector
+    clock instead of a cycle count, so every access is checked
+    against the shadow state *with the ordering the
     synchronisation actually establishes*, not the ordering one lucky
     interleaving happened to produce.  Because the clocks derive from
     the same sync edges as the static happens-before graph, the verdict
@@ -42,8 +43,6 @@ module Finding = Ascend_verify.Finding
 
 type report = { findings : Finding.t list; instructions_executed : int }
 
-type item = Instr of int * Instruction.t | Bar of int
-
 (* one recorded access: the executing pipe, its vector-clock snapshot,
    the instruction index and the byte count *)
 type stamp = { pipe : int; vc : int array; index : int; bytes : int }
@@ -57,11 +56,6 @@ type slot_shadow = {
 
 type state = {
   config : Config.t;
-  queues : item Queue.t array;
-  (* flag semaphores carry the setter's vector-clock snapshot *)
-  sems : (Pipe.t * Pipe.t * int, int array Queue.t) Hashtbl.t;
-  barriers : (int, int) Hashtbl.t;  (* barrier id -> arrival count *)
-  blocked_on_barrier : int option array;
   clock : int array array;  (* per-pipe vector clock *)
   shadow : (Buffer_id.t * int, slot_shadow) Hashtbl.t;
   live : int array;  (* per-buffer current live footprint sum *)
@@ -69,14 +63,6 @@ type state = {
   mutable findings_rev : Finding.t list;
   seen : (string, unit) Hashtbl.t;  (* dedup key -> () *)
 }
-
-let sem_queue st key =
-  match Hashtbl.find_opt st.sems key with
-  | Some q -> q
-  | None ->
-    let q = Queue.create () in
-    Hashtbl.replace st.sems key q;
-    q
 
 let slot_shadow st key =
   match Hashtbl.find_opt st.shadow key with
@@ -106,12 +92,11 @@ let emit st ?severity ?index ?pipe ?buffer ~slot kind message =
    p's view *)
 let ordered_before st (s : stamp) p = s.vc.(s.pipe) <= st.clock.(p).(s.pipe)
 
-let pipe_nth i = List.nth Pipe.all i
-
-let check_access st ~pipe_idx ~index (a : Instruction.access) =
+let check_access st ~pipe ~index (a : Instruction.access) =
   if not (Buffer_id.equal a.Instruction.buffer Buffer_id.External) then begin
     let buf = a.Instruction.buffer in
     let sh = slot_shadow st (buf, a.Instruction.slot) in
+    let pipe_idx = Pipe.index pipe in
     let stamp () =
       {
         pipe = pipe_idx;
@@ -120,7 +105,6 @@ let check_access st ~pipe_idx ~index (a : Instruction.access) =
         bytes = a.Instruction.bytes;
       }
     in
-    let pipe = pipe_nth pipe_idx in
     match a.Instruction.kind with
     | Instruction.Read ->
       (match sh.writer with
@@ -202,118 +186,57 @@ let check_access st ~pipe_idx ~index (a : Instruction.access) =
       sh.readers <- []
   end
 
-(* Execute the head of a pipe if possible.  Returns true on progress. *)
-let try_advance st pipe_idx =
-  match st.blocked_on_barrier.(pipe_idx) with
-  | Some _ -> false
-  | None -> (
-    let q = st.queues.(pipe_idx) in
-    if Queue.is_empty q then false
-    else
-      match Queue.peek q with
-      | Bar id ->
-        ignore (Queue.pop q);
-        let count =
-          match Hashtbl.find_opt st.barriers id with Some c -> c | None -> 0
+(* the sanitizer's side of {!Dispatch}: every issue ticks the pipe's
+   own clock component, a set's token is its clock, a wait joins the
+   token in, and a barrier joins every pipe's clock *)
+let hooks st =
+  let tick p =
+    st.clock.(p).(p) <- st.clock.(p).(p) + 1;
+    st.executed <- st.executed + 1
+  in
+  {
+    Dispatch.issue =
+      (fun pipe index instr ->
+        tick (Pipe.index pipe);
+        let reads, writes =
+          List.partition
+            (fun (a : Instruction.access) -> a.Instruction.kind = Read)
+            (Instruction.accesses instr)
         in
-        Hashtbl.replace st.barriers id (count + 1);
-        st.blocked_on_barrier.(pipe_idx) <- Some id;
-        true
-      | Instr (index, instr) -> (
-        let tick () =
-          st.clock.(pipe_idx).(pipe_idx) <- st.clock.(pipe_idx).(pipe_idx) + 1;
-          st.executed <- st.executed + 1
-        in
-        match instr with
-        | Instruction.Wait_flag { from_pipe; to_pipe; flag } ->
-          let sem = sem_queue st (from_pipe, to_pipe, flag) in
-          if Queue.is_empty sem then false
-          else begin
-            ignore (Queue.pop q);
-            tick ();
-            let setter_vc = Queue.pop sem in
-            Array.iteri
-              (fun i v ->
-                if v > st.clock.(pipe_idx).(i) then
-                  st.clock.(pipe_idx).(i) <- v)
-              setter_vc;
-            true
-          end
-        | _ ->
-          ignore (Queue.pop q);
-          tick ();
-          (match instr with
-          | Instruction.Set_flag { from_pipe; to_pipe; flag } ->
-            Queue.push
-              (Array.copy st.clock.(pipe_idx))
-              (sem_queue st (from_pipe, to_pipe, flag))
-          | _ -> ());
-          let reads, writes =
-            List.partition
-              (fun (a : Instruction.access) -> a.Instruction.kind = Read)
-              (Instruction.accesses instr)
-          in
-          (* reads of an instruction logically precede its writes *)
-          List.iter (check_access st ~pipe_idx ~index) reads;
-          List.iter (check_access st ~pipe_idx ~index) writes;
-          true))
-
-let release_barriers st =
-  let released = ref false in
-  Hashtbl.iter
-    (fun id count ->
-      if count = Pipe.count then begin
-        (* a barrier joins every pipe's clock and restarts all pipes *)
+        (* reads of an instruction logically precede its writes *)
+        List.iter (check_access st ~pipe ~index) reads;
+        List.iter (check_access st ~pipe ~index) writes);
+    post = (fun pipe -> Array.copy st.clock.(Pipe.index pipe));
+    take =
+      (fun pipe _ _ setter_vc ->
+        let p = Pipe.index pipe in
+        tick p;
+        Array.iteri
+          (fun i v -> if v > st.clock.(p).(i) then st.clock.(p).(i) <- v)
+          setter_vc);
+    arrive = (fun _ _ -> ());
+    release =
+      (fun _ ->
         let join = Array.make Pipe.count 0 in
         Array.iter
           (fun vc -> Array.iteri (fun i v -> if v > join.(i) then join.(i) <- v) vc)
           st.clock;
-        Array.iteri (fun p _ -> st.clock.(p) <- Array.copy join) st.clock;
-        Array.iteri
-          (fun i b ->
-            match b with
-            | Some bid when bid = id -> st.blocked_on_barrier.(i) <- None
-            | _ -> ())
-          st.blocked_on_barrier;
-        Hashtbl.remove st.barriers id;
-        released := true
-      end)
-    st.barriers;
-  !released
-
-let describe_stuck st =
-  let parts = ref [] in
-  Array.iteri
-    (fun i q ->
-      if not (Queue.is_empty q) then
-        let head =
-          match Queue.peek q with
-          | Bar id -> Printf.sprintf "barrier %d" id
-          | Instr (idx, instr) ->
-            Format.asprintf "#%d %a" idx Instruction.pp instr
-        in
-        parts :=
-          Printf.sprintf "%s stuck at %s" (Pipe.name (pipe_nth i)) head
-          :: !parts)
-    st.queues;
-  String.concat "; " (List.rev !parts)
+        Array.iteri (fun p _ -> st.clock.(p) <- Array.copy join) st.clock);
+  }
 
 (* end-of-run checks, mirroring the static analyzer's *)
-let end_state_findings st (program : Program.t) =
-  let leaks = ref [] in
-  Hashtbl.iter
-    (fun (f, t, flag) q ->
-      let n = Queue.length q in
-      if n > 0 then
-        leaks :=
-          Finding.make ~pipe:f Finding.Flag_leak
-            (Printf.sprintf
-               "flag %s->%s #%d ends the replay with %d set(s) never \
-                consumed; a following program's first wait on this triple \
-                would pass spuriously"
-               (Pipe.name f) (Pipe.name t) flag n)
-          :: !leaks)
-    st.sems;
+let end_state_findings st (program : Program.t) leftover =
+  let leaks =
+    List.map
+      (fun (f, t, flag, n) ->
+        Finding.make ~pipe:f Finding.Flag_leak
+          (Printf.sprintf
+             "flag %s->%s #%d ends the replay with %d set(s) never \
+              consumed; a following program's first wait on this triple \
+              would pass spuriously"
+             (Pipe.name f) (Pipe.name t) flag n))
+      leftover
+  in
   let peaks =
     List.concat_map
       (fun buf ->
@@ -359,16 +282,12 @@ let end_state_findings st (program : Program.t) =
         end)
       Buffer_id.all
   in
-  List.rev !leaks @ peaks
+  leaks @ peaks
 
 let run (config : Config.t) (program : Program.t) =
   let st =
     {
       config;
-      queues = Array.init Pipe.count (fun _ -> Queue.create ());
-      sems = Hashtbl.create 32;
-      barriers = Hashtbl.create 8;
-      blocked_on_barrier = Array.make Pipe.count None;
       clock = Array.init Pipe.count (fun _ -> Array.make Pipe.count 0);
       shadow = Hashtbl.create 64;
       live = Array.make Buffer_id.count 0;
@@ -377,49 +296,26 @@ let run (config : Config.t) (program : Program.t) =
       seen = Hashtbl.create 32;
     }
   in
-  let barrier_id = ref 0 in
-  let malformed = ref [] in
-  List.iteri
-    (fun index instr ->
-      match instr with
-      | Instruction.Barrier ->
-        let id = !barrier_id in
-        incr barrier_id;
-        Array.iter (fun q -> Queue.push (Bar id) q) st.queues
-      | _ -> (
-        match Instruction.pipe_of instr with
-        | Some p -> Queue.push (Instr (index, instr)) st.queues.(Pipe.index p)
-        | None ->
-          malformed :=
-            Finding.make ~index Finding.Malformed
-              "instruction maps to no pipe (illegal MTE move)"
-            :: !malformed))
-    program.Program.instructions;
-  let rec loop () =
-    let progress = ref false in
-    for i = 0 to Pipe.count - 1 do
-      while try_advance st i do
-        progress := true
-      done
-    done;
-    if release_barriers st then progress := true;
-    let done_ =
-      Array.for_all Queue.is_empty st.queues
-      && Array.for_all (fun b -> b = None) st.blocked_on_barrier
-    in
-    if done_ then []
-    else if !progress then loop ()
-    else
+  let o = Dispatch.run (hooks st) program in
+  let malformed =
+    List.map
+      (fun index ->
+        Finding.make ~index Finding.Malformed
+          "instruction maps to no pipe (illegal MTE move)")
+      o.Dispatch.unmapped
+  in
+  let deadlocks =
+    match o.Dispatch.stuck with
+    | None -> []
+    | Some stuck ->
       [
         Finding.make Finding.Deadlock
-          (Printf.sprintf "replay wedged with work outstanding: %s"
-             (describe_stuck st));
+          (Printf.sprintf "replay wedged with work outstanding: %s" stuck);
       ]
   in
-  let deadlocks = loop () in
   let findings =
-    List.rev !malformed @ List.rev st.findings_rev @ deadlocks
-    @ end_state_findings st program
+    malformed @ List.rev st.findings_rev @ deadlocks
+    @ end_state_findings st program o.Dispatch.leftover
   in
   { findings; instructions_executed = st.executed }
 

@@ -1,9 +1,10 @@
 (** Dynamic shadow-state sanitizer.
 
-    Replays a program's synchronisation skeleton (per-pipe queues,
-    counting-semaphore flags, all-pipe barriers — no latencies) while
-    keeping shadow init/ownership state per (buffer, slot) and a
-    per-pipe vector clock.  Because the clocks derive from the same
+    Replays a program's synchronisation skeleton on {!Dispatch}, the
+    issue engine under {!Simulator} (per-pipe queues, counting-semaphore
+    flags, all-pipe barriers — no latencies), while keeping shadow
+    init/ownership state per (buffer, slot) and a per-pipe vector
+    clock.  Because the clocks derive from the same
     sync edges as the static happens-before graph, the verdict is
     interleaving-independent: a clean report proves every conflicting
     access pair is separated by a satisfied flag or barrier, on every

@@ -31,17 +31,9 @@ type report = {
    SRAM; 15 pJ/B is an LLC-hit-dominated average at 7 nm *)
 let external_energy_pj_per_byte = 15.0
 
-type item = Instr of int * Instruction.t | Bar of int
-
 type sim_state = {
   config : Config.t;
-  queues : item Queue.t array;
   pipe_time : int array;
-  (* flag semaphores: completion times of executed sets awaiting a wait *)
-  sems : (Pipe.t * Pipe.t * int, int Queue.t) Hashtbl.t;
-  (* barrier id -> (arrival count, max arrival time) *)
-  barriers : (int, int * int) Hashtbl.t;
-  blocked_on_barrier : int option array;
   busy : int array;
   count : int array;
   read_bytes : int array;
@@ -54,14 +46,6 @@ type sim_state = {
      which keeps every emission below a dead branch (zero allocation) *)
   obs_pid : int;
 }
-
-let sem_queue st key =
-  match Hashtbl.find_opt st.sems key with
-  | Some q -> q
-  | None ->
-    let q = Queue.create () in
-    Hashtbl.replace st.sems key q;
-    q
 
 let account_traffic st instr =
   let add_read buf bytes =
@@ -146,122 +130,52 @@ let obs_span st ~pipe ~start ~finish instr =
       ~dur:(float_of_int (finish - start)) ()
   end
 
-(* Execute the head of a pipe if possible.  Returns true on progress. *)
-let try_advance st pipe_idx =
-  match st.blocked_on_barrier.(pipe_idx) with
-  | Some _ -> false
-  | None -> (
-    let q = st.queues.(pipe_idx) in
-    if Queue.is_empty q then false
-    else
-      match Queue.peek q with
-      | Bar id ->
-        ignore (Queue.pop q);
-        let count, latest =
-          match Hashtbl.find_opt st.barriers id with
-          | Some v -> v
-          | None -> (0, 0)
-        in
-        Hashtbl.replace st.barriers id
-          (count + 1, max latest st.pipe_time.(pipe_idx));
-        st.blocked_on_barrier.(pipe_idx) <- Some id;
-        if st.obs_pid >= 0 then
-          Obs.Hook.instant
-            ~args:[ ("barrier", Obs.Event.Int id) ]
-            ~cat:"sync" ~name:"barrier_arrive" ~pid:st.obs_pid ~tid:pipe_idx
-            ~ts:(float_of_int st.pipe_time.(pipe_idx))
-            ();
-        true
-      | Instr (index, instr) -> (
-        let finish_normal () =
-          ignore (Queue.pop q);
-          let start = max st.pipe_time.(pipe_idx) index in
-          let lat = Latency.instruction st.config instr in
-          let finish = start + lat in
-          st.pipe_time.(pipe_idx) <- finish;
-          st.busy.(pipe_idx) <- st.busy.(pipe_idx) + lat;
-          st.count.(pipe_idx) <- st.count.(pipe_idx) + 1;
-          account_traffic st instr;
-          account_energy st instr;
-          (match instr with
-          | Instruction.Set_flag { from_pipe; to_pipe; flag } ->
-            Queue.push finish (sem_queue st (from_pipe, to_pipe, flag))
-          | _ -> ());
-          (match Instruction.pipe_of instr with
-          | Some p ->
-            push_trace st ~index ~pipe:p ~start_cycle:start ~end_cycle:finish
-              instr;
-            obs_span st ~pipe:p ~start ~finish instr
-          | None -> ());
-          true
-        in
-        match instr with
-        | Instruction.Wait_flag { from_pipe; to_pipe; flag } ->
-          let sem = sem_queue st (from_pipe, to_pipe, flag) in
-          if Queue.is_empty sem then false
-          else begin
-            ignore (Queue.pop q);
-            let set_time = Queue.pop sem in
-            let start = max (max st.pipe_time.(pipe_idx) index) set_time in
-            let finish = start + 1 in
-            st.pipe_time.(pipe_idx) <- finish;
-            st.busy.(pipe_idx) <- st.busy.(pipe_idx) + 1;
-            st.count.(pipe_idx) <- st.count.(pipe_idx) + 1;
-            push_trace st ~index ~pipe:to_pipe ~start_cycle:start
-              ~end_cycle:finish instr;
-            obs_span st ~pipe:to_pipe ~start ~finish instr;
-            true
-          end
-        | _ -> finish_normal ()))
+let complete st pipe ~index ~start ~finish instr =
+  let p = Pipe.index pipe in
+  st.pipe_time.(p) <- finish;
+  st.busy.(p) <- st.busy.(p) + (finish - start);
+  st.count.(p) <- st.count.(p) + 1;
+  push_trace st ~index ~pipe ~start_cycle:start ~end_cycle:finish instr;
+  obs_span st ~pipe ~start ~finish instr
 
-let release_barriers st =
-  (* a barrier opens when all pipes have arrived *)
-  let released = ref false in
-  Hashtbl.iter
-    (fun id (count, latest) ->
-      if count = Pipe.count then begin
-        Array.iteri
-          (fun i b ->
-            match b with
-            | Some bid when bid = id ->
-              st.blocked_on_barrier.(i) <- None;
-              st.pipe_time.(i) <- max st.pipe_time.(i) latest;
-              if st.obs_pid >= 0 then
-                Obs.Hook.instant
-                  ~args:[ ("barrier", Obs.Event.Int id) ]
-                  ~cat:"sync" ~name:"barrier_release" ~pid:st.obs_pid ~tid:i
-                  ~ts:(float_of_int latest) ()
-            | _ -> ())
-          st.blocked_on_barrier;
-        Hashtbl.remove st.barriers id;
-        released := true
-      end)
-    st.barriers;
-  !released
+(* the simulator's side of {!Dispatch}: a set's token is its completion
+   cycle, and a barrier releases every pipe at the latest arrival *)
+let hooks st =
+  let obs_barrier name p id ts =
+    if st.obs_pid >= 0 then
+      Obs.Hook.instant
+        ~args:[ ("barrier", Obs.Event.Int id) ]
+        ~cat:"sync" ~name ~pid:st.obs_pid ~tid:p ~ts:(float_of_int ts) ()
+  in
+  {
+    Dispatch.issue =
+      (fun pipe index instr ->
+        let start = max st.pipe_time.(Pipe.index pipe) index in
+        account_traffic st instr;
+        account_energy st instr;
+        complete st pipe ~index ~start
+          ~finish:(start + Latency.instruction st.config instr)
+          instr);
+    post = (fun pipe -> st.pipe_time.(Pipe.index pipe));
+    take =
+      (fun pipe index instr set_time ->
+        let start = max (max st.pipe_time.(Pipe.index pipe) index) set_time in
+        complete st pipe ~index ~start ~finish:(start + 1) instr);
+    arrive =
+      (fun pipe id ->
+        let p = Pipe.index pipe in
+        obs_barrier "barrier_arrive" p id st.pipe_time.(p));
+    release =
+      (fun id ->
+        let latest = Array.fold_left max 0 st.pipe_time in
+        for p = 0 to Pipe.count - 1 do
+          st.pipe_time.(p) <- latest;
+          obs_barrier "barrier_release" p id latest
+        done);
+  }
 
-let describe_deadlock st =
-  let parts = ref [] in
-  Array.iteri
-    (fun i q ->
-      if not (Queue.is_empty q) then
-        let head =
-          match Queue.peek q with
-          | Bar id -> Printf.sprintf "barrier %d" id
-          | Instr (idx, instr) ->
-            Format.asprintf "#%d %a" idx Instruction.pp instr
-        in
-        parts :=
-          Printf.sprintf "%s stuck at %s"
-            (Pipe.name (List.nth Pipe.all i))
-            head
-          :: !parts)
-    st.queues;
-  String.concat "; " (List.rev !parts)
-
-let run ?(trace = false) ?(validate = true) config (program : Program.t) =
-  match
-    if validate then Program.validate config program else Ok ()
-  with
+let run ?(trace = false) config (program : Program.t) =
+  match Program.validate config program with
   | Error e -> Error (Printf.sprintf "validation: %s" e)
   | Ok () ->
     let obs_pid =
@@ -280,11 +194,7 @@ let run ?(trace = false) ?(validate = true) config (program : Program.t) =
     let st =
       {
         config;
-        queues = Array.init Pipe.count (fun _ -> Queue.create ());
         pipe_time = Array.make Pipe.count 0;
-        sems = Hashtbl.create 32;
-        barriers = Hashtbl.create 8;
-        blocked_on_barrier = Array.make Pipe.count None;
         busy = Array.make Pipe.count 0;
         count = Array.make Pipe.count 0;
         read_bytes = Array.make Buffer_id.count 0;
@@ -296,41 +206,9 @@ let run ?(trace = false) ?(validate = true) config (program : Program.t) =
         obs_pid;
       }
     in
-    (* distribute instructions to pipe queues in program order *)
-    let barrier_id = ref 0 in
-    List.iteri
-      (fun index instr ->
-        match instr with
-        | Instruction.Barrier ->
-          let id = !barrier_id in
-          incr barrier_id;
-          Array.iter (fun q -> Queue.push (Bar id) q) st.queues
-        | _ -> (
-          match Instruction.pipe_of instr with
-          | Some p -> Queue.push (Instr (index, instr)) st.queues.(Pipe.index p)
-          | None -> invalid_arg "Simulator.run: unmapped instruction"))
-      program.instructions;
-    (* main scheduling loop *)
-    let rec loop () =
-      let progress = ref false in
-      for i = 0 to Pipe.count - 1 do
-        (* drain each pipe as far as it can go this pass *)
-        while try_advance st i do
-          progress := true
-        done
-      done;
-      if release_barriers st then progress := true;
-      let done_ =
-        Array.for_all Queue.is_empty st.queues
-        && Array.for_all (fun b -> b = None) st.blocked_on_barrier
-      in
-      if done_ then Ok ()
-      else if !progress then loop ()
-      else Error (Printf.sprintf "deadlock: %s" (describe_deadlock st))
-    in
-    (match loop () with
-    | Error e -> Error e
-    | Ok () ->
+    match (Dispatch.run (hooks st) program).Dispatch.stuck with
+    | Some stuck -> Error (Printf.sprintf "deadlock: %s" stuck)
+    | None ->
       let total_cycles = Array.fold_left max 0 st.pipe_time in
       Ok
         {
@@ -347,7 +225,7 @@ let run ?(trace = false) ?(validate = true) config (program : Program.t) =
           energy_j = st.energy_pj *. 1e-12;
           cube_macs_executed = st.macs;
           trace = List.rev st.trace_rev;
-        })
+        }
 
 let pipe_stats r p = r.pipes.(Pipe.index p)
 let traffic r b = r.traffic.(Buffer_id.index b)

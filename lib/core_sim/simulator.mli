@@ -6,8 +6,9 @@
     PSQ dispatches one instruction per cycle, so instruction [i] cannot
     start before cycle [i].
 
-    The simulator detects deadlocks (a wait whose set can never execute)
-    and reports them as [Error] rather than hanging. *)
+    Issue order is {!Dispatch}'s, the engine {!Sanitizer} replays on
+    too.  The simulator detects deadlocks (a wait whose set can never
+    execute) and reports them as [Error] rather than hanging. *)
 
 type pipe_stats = { busy_cycles : int; instruction_count : int }
 
@@ -31,9 +32,10 @@ type report = {
 }
 
 val run :
-  ?trace:bool -> ?validate:bool -> Ascend_arch.Config.t ->
-  Ascend_isa.Program.t -> (report, string) result
-(** [validate] (default true) runs {!Ascend_isa.Program.validate} first. *)
+  ?trace:bool -> Ascend_arch.Config.t -> Ascend_isa.Program.t ->
+  (report, string) result
+(** Runs {!Ascend_isa.Program.validate} first; its error comes back as
+    ["validation: ..."], and a run that wedges as ["deadlock: ..."]. *)
 
 val pipe_stats : report -> Ascend_isa.Pipe.t -> pipe_stats
 val traffic : report -> Ascend_isa.Buffer_id.t -> buffer_traffic

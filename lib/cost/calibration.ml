@@ -23,8 +23,8 @@ type report = {
   max_abs_pct_error : float;
 }
 
-let price ~service ~core ~build ~batch =
-  match Service.run_inference service core (build ~batch) with
+let price ~service ~core graph =
+  match Service.run_inference service core graph with
   | Error _ as e -> e
   | Ok nr ->
     Ok
@@ -99,7 +99,7 @@ let run ?(budget_pct = 5.) ~service ~core ~model ~build ~max_batch () =
      are never hit again: persist and drop them once the batch is priced,
      or the memory tier holds every compiled program of every batch *)
   let price ~batch =
-    let entry = price ~service ~core ~build ~batch in
+    let entry = price ~service ~core (build ~batch) in
     Service.flush service;
     Service.clear service;
     entry

@@ -49,10 +49,9 @@ type report = {
 val price :
   service:Ascend_exec.Service.t ->
   core:Ascend_arch.Config.t ->
-  build:(batch:int -> Ascend_nn.Graph.t) ->
-  batch:int ->
+  Ascend_nn.Graph.t ->
   (Surrogate.entry, string) result
-(** The exact oracle: compile+simulate [build ~batch] on [core] through
+(** The exact oracle: compile+simulate the graph on [core] through
     [service] (so repeated group shapes resolve in its cache). *)
 
 val fit :

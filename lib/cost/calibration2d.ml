@@ -24,11 +24,6 @@ type report = {
   max_abs_pct_error : float;
 }
 
-let price ~service ~core ~build ~batch ~cache_len =
-  Calibration.price ~service ~core
-    ~build:(fun ~batch -> build ~batch ~cache_len)
-    ~batch
-
 let cycles_error (exact : Surrogate.entry) (predicted : Surrogate.entry) =
   Stats.abs_pct_error
     ~reference:(float_of_int exact.Surrogate.cycles)
@@ -128,7 +123,9 @@ let run ?(budget_pct = 5.) ~service ~core ~model ~build ~max_batch ~max_len () =
   if max_batch < 1 then invalid_arg "Calibration2d.run: max_batch < 1";
   if max_len < 1 then invalid_arg "Calibration2d.run: max_len < 1";
   if budget_pct < 0. then invalid_arg "Calibration2d.run: negative budget";
-  let price ~batch ~cache_len = price ~service ~core ~build ~batch ~cache_len in
+  let price ~batch ~cache_len =
+    Calibration.price ~service ~core (build ~batch ~cache_len)
+  in
   let probes = Surrogate2d.probe_lens ~max_len in
   match price_grid ~price ~max_batch ~probes with
   | Error _ as e -> e

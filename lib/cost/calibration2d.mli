@@ -39,15 +39,6 @@ type report = {
   max_abs_pct_error : float;
 }
 
-val price :
-  service:Ascend_exec.Service.t ->
-  core:Ascend_arch.Config.t ->
-  build:(batch:int -> cache_len:int -> Ascend_nn.Graph.t) ->
-  batch:int ->
-  cache_len:int ->
-  (Surrogate.entry, string) result
-(** The exact oracle at a grid point. *)
-
 val fit :
   ?budget_pct:float ->
   model:string ->
@@ -70,9 +61,9 @@ val run :
   max_len:int ->
   unit ->
   (report, string) result
-(** {!fit} against the {!price} oracle, scored into a {!report}; the
-    reported max error is within budget by construction and the CI gate
-    re-checks it end to end. *)
+(** {!fit} against the {!Calibration.price} oracle at each grid point,
+    scored into a {!report}; the reported max error is within budget by
+    construction and the CI gate re-checks it end to end. *)
 
 val to_json : report -> Ascend_util.Json.t
 

@@ -1,5 +1,4 @@
-module Engine = Ascend_compiler.Engine
-module Service = Ascend_exec.Service
+module Oracle = Ascend_serving.Cost
 module Surrogate = Ascend_cost.Surrogate
 module Surrogate2d = Ascend_cost.Surrogate2d
 module Calibration2d = Ascend_cost.Calibration2d
@@ -13,25 +12,22 @@ type entry = Surrogate.entry = {
 
 type costing = [ `Exact | `Surrogate ]
 
-(* Phase-aware pricing for one LLM on one core.  Same shape as the
-   serving oracle (private single-domain service, deltas folded into the
-   oracle's own counters) with two differences: decode steps are a
-   function of (batch, cache length) so the surrogate tier is the 2-D
-   grid of {!Ascend_cost.Surrogate2d}, and prefill — once per request,
-   never the volume term — stays on the exact tier behind a
-   (batch, prompt length) memo. *)
+(* Phase-aware pricing for one LLM on one core.  Every exact price goes
+   through the serving oracle's counted [price] (private single-domain
+   service, hit/miss deltas folded into its counters).  Unlike serving,
+   decode steps are a function of (batch, cache length), so the
+   surrogate tier is the 2-D grid of {!Ascend_cost.Surrogate2d}, and
+   prefill — once per request, never the volume term — stays on the
+   exact tier behind a (batch, prompt length) memo. *)
 type t = {
-  core : Ascend_arch.Config.t;
   cfg : Llm.config;
   costing : costing;
   max_batch : int;
   max_cache_len : int;
-  service : Service.t;
+  oracle : Oracle.t;
   mutable grid : Surrogate2d.t option;
   prefill_memo : (int * int, entry) Hashtbl.t;
   decode_memo : (int * int, entry) Hashtbl.t;
-  mutable hits : int;
-  mutable misses : int;
   mutable interpolated : int;
   mutable fallbacks : int;
 }
@@ -43,45 +39,21 @@ let create ?(costing = `Exact) ?(max_batch = 8) ?(max_cache_len = 64) ~core cfg
   if max_cache_len >= cfg.Llm.max_position then
     invalid_arg "Decode.Cost.create: max_cache_len >= llm max_position";
   {
-    core;
     cfg;
     costing;
     max_batch;
     max_cache_len;
-    service = Service.create ~jobs:1 ?dir:(Service.env_cache_dir ()) ();
+    oracle = Oracle.create ~core ();
     grid = None;
     prefill_memo = Hashtbl.create 32;
     decode_memo = Hashtbl.create 64;
-    hits = 0;
-    misses = 0;
     interpolated = 0;
     fallbacks = 0;
   }
 
-let core t = t.core
+let core t = Oracle.core t.oracle
 let costing t = t.costing
 let llm t = t.cfg
-
-let exact t graph =
-  let before = Service.stats t.service in
-  let r =
-    match Service.run_inference t.service t.core graph with
-    | Error _ as e -> e
-    | Ok nr ->
-      Ok
-        {
-          cycles = nr.Engine.total_cycles;
-          latency_s = Engine.seconds nr;
-          energy_j = nr.Engine.total_energy_j;
-        }
-  in
-  let after = Service.stats t.service in
-  t.hits <-
-    t.hits + (after.Ascend_exec.Cache.hits - before.Ascend_exec.Cache.hits);
-  t.misses <-
-    t.misses
-    + (after.Ascend_exec.Cache.misses - before.Ascend_exec.Cache.misses);
-  r
 
 let prefill t ~batch ~prompt_len =
   if batch < 1 then invalid_arg "Decode.Cost.prefill: batch < 1";
@@ -89,7 +61,9 @@ let prefill t ~batch ~prompt_len =
   match Hashtbl.find_opt t.prefill_memo (batch, prompt_len) with
   | Some e -> Ok e
   | None -> (
-    match exact t (Llm.prefill ~batch ~seq_len:prompt_len t.cfg) with
+    match
+      Oracle.price t.oracle (Llm.prefill ~batch ~seq_len:prompt_len t.cfg)
+    with
     | Error _ as e -> e
     | Ok e ->
       Hashtbl.replace t.prefill_memo (batch, prompt_len) e;
@@ -99,7 +73,7 @@ let exact_decode t ~batch ~cache_len =
   match Hashtbl.find_opt t.decode_memo (batch, cache_len) with
   | Some e -> Ok e
   | None -> (
-    match exact t (Llm.decode ~batch ~cache_len t.cfg) with
+    match Oracle.price t.oracle (Llm.decode ~batch ~cache_len t.cfg) with
     | Error _ as e -> e
     | Ok e ->
       Hashtbl.replace t.decode_memo (batch, cache_len) e;
@@ -143,8 +117,8 @@ let decode_step t ~batch ~cache_len =
         t.fallbacks <- t.fallbacks + 1;
         exact_decode t ~batch ~cache_len))
 
-let hits t = t.hits
-let misses t = t.misses
+let hits t = Oracle.hits t.oracle
+let misses t = Oracle.misses t.oracle
 let interpolated t = t.interpolated
 let fallbacks t = t.fallbacks
-let stats t = Service.stats t.service
+let stats t = Oracle.stats t.oracle

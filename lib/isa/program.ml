@@ -96,14 +96,7 @@ let derived_buffer_peak t =
       | _ -> None)
     Buffer_id.all
 
-(* Strict-mode hook: [Ascend_verify] installs its full static analysis
-   here when linked (via the [ascend] umbrella library), so [lib/isa]
-   need not depend on the analyzer. *)
-let strict_checker :
-    (Ascend_arch.Config.t -> t -> (unit, string) result) option ref =
-  ref None
-
-let validate ?(strict = false) (config : Ascend_arch.Config.t) t =
+let validate (config : Ascend_arch.Config.t) t =
   let module I = Instruction in
   let err fmt = Printf.ksprintf (fun s -> Error s) fmt in
   (* pipe mapping *)
@@ -183,16 +176,6 @@ let validate ?(strict = false) (config : Ascend_arch.Config.t) t =
         | Ok (), _ -> Ok ())
       (Ok ()) t.instructions
   in
-  let check_strict () =
-    if not strict then Ok ()
-    else
-      match !strict_checker with
-      | Some check -> check config t
-      | None ->
-        Error
-          "strict validation requested but no checker installed (link the \
-           ascend umbrella library or Ascend_verify)"
-  in
   match check_pipes 0 t.instructions with
   | Error _ as e -> e
   | Ok () -> (
@@ -201,10 +184,7 @@ let validate ?(strict = false) (config : Ascend_arch.Config.t) t =
     | Ok () -> (
       match check_buffers () with
       | Error _ as e -> e
-      | Ok () -> (
-        match check_precisions () with
-        | Error _ as e -> e
-        | Ok () -> check_strict ())))
+      | Ok () -> check_precisions ()))
 
 let stats t =
   let counts = Array.make Pipe.count 0 in

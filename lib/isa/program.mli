@@ -36,14 +36,7 @@ val derived_buffer_peak : t -> (Buffer_id.t * int) list
     receives.  [External] is excluded.  This is the reference the
     verifier cross-checks declared [buffer_peak] against. *)
 
-val strict_checker :
-  (Ascend_arch.Config.t -> t -> (unit, string) result) option ref
-(** Hook for the deep static analyzer.  [Ascend_verify.install] sets it;
-    [validate ~strict:true] calls it.  Kept as a ref so [lib/isa] does
-    not depend on [lib/verify]. *)
-
-val validate :
-  ?strict:bool -> Ascend_arch.Config.t -> t -> (unit, string) result
+val validate : Ascend_arch.Config.t -> t -> (unit, string) result
 (** Static checks:
     - every instruction maps to a pipe (or is a barrier);
     - every [Wait_flag] has a matching earlier-or-equal count of
@@ -53,9 +46,8 @@ val validate :
     - declared buffer peaks fit the configuration's capacities;
     - cube instructions only use precisions this core supports.
 
-    With [~strict:true], additionally runs the installed
-    [strict_checker] (the full happens-before / hazard / peak / leak
-    analysis of [Ascend_verify]); errors if no checker is installed. *)
+    The full happens-before / hazard / peak / leak analysis is
+    [Ascend_verify.analyze]. *)
 
 val stats : t -> (Pipe.t * int) list
 (** Instruction count per pipe. *)

@@ -1,5 +1,5 @@
 (** The link-time instrumentation hook — same idiom as
-    [Engine.group_runner] and [Program.strict_checker]: lower layers
+    [Engine.group_runner]: lower layers
     emit through this module without depending on who (if anyone)
     collects, and a driver installs a {!Collector} for the duration of
     a traced run.

@@ -1,4 +1,3 @@
-module Engine = Ascend_compiler.Engine
 module Service = Ascend_exec.Service
 module Surrogate = Ascend_cost.Surrogate
 
@@ -50,19 +49,9 @@ let costing t = t.costing
 
 (* Tier B: the exact compile+simulate path, with hit/miss deltas folded
    into the oracle's own counters *)
-let exact t ~build ~batch =
+let price t graph =
   let before = Service.stats t.service in
-  let r =
-    match Service.run_inference t.service t.core (build ~batch) with
-    | Error _ as e -> e
-    | Ok nr ->
-      Ok
-        {
-          cycles = nr.Engine.total_cycles;
-          latency_s = Engine.seconds nr;
-          energy_j = nr.Engine.total_energy_j;
-        }
-  in
+  let r = Ascend_cost.Calibration.price ~service:t.service ~core:t.core graph in
   let after = Service.stats t.service in
   t.hits <- t.hits + (after.Ascend_exec.Cache.hits - before.Ascend_exec.Cache.hits);
   t.misses <-
@@ -79,7 +68,7 @@ let fit t ~model ~build =
   | None -> (
     let r =
       Ascend_cost.Calibration.fit ~model
-        ~price:(fun ~batch -> exact t ~build ~batch)
+        ~price:(fun ~batch -> price t (build ~batch))
         ~max_batch:t.max_batch ()
     in
     match r with
@@ -91,7 +80,7 @@ let fit t ~model ~build =
 let lookup t ~model ~build ~batch =
   if batch < 1 then invalid_arg "Cost.lookup: batch < 1";
   match t.costing with
-  | `Exact -> exact t ~build ~batch
+  | `Exact -> price t (build ~batch)
   | `Surrogate -> (
     match fit t ~model ~build with
     | Error _ as e -> e
@@ -105,7 +94,7 @@ let lookup t ~model ~build ~batch =
            the largest anchor could be arbitrarily wrong, so fall back
            to the oracle *)
         t.fallbacks <- t.fallbacks + 1;
-        exact t ~build ~batch))
+        price t (build ~batch)))
 
 let hits t = t.hits
 let misses t = t.misses

@@ -51,6 +51,11 @@ val lookup :
     service.  [`Surrogate]: calibrate the model's table on first use,
     then interpolate.  Raises [Invalid_argument] on [batch < 1]. *)
 
+val price : t -> Ascend_nn.Graph.t -> (entry, string) result
+(** The exact tier alone: compile+simulate the graph through the
+    private service, whatever the costing, folding the service's hit and
+    miss deltas into {!hits} and {!misses}. *)
+
 val hits : t -> int
 val misses : t -> int
 (** Fused-group-level cache counters of the exact tier: [misses] counts

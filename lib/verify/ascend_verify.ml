@@ -10,10 +10,7 @@
       edge orders (the double-buffering race detector);
     - independent buffer-peak recomputation cross-checked against the
       program's declared [buffer_peak] and the config's capacities;
-    - flag-leak detection (flags still set at program end).
-
-    [install ()] hooks the analysis into [Program.validate ~strict:true];
-    the [ascend] umbrella library installs it at link time. *)
+    - flag-leak detection (flags still set at program end). *)
 
 open Ascend_isa
 module Finding = Finding
@@ -213,15 +210,3 @@ let pp_report ppf findings =
     List.iter (fun f -> Format.fprintf ppf "%a@." Finding.pp f) fs;
     let n_err = List.length (errors fs) in
     Format.fprintf ppf "%d finding(s), %d error(s)@." (List.length fs) n_err
-
-let strict config p =
-  match errors (analyze config p) with
-  | [] -> Ok ()
-  | f :: rest ->
-    Error
-      (Printf.sprintf "%s%s" (Finding.to_string f)
-         (match rest with
-         | [] -> ""
-         | _ -> Printf.sprintf " (+%d more finding(s))" (List.length rest)))
-
-let install () = Program.strict_checker := Some strict

@@ -289,11 +289,16 @@ let test_codegen_validates_everywhere () =
           if Config.supports config (Graph.dtype g) then
             List.iter
               (fun (grp, p) ->
-                match Program.validate ~strict:true config p with
-                | Ok () -> ()
-                | Error e ->
+                let fail e =
                   Alcotest.failf "%s / %s / %s: %s" name config.Config.name
-                    grp.Fusion.tag e)
+                    grp.Fusion.tag e
+                in
+                match Program.validate config p with
+                | Error e -> fail e
+                | Ok () -> (
+                  match Ascend.Verify.(errors (analyze config p)) with
+                  | [] -> ()
+                  | f :: _ -> fail (Ascend.Verify.Finding.to_string f)))
               (Codegen.graph_programs config g))
         Config.all)
     (("gesture", Ascend.Nn.Gesture.build ()) :: all_zoo ())

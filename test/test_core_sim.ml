@@ -104,15 +104,25 @@ let test_set_before_wait_in_program_order_not_required () =
   Alcotest.(check bool) "completed" true (r.Simulator.total_cycles > 0)
 
 let test_deadlock_detected () =
-  (* wait with no matching set fails validation; disable validation to
-     exercise the runtime detector *)
-  let p = Program.make ~name:"dl" [ wait Pipe.Cube Pipe.Vector 0; vec 256 ] in
-  (match Simulator.run ~validate:false Config.max p with
+  (* flag counts balance per triple, so validation passes, yet Vector
+     blocks on flag 0 before its set of flag 1 while Cube blocks on
+     flag 1 before its set of flag 0: the runtime detector must fire *)
+  let cycle =
+    Program.make ~name:"cycle"
+      [
+        wait Pipe.Cube Pipe.Vector 0;
+        set Pipe.Vector Pipe.Cube 1;
+        wait Pipe.Vector Pipe.Cube 1;
+        set Pipe.Cube Pipe.Vector 0;
+      ]
+  in
+  (match Simulator.run Config.max cycle with
   | Error e ->
     Alcotest.(check bool) "mentions deadlock" true
       (String.length e >= 8 && String.sub e 0 8 = "deadlock")
   | Ok _ -> Alcotest.fail "must deadlock");
-  (* and validation catches it statically *)
+  (* a wait with no matching set is caught statically *)
+  let p = Program.make ~name:"dl" [ wait Pipe.Cube Pipe.Vector 0; vec 256 ] in
   match Simulator.run Config.max p with
   | Error e ->
     Alcotest.(check bool) "static" true
@@ -448,14 +458,15 @@ let test_sanitizer_peak_mismatch () =
 (* Differential property: for every mutation class, the static         *)
 (* analyzer and the sanitizer reach the same verdict                   *)
 
-let compiled_program () =
-  let g = Ascend.Nn.Resnet.v1_5_18 () in
-  let programs = Codegen.graph_programs Config.max g in
+let longest programs =
   List.fold_left
-    (fun best (_, p) ->
-      if Program.length p > Program.length best then p else best)
-    (snd (List.hd programs))
-    programs
+    (fun best p -> if Program.length p > Program.length best then p else best)
+    (List.hd programs) programs
+
+let compiled_program () =
+  longest
+    (List.map snd
+       (Codegen.graph_programs Config.max (Ascend.Nn.Resnet.v1_5_18 ())))
 
 let test_differential_clean_agreement () =
   let p = compiled_program () in
@@ -540,6 +551,171 @@ let shrink_peak_differential =
     (has_kind Finding.Peak_mismatch)
     (has_kind Finding.Peak_mismatch)
 
+(* ------------------------------------------------------------------ *)
+(* Pin: one digest over every simulator report and sanitizer report of  *)
+(* a fixed corpus, recorded before the two engines shared a dispatch    *)
+(* loop, so any change in issue order, timing, energy summation or      *)
+(* finding discovery order moves it                                     *)
+
+let lint_option_combos =
+  List.concat_map
+    (fun sync_mode ->
+      List.concat_map
+        (fun double_buffer ->
+          List.map
+            (fun weight_sparsity ->
+              { Codegen.default_options with
+                Codegen.sync_mode; double_buffer; weight_sparsity })
+            [ None; Some 0.5 ])
+        [ true; false ])
+    [ Codegen.Flags; Codegen.Coarse_barriers ]
+
+let pin_report (r : Simulator.report) =
+  let b = Buffer.create 256 in
+  Printf.bprintf b "c%d e%h m%d" r.Simulator.total_cycles r.Simulator.energy_j
+    r.Simulator.cube_macs_executed;
+  Array.iter
+    (fun (s : Simulator.pipe_stats) ->
+      Printf.bprintf b " p%d/%d" s.Simulator.busy_cycles
+        s.Simulator.instruction_count)
+    r.Simulator.pipes;
+  Array.iter
+    (fun (t : Simulator.buffer_traffic) ->
+      Printf.bprintf b " b%d/%d" t.Simulator.read_bytes
+        t.Simulator.written_bytes)
+    r.Simulator.traffic;
+  Buffer.contents b
+
+let pin_simulation ?trace config p =
+  match Simulator.run ?trace config p with
+  | Error e -> "E " ^ e
+  | Ok r ->
+    String.concat "\n"
+      (pin_report r
+      :: List.map
+           (fun (e : Simulator.trace_entry) ->
+             Format.asprintf "%d %s %d %d %a" e.Simulator.index
+               (Pipe.name e.Simulator.pipe) e.Simulator.start_cycle
+               e.Simulator.end_cycle Instruction.pp e.Simulator.instr)
+           r.Simulator.trace)
+
+let pin_sanitizer config p =
+  let r = Sanitizer.run config p in
+  String.concat "\n"
+    (string_of_int r.Sanitizer.instructions_executed
+    :: List.map Finding.to_string r.Sanitizer.findings)
+
+(* the stream of the pipe that issues the program's first wait, in
+   reverse order; every other pipe keeps its order and positions *)
+let reverse_stream instrs =
+  match
+    List.find_opt
+      (function Instruction.Wait_flag _ -> true | _ -> false)
+      instrs
+  with
+  | Some (Instruction.Wait_flag { to_pipe; _ }) ->
+    let on_pipe x = Instruction.pipe_of x = Some to_pipe in
+    let rev = ref (List.rev (List.filter on_pipe instrs)) in
+    Some
+      (List.map
+         (fun x ->
+           if on_pipe x then (
+             let y = List.hd !rev in
+             rev := List.tl !rev;
+             y)
+           else x)
+         instrs)
+  | _ -> None
+
+let mutants (p : Program.t) =
+  let instrs = p.Program.instructions in
+  let drop pred =
+    Option.map
+      (fun n -> { p with Program.instructions = drop_nth n instrs })
+      (pick 0 (positions_of pred instrs))
+  in
+  let illegal =
+    Instruction.Mte_move
+      { src = Buffer_id.L0c; dst = Buffer_id.L0a; bytes = 64;
+        transform = Instruction.Plain; src_slot = 0; dst_slot = 0 }
+  in
+  List.filter_map Fun.id
+    [
+      drop (function Instruction.Set_flag _ -> true | _ -> false);
+      drop (function Instruction.Wait_flag _ -> true | _ -> false);
+      drop (function Instruction.Barrier -> true | _ -> false);
+      Option.map
+        (fun instructions -> { p with Program.instructions })
+        (reverse_stream instrs);
+      (match p.Program.buffer_peak with
+      | (b, v) :: rest ->
+        Some { p with Program.buffer_peak = (b, v / 2) :: rest }
+      | [] -> None);
+      Some { p with Program.instructions = illegal :: instrs };
+    ]
+
+let pin_graphs () =
+  [
+    Ascend.Nn.Gesture.build ();
+    Ascend.Nn.Resnet.v1_5_18 ();
+    Ascend.Nn.Llm.decode ~cache_len:128 Ascend.Nn.Llm.tiny_config;
+  ]
+
+let test_reports_pinned () =
+  let parts = ref [] in
+  let add s = parts := s :: !parts in
+  List.iter
+    (fun g ->
+      let cores =
+        List.filter
+          (fun c -> Config.supports c (Ascend.Nn.Graph.dtype g))
+          Config.all
+      in
+      List.iteri
+        (fun ci config ->
+          List.iteri
+            (fun oi options ->
+              let programs =
+                List.map snd (Codegen.graph_programs ~options config g)
+              in
+              List.iter
+                (fun p ->
+                  add (pin_simulation config p);
+                  add (pin_sanitizer config p))
+                programs;
+              (* one traced program per graph, and the mutation corpus
+                 on the longest program of the first core *)
+              let longest = longest programs in
+              if ci = 0 && oi = 0 then
+                add (pin_simulation ~trace:true config longest);
+              if ci = 0 then
+                List.iter
+                  (fun m ->
+                    add (pin_simulation config m);
+                    add (pin_sanitizer config m))
+                  (mutants longest))
+            lint_option_combos)
+        cores)
+    (pin_graphs ());
+  (match Ascend.Exec.Trace.model Config.tiny (Ascend.Nn.Gesture.build ()) with
+  | Ok c -> add (Ascend.Util.Json.to_string c.Ascend.Exec.Trace.json)
+  | Error e -> Alcotest.failf "trace capture: %s" e);
+  let all = List.rev !parts in
+  let contains needle s =
+    let n = String.length needle in
+    let rec at i =
+      i + n <= String.length s && (String.sub s i n = needle || at (i + 1))
+    in
+    at 0
+  in
+  List.iter
+    (fun needle ->
+      Alcotest.(check bool) ("corpus reaches " ^ needle) true
+        (List.exists (contains needle) all))
+    [ "E deadlock: "; "E validation: "; "replay wedged"; "illegal MTE" ];
+  Alcotest.(check string) "report digest" "97a1b405464c1a14b2acbabfb9defbda"
+    (Digest.to_hex (Digest.string (String.concat "\n--\n" all)))
+
 let () =
   let q = QCheck_alcotest.to_alcotest in
   Alcotest.run "core_sim"
@@ -596,4 +772,7 @@ let () =
           q drop_wait_differential;
           q shrink_peak_differential;
         ] );
+      ( "pin",
+        [ Alcotest.test_case "reports and findings" `Quick test_reports_pinned ]
+      );
     ]

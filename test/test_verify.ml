@@ -76,15 +76,6 @@ let test_zoo_clean_all_options () =
         Config.all)
     (zoo ())
 
-let test_strict_validate_clean_on_codegen () =
-  let g = Ascend.Nn.Resnet.v1_5_18 () in
-  List.iter
-    (fun (_, p) ->
-      match Program.validate ~strict:true Config.max p with
-      | Ok () -> ()
-      | Error e -> Alcotest.failf "strict validate: %s" e)
-    (Codegen.graph_programs Config.max g)
-
 (* ------------------------------------------------------------------ *)
 (* Deadlock detection is happens-before reachability, not counting     *)
 
@@ -106,9 +97,7 @@ let test_cyclic_wait_deadlock () =
   | Error e -> Alcotest.failf "flag counting must accept the cycle: %s" e);
   let fs = Verify.analyze Config.max cyclic_wait_program in
   Alcotest.(check (list string)) "cycle detected" [ "deadlock" ] (classes fs);
-  match Program.validate ~strict:true Config.max cyclic_wait_program with
-  | Ok () -> Alcotest.fail "strict validate must reject the cycle"
-  | Error _ -> ()
+  Alcotest.(check bool) "the cycle is an error" true (Verify.errors fs <> [])
 
 let test_wait_ordering_not_counting () =
   (* one set, one wait — balanced — but the wait is queued before any
@@ -509,8 +498,6 @@ let () =
         [
           Alcotest.test_case "zoo clean under all options" `Slow
             test_zoo_clean_all_options;
-          quick "strict validate clean on codegen"
-            test_strict_validate_clean_on_codegen;
         ] );
       ( "deadlock",
         [
