@@ -28,12 +28,16 @@ sanitize:
 
 # differential gates (CI runs this target): (a) the static whole-SoC
 # lint and the dynamic sanitizer agree byte-for-byte on the zoo-wide
-# findings document, which is the same under --jobs 4; (b) closed-form
+# findings document, which is the same under --jobs 1 (lint) and
+# --jobs 4 (sanitize) as at the default pool size; (b) closed-form
 # and schedule-derived collective times agree to three significant
 # digits; (c) statically predicted page-in counts equal what the fleet
 # run observes, under each routing policy
 differential:
 	dune exec bin/ascend_cli.exe -- lint --all --soc --json lint_soc.json
+	dune exec bin/ascend_cli.exe -- lint --all --soc --jobs 1 \
+	  --json lint_soc_j1.json
+	cmp lint_soc.json lint_soc_j1.json
 	dune exec bin/ascend_cli.exe -- sanitize --all --json sanitize.json
 	cmp lint_soc.json sanitize.json
 	dune exec bin/ascend_cli.exe -- sanitize --all --jobs 4 \

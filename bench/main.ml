@@ -1577,7 +1577,7 @@ let compile () =
   Service.uninstall ();
   let serial_results, serial_s = time run_all in
   (* parallel cold pass: fresh service, every group is a miss *)
-  let jobs = max 4 (Ascend.Util.Domain_pool.default_jobs ()) in
+  let jobs = Ascend.Util.Domain_pool.default_jobs () in
   let svc = Service.create ~jobs () in
   Service.install svc;
   let parallel_results, parallel_s = time run_all in
@@ -1783,7 +1783,7 @@ let lint_bench () =
     List.map (fun (config, p) -> List.length (Verify.analyze config p)) items
   in
   let serial_counts, serial_s = time (fun () -> lint_counts compiled) in
-  let jobs = max 4 (Ascend.Util.Domain_pool.default_jobs ()) in
+  let jobs = Ascend.Util.Domain_pool.default_jobs () in
   let svc = Service.create ~jobs () in
   let parallel_counts, parallel_s =
     time (fun () ->

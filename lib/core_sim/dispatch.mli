@@ -43,3 +43,5 @@ type outcome = {
 }
 
 val run : 'tok hooks -> Ascend_isa.Program.t -> outcome
+(** The queues live in the calling domain's reusable buffers, so a hook
+    must not call [run] itself. *)

@@ -43,9 +43,12 @@ module Finding = Ascend_verify.Finding
 
 type report = { findings : Finding.t list; instructions_executed : int }
 
-(* one recorded access: the executing pipe, its vector-clock snapshot,
-   the instruction index and the byte count *)
-type stamp = { pipe : int; vc : int array; index : int; bytes : int }
+(* one recorded access: the executing pipe, that pipe's own clock
+   component when it executed, and the instruction index.  The own
+   component is all [ordered_before] reads: it places the access in its
+   pipe's sequence, and every later view of that sequence is a clock
+   entry of the reader's. *)
+type stamp = { pipe : int; clock : int; index : int }
 
 type slot_shadow = {
   mutable footprint : int;  (* bytes the allocating write established *)
@@ -57,17 +60,19 @@ type slot_shadow = {
 type state = {
   config : Config.t;
   clock : int array array;  (* per-pipe vector clock *)
-  shadow : (Buffer_id.t * int, slot_shadow) Hashtbl.t;
+  shadow : (int, slot_shadow) Hashtbl.t;  (* keyed by [shadow_key] *)
   live : int array;  (* per-buffer current live footprint sum *)
   mutable executed : int;
   mutable findings_rev : Finding.t list;
   seen : (string, unit) Hashtbl.t;  (* dedup key -> () *)
 }
 
+let shadow_key buf slot = (slot * Buffer_id.count) + Buffer_id.index buf
+
 let slot_shadow st key =
-  match Hashtbl.find_opt st.shadow key with
-  | Some s -> s
-  | None ->
+  match Hashtbl.find st.shadow key with
+  | s -> s
+  | exception Not_found ->
     let s = { footprint = 0; max_footprint = 0; writer = None; readers = [] } in
     Hashtbl.replace st.shadow key s;
     s
@@ -90,20 +95,15 @@ let emit st ?severity ?index ?pipe ?buffer ~slot kind message =
 (* did the event stamped [s] happen before the current instant of pipe
    [p]?  standard vector-clock test: s's own component is included in
    p's view *)
-let ordered_before st (s : stamp) p = s.vc.(s.pipe) <= st.clock.(p).(s.pipe)
+let ordered_before st (s : stamp) p = s.clock <= st.clock.(p).(s.pipe)
 
 let check_access st ~pipe ~index (a : Instruction.access) =
   if not (Buffer_id.equal a.Instruction.buffer Buffer_id.External) then begin
     let buf = a.Instruction.buffer in
-    let sh = slot_shadow st (buf, a.Instruction.slot) in
+    let sh = slot_shadow st (shadow_key buf a.Instruction.slot) in
     let pipe_idx = Pipe.index pipe in
     let stamp () =
-      {
-        pipe = pipe_idx;
-        vc = Array.copy st.clock.(pipe_idx);
-        index;
-        bytes = a.Instruction.bytes;
-      }
+      { pipe = pipe_idx; clock = st.clock.(pipe_idx).(pipe_idx); index }
     in
     match a.Instruction.kind with
     | Instruction.Read ->
@@ -198,14 +198,16 @@ let hooks st =
     Dispatch.issue =
       (fun pipe index instr ->
         tick (Pipe.index pipe);
-        let reads, writes =
-          List.partition
-            (fun (a : Instruction.access) -> a.Instruction.kind = Read)
-            (Instruction.accesses instr)
-        in
+        let accesses = Instruction.accesses instr in
         (* reads of an instruction logically precede its writes *)
-        List.iter (check_access st ~pipe ~index) reads;
-        List.iter (check_access st ~pipe ~index) writes);
+        List.iter
+          (fun (a : Instruction.access) ->
+            if a.Instruction.kind = Read then check_access st ~pipe ~index a)
+          accesses;
+        List.iter
+          (fun (a : Instruction.access) ->
+            if a.Instruction.kind = Write then check_access st ~pipe ~index a)
+          accesses);
     post = (fun pipe -> Array.copy st.clock.(Pipe.index pipe));
     take =
       (fun pipe _ _ setter_vc ->
@@ -245,8 +247,9 @@ let end_state_findings st (program : Program.t) leftover =
           (* per-slot maxima, matching [Program.derived_buffer_peak] *)
           let slot_max = Hashtbl.create 8 in
           Hashtbl.iter
-            (fun (b, slot) (sh : slot_shadow) ->
-              if Buffer_id.equal b buf then
+            (fun key (sh : slot_shadow) ->
+              if key mod Buffer_id.count = Buffer_id.index buf then
+                let slot = key / Buffer_id.count in
                 let cur =
                   match Hashtbl.find_opt slot_max slot with
                   | Some v -> v

@@ -96,6 +96,20 @@ let derived_buffer_peak t =
       | _ -> None)
     Buffer_id.all
 
+(* (from, to, flag) triples in that order, numbered from 0 *)
+let flags_per_pair = max_flag + 1
+let n_triples = Pipe.count * Pipe.count * flags_per_pair
+
+let triple_index from_pipe to_pipe flag =
+  (((Pipe.index from_pipe * Pipe.count) + Pipe.index to_pipe) * flags_per_pair)
+  + flag
+
+let pipes = Array.of_list Pipe.all
+
+(* [validate]'s per-domain counters: triple [k]'s sets at [2k], its
+   waits at [2k + 1] *)
+let flag_counts = Ascend_util.Scratch.create 0
+
 let validate (config : Ascend_arch.Config.t) t =
   let module I = Instruction in
   let err fmt = Printf.ksprintf (fun s -> Error s) fmt in
@@ -110,42 +124,44 @@ let validate (config : Ascend_arch.Config.t) t =
         | Some _ -> check_pipes (i + 1) rest
         | None -> err "instruction %d: no pipe (illegal MTE move)" i))
   in
-  (* flag balance: sets must cover waits per triple over the whole program *)
+  (* flag ids in range (the first offender is named), then balance: sets
+     must cover waits per triple over the whole program *)
   let check_flags () =
-    let tbl : (Pipe.t * Pipe.t * int, int * int) Hashtbl.t = Hashtbl.create 16 in
-    let bump key dset dwait =
-      let s, w =
-        match Hashtbl.find_opt tbl key with Some v -> v | None -> (0, 0)
-      in
-      Hashtbl.replace tbl key (s + dset, w + dwait)
+    let rec range = function
+      | [] -> Ok ()
+      | (I.Set_flag { flag; _ } | I.Wait_flag { flag; _ }) :: _
+        when flag < 0 || flag > max_flag ->
+        err "flag id %d out of range" flag
+      | _ :: rest -> range rest
     in
-    let range_ok = ref (Ok ()) in
-    List.iter
-      (fun instr ->
-        match instr with
-        | I.Set_flag { from_pipe; to_pipe; flag } ->
-          if flag < 0 || flag > max_flag then
-            range_ok := err "flag id %d out of range" flag;
-          bump (from_pipe, to_pipe, flag) 1 0
-        | I.Wait_flag { from_pipe; to_pipe; flag } ->
-          if flag < 0 || flag > max_flag then
-            range_ok := err "flag id %d out of range" flag;
-          bump (from_pipe, to_pipe, flag) 0 1
-        | _ -> ())
-      t.instructions;
-    match !range_ok with
+    match range t.instructions with
     | Error _ as e -> e
     | Ok () ->
-      Hashtbl.fold
-        (fun (f, p, flag) (sets, waits) acc ->
-          match acc with
-          | Error _ as e -> e
-          | Ok () ->
-            if waits > sets then
-              err "flag %s->%s #%d: %d waits but only %d sets" (Pipe.name f)
-                (Pipe.name p) flag waits sets
-            else Ok ())
-        tbl (Ok ())
+      let counts = Ascend_util.Scratch.get flag_counts (2 * n_triples) in
+      Array.fill counts 0 (2 * n_triples) 0;
+      let bump slot = counts.(slot) <- counts.(slot) + 1 in
+      List.iter
+        (function
+          | I.Set_flag { from_pipe; to_pipe; flag } ->
+            bump (2 * triple_index from_pipe to_pipe flag)
+          | I.Wait_flag { from_pipe; to_pipe; flag } ->
+            bump ((2 * triple_index from_pipe to_pipe flag) + 1)
+          | _ -> ())
+        t.instructions;
+      (* the first unbalanced triple in (from, to, flag) order *)
+      let rec first k =
+        if k = n_triples then Ok ()
+        else
+          let sets = counts.(2 * k) and waits = counts.((2 * k) + 1) in
+          if waits > sets then
+            let pair = k / flags_per_pair in
+            err "flag %s->%s #%d: %d waits but only %d sets"
+              (Pipe.name pipes.(pair / Pipe.count))
+              (Pipe.name pipes.(pair mod Pipe.count))
+              (k mod flags_per_pair) waits sets
+          else first (k + 1)
+      in
+      first 0
   in
   let check_buffers () =
     List.fold_left

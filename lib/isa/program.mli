@@ -46,6 +46,10 @@ val validate : Ascend_arch.Config.t -> t -> (unit, string) result
     - declared buffer peaks fit the configuration's capacities;
     - cube instructions only use precisions this core supports.
 
+    The error names the first offender: the first unmapped
+    instruction, the first out-of-range flag id in program order, or
+    the first unbalanced triple in [(from, to, flag)] order.
+
     The full happens-before / hazard / peak / leak analysis is
     [Ascend_verify.analyze]. *)
 

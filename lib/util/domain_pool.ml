@@ -39,7 +39,16 @@ let create ?jobs () =
 
 let jobs t = t.jobs
 
+(* Each OCaml 5 minor collection stops every domain, so the workers'
+   minor heaps set how often the whole pool pauses.  On a 2-vCPU host,
+   bench/perf's zoo-verify took 2.2-2.5 s at the default 256k words and
+   1.8-2.0 s at 1M words, which costs 8 MiB per worker; 4M words was
+   5-10% faster still but raised its peak RSS by about 15%.  A [Gc.set]
+   reaches only the domain that calls it, so each worker sets its own. *)
+let worker_minor_heap_words = 1 lsl 20
+
 let worker_loop t () =
+  Gc.set { (Gc.get ()) with Gc.minor_heap_size = worker_minor_heap_words };
   let rec go () =
     Mutex.lock t.mutex;
     while Queue.is_empty t.queue do

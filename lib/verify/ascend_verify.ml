@@ -32,13 +32,13 @@ let kind_str = function
    of its time.  [External] is skipped — it is host memory where
    distinct tensors share slot 0 by construction. *)
 
+(* one (buffer, slot)'s frontier: the last write's instruction (-1 for
+   none) and the reads issued since, newest first *)
+type frontier = { mutable last_write : int; mutable reads : int list }
+
 let hazard_findings (g : Hb.t) =
-  let module Tbl = Hashtbl in
-  let frontier : (Buffer_id.t * int, (int * Instruction.access) option ref
-                                     * (int * Instruction.access) list ref)
-      Tbl.t =
-    Tbl.create 64
-  in
+  (* keyed by [slot * Buffer_id.count + Buffer_id.index buffer] *)
+  let frontier : (int, frontier) Hashtbl.t = Hashtbl.create 64 in
   let findings = ref [] in
   let report dep i j (a : Instruction.access) =
     let pipe =
@@ -54,43 +54,41 @@ let hazard_findings (g : Hb.t) =
            (match dep with "RAW" | "WAW" -> "write" | _ -> "read"))
       :: !findings
   in
-  List.iter
+  let visit i (a : Instruction.access) =
+    if not (Buffer_id.equal a.buffer Buffer_id.External) then begin
+      let key = (a.slot * Buffer_id.count) + Buffer_id.index a.buffer in
+      let f =
+        match Hashtbl.find frontier key with
+        | f -> f
+        | exception Not_found ->
+          let f = { last_write = -1; reads = [] } in
+          Hashtbl.add frontier key f;
+          f
+      in
+      let j = f.last_write in
+      match a.kind with
+      | Read ->
+        if j >= 0 && not (Hb.hb g j i) then report "RAW" i j a;
+        f.reads <- i :: f.reads
+      | Write ->
+        if j >= 0 && not (Hb.hb g j i) then report "WAW" i j a;
+        List.iter
+          (fun r -> if not (Hb.hb g r i) then report "WAR" i r a)
+          f.reads;
+        f.last_write <- i;
+        f.reads <- []
+    end
+  in
+  Array.iter
     (fun i ->
       let accs = Instruction.accesses g.Hb.instrs.(i) in
-      let reads, writes =
-        List.partition (fun (a : Instruction.access) -> a.kind = Read) accs
-      in
-      let visit (a : Instruction.access) =
-        if not (Buffer_id.equal a.buffer Buffer_id.External) then begin
-          let key = (a.buffer, a.slot) in
-          let last_write, reads_since =
-            match Tbl.find_opt frontier key with
-            | Some v -> v
-            | None ->
-              let v = (ref None, ref []) in
-              Tbl.add frontier key v;
-              v
-          in
-          match a.kind with
-          | Read ->
-            (match !last_write with
-            | Some (j, _) when not (Hb.hb g j i) -> report "RAW" i j a
-            | _ -> ());
-            reads_since := (i, a) :: !reads_since
-          | Write ->
-            (match !last_write with
-            | Some (j, _) when not (Hb.hb g j i) -> report "WAW" i j a
-            | _ -> ());
-            List.iter
-              (fun (j, _) -> if not (Hb.hb g j i) then report "WAR" i j a)
-              !reads_since;
-            last_write := Some (i, a);
-            reads_since := []
-        end
-      in
       (* reads of an instruction logically precede its writes *)
-      List.iter visit reads;
-      List.iter visit writes)
+      List.iter
+        (fun (a : Instruction.access) -> if a.kind = Read then visit i a)
+        accs;
+      List.iter
+        (fun (a : Instruction.access) -> if a.kind = Write then visit i a)
+        accs)
     g.Hb.topo;
   List.rev !findings
 

@@ -24,10 +24,10 @@
     have no meaningful vector clock, and the hazard scan must not run
     over a deadlocked graph (racing with an instruction that never
     executes is moot).  Reachability uses per-pipe vector clocks
-    computed along the topological order — [vc.(b).(p)] is the highest
-    lane-[p] sequence number that happens before (or at) node [b] — so
-    a query is O(1) and the whole structure O(V * pipes) instead of a
-    quadratic closure. *)
+    computed along the topological order — [vc.(b * Pipe.count + p)] is
+    the highest lane-[p] sequence number that happens before (or at)
+    node [b] — so a query is O(1) and the whole structure O(V * pipes)
+    int slots instead of a quadratic closure. *)
 
 open Ascend_isa
 
@@ -36,9 +36,13 @@ type t = {
   lane : int array;  (** pipe index of each node; -1 for barriers *)
   seq : int array;
       (** position within the node's pipe lane; -1 for barriers *)
-  topo : int list;  (** topological order of executable nodes *)
-  vc : int array array;
-      (** [vc.(node).(pipe)] — valid for executable nodes only *)
+  topo : int array;  (** topological order of executable nodes *)
+  vc : int array;
+      (** [vc.(node * Pipe.count + pipe)], one flat array — valid for
+          executable nodes only.  It is the building domain's reusable
+          buffer, possibly longer than the program needs, and the next
+          [build] on that domain overwrites it: query a graph before
+          building the next one there. *)
   stuck : bool array;
       (** node can never execute under any interleaving *)
   findings : Finding.t list;

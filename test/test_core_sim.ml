@@ -458,13 +458,8 @@ let test_sanitizer_peak_mismatch () =
 (* Differential property: for every mutation class, the static         *)
 (* analyzer and the sanitizer reach the same verdict                   *)
 
-let longest programs =
-  List.fold_left
-    (fun best p -> if Program.length p > Program.length best then p else best)
-    (List.hd programs) programs
-
 let compiled_program () =
-  longest
+  Corpus.longest
     (List.map snd
        (Codegen.graph_programs Config.max (Ascend.Nn.Resnet.v1_5_18 ())))
 
@@ -473,16 +468,6 @@ let test_differential_clean_agreement () =
   Alcotest.(check bool) "static clean" true (Verify.analyze Config.max p = []);
   Alcotest.(check bool) "sanitizer clean" true
     (Sanitizer.clean (Sanitizer.run Config.max p))
-
-let drop_nth n instrs = List.filteri (fun i _ -> i <> n) instrs
-
-let positions_of pred instrs =
-  List.mapi (fun i x -> (i, x)) instrs
-  |> List.filter_map (fun (i, x) -> if pred x then Some i else None)
-
-let pick seed = function
-  | [] -> None
-  | xs -> Some (List.nth xs (seed mod List.length xs))
 
 let has_kind k fs = List.exists (fun (f : Finding.t) -> f.Finding.kind = k) fs
 
@@ -508,9 +493,10 @@ let drop_set_differential =
     (fun seed p ->
       Option.map
         (fun n ->
-          { p with Program.instructions = drop_nth n p.Program.instructions })
-        (pick seed
-           (positions_of
+          { p with
+            Program.instructions = Corpus.drop_nth n p.Program.instructions })
+        (Corpus.pick seed
+           (Corpus.positions_of
               (function Instruction.Set_flag _ -> true | _ -> false)
               p.Program.instructions)))
     (has_kind Finding.Deadlock)
@@ -523,9 +509,10 @@ let drop_wait_differential =
     (fun seed p ->
       Option.map
         (fun n ->
-          { p with Program.instructions = drop_nth n p.Program.instructions })
-        (pick seed
-           (positions_of
+          { p with
+            Program.instructions = Corpus.drop_nth n p.Program.instructions })
+        (Corpus.pick seed
+           (Corpus.positions_of
               (function Instruction.Wait_flag _ -> true | _ -> false)
               p.Program.instructions)))
     (fun _ -> true)
@@ -556,19 +543,6 @@ let shrink_peak_differential =
 (* a fixed corpus, recorded before the two engines shared a dispatch    *)
 (* loop, so any change in issue order, timing, energy summation or      *)
 (* finding discovery order moves it                                     *)
-
-let lint_option_combos =
-  List.concat_map
-    (fun sync_mode ->
-      List.concat_map
-        (fun double_buffer ->
-          List.map
-            (fun weight_sparsity ->
-              { Codegen.default_options with
-                Codegen.sync_mode; double_buffer; weight_sparsity })
-            [ None; Some 0.5 ])
-        [ true; false ])
-    [ Codegen.Flags; Codegen.Coarse_barriers ]
 
 let pin_report (r : Simulator.report) =
   let b = Buffer.create 256 in
@@ -605,113 +579,34 @@ let pin_sanitizer config p =
     (string_of_int r.Sanitizer.instructions_executed
     :: List.map Finding.to_string r.Sanitizer.findings)
 
-(* the stream of the pipe that issues the program's first wait, in
-   reverse order; every other pipe keeps its order and positions *)
-let reverse_stream instrs =
-  match
-    List.find_opt
-      (function Instruction.Wait_flag _ -> true | _ -> false)
-      instrs
-  with
-  | Some (Instruction.Wait_flag { to_pipe; _ }) ->
-    let on_pipe x = Instruction.pipe_of x = Some to_pipe in
-    let rev = ref (List.rev (List.filter on_pipe instrs)) in
-    Some
-      (List.map
-         (fun x ->
-           if on_pipe x then (
-             let y = List.hd !rev in
-             rev := List.tl !rev;
-             y)
-           else x)
-         instrs)
-  | _ -> None
-
-let mutants (p : Program.t) =
-  let instrs = p.Program.instructions in
-  let drop pred =
-    Option.map
-      (fun n -> { p with Program.instructions = drop_nth n instrs })
-      (pick 0 (positions_of pred instrs))
-  in
-  let illegal =
-    Instruction.Mte_move
-      { src = Buffer_id.L0c; dst = Buffer_id.L0a; bytes = 64;
-        transform = Instruction.Plain; src_slot = 0; dst_slot = 0 }
-  in
-  List.filter_map Fun.id
-    [
-      drop (function Instruction.Set_flag _ -> true | _ -> false);
-      drop (function Instruction.Wait_flag _ -> true | _ -> false);
-      drop (function Instruction.Barrier -> true | _ -> false);
-      Option.map
-        (fun instructions -> { p with Program.instructions })
-        (reverse_stream instrs);
-      (match p.Program.buffer_peak with
-      | (b, v) :: rest ->
-        Some { p with Program.buffer_peak = (b, v / 2) :: rest }
-      | [] -> None);
-      Some { p with Program.instructions = illegal :: instrs };
-    ]
-
-let pin_graphs () =
-  [
-    Ascend.Nn.Gesture.build ();
-    Ascend.Nn.Resnet.v1_5_18 ();
-    Ascend.Nn.Llm.decode ~cache_len:128 Ascend.Nn.Llm.tiny_config;
-  ]
-
 let test_reports_pinned () =
   let parts = ref [] in
   let add s = parts := s :: !parts in
-  List.iter
-    (fun g ->
-      let cores =
-        List.filter
-          (fun c -> Config.supports c (Ascend.Nn.Graph.dtype g))
-          Config.all
-      in
-      List.iteri
-        (fun ci config ->
-          List.iteri
-            (fun oi options ->
-              let programs =
-                List.map snd (Codegen.graph_programs ~options config g)
-              in
-              List.iter
-                (fun p ->
-                  add (pin_simulation config p);
-                  add (pin_sanitizer config p))
-                programs;
-              (* one traced program per graph, and the mutation corpus
-                 on the longest program of the first core *)
-              let longest = longest programs in
-              if ci = 0 && oi = 0 then
-                add (pin_simulation ~trace:true config longest);
-              if ci = 0 then
-                List.iter
-                  (fun m ->
-                    add (pin_simulation config m);
-                    add (pin_sanitizer config m))
-                  (mutants longest))
-            lint_option_combos)
-        cores)
-    (pin_graphs ());
+  Corpus.iter (fun ~core ~combo config programs ->
+      List.iter
+        (fun p ->
+          add (pin_simulation config p);
+          add (pin_sanitizer config p))
+        programs;
+      (* one traced program per graph, and the mutation corpus on the
+         longest program of the first core *)
+      let longest = Corpus.longest programs in
+      if core = 0 && combo = 0 then
+        add (pin_simulation ~trace:true config longest);
+      if core = 0 then
+        List.iter
+          (fun m ->
+            add (pin_simulation config m);
+            add (pin_sanitizer config m))
+          (Corpus.mutants longest));
   (match Ascend.Exec.Trace.model Config.tiny (Ascend.Nn.Gesture.build ()) with
   | Ok c -> add (Ascend.Util.Json.to_string c.Ascend.Exec.Trace.json)
   | Error e -> Alcotest.failf "trace capture: %s" e);
   let all = List.rev !parts in
-  let contains needle s =
-    let n = String.length needle in
-    let rec at i =
-      i + n <= String.length s && (String.sub s i n = needle || at (i + 1))
-    in
-    at 0
-  in
   List.iter
     (fun needle ->
       Alcotest.(check bool) ("corpus reaches " ^ needle) true
-        (List.exists (contains needle) all))
+        (List.exists (Corpus.contains needle) all))
     [ "E deadlock: "; "E validation: "; "replay wedged"; "illegal MTE" ];
   Alcotest.(check string) "report digest" "97a1b405464c1a14b2acbabfb9defbda"
     (Digest.to_hex (Digest.string (String.concat "\n--\n" all)))

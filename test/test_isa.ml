@@ -130,6 +130,21 @@ let test_validate_unbalanced_flags () =
       (String.length e > 0 && String.contains e '3')
   | Ok () -> Alcotest.fail "must reject more waits than sets"
 
+let test_validate_names_first_bad_flag () =
+  let set f t flag = Instruction.set_flag ~from_pipe:f ~to_pipe:t ~flag in
+  let wait f t flag = Instruction.wait_flag ~from_pipe:f ~to_pipe:t ~flag in
+  let check name expected instrs =
+    Alcotest.(check (result unit string))
+      name (Error expected)
+      (Program.validate Config.max (Program.make ~name instrs))
+  in
+  check "first out-of-range flag" "flag id 70 out of range"
+    [ set Pipe.Mte2 Pipe.Cube 70; wait Pipe.Mte2 Pipe.Cube 99 ];
+  (* Vector (index 1) before Cube (index 2): the first unbalanced triple
+     in (from, to, flag) order, not in program order *)
+  check "first unbalanced triple" "flag V->M #2: 1 waits but only 0 sets"
+    [ wait Pipe.Cube Pipe.Vector 5; wait Pipe.Vector Pipe.Cube 2 ]
+
 let test_validate_buffer_overflow () =
   let p =
     Program.make ~name:"big"
@@ -350,6 +365,8 @@ let () =
           Alcotest.test_case "validate ok" `Quick test_validate_ok;
           Alcotest.test_case "unbalanced flags" `Quick
             test_validate_unbalanced_flags;
+          Alcotest.test_case "first bad flag named" `Quick
+            test_validate_names_first_bad_flag;
           Alcotest.test_case "buffer overflow" `Quick
             test_validate_buffer_overflow;
           Alcotest.test_case "unsupported precision" `Quick

@@ -43,19 +43,6 @@ let zoo () =
     ("gesture", Ascend.Nn.Gesture.build ());
   ]
 
-let option_combos =
-  List.concat_map
-    (fun sync_mode ->
-      List.concat_map
-        (fun double_buffer ->
-          List.map
-            (fun weight_sparsity ->
-              { Codegen.default_options with
-                sync_mode; double_buffer; weight_sparsity })
-            [ None; Some 0.5 ])
-        [ true; false ])
-    [ Codegen.Flags; Codegen.Coarse_barriers ]
-
 let test_zoo_clean_all_options () =
   List.iter
     (fun (name, g) ->
@@ -72,7 +59,7 @@ let test_zoo_clean_all_options () =
                       Alcotest.failf "%s / %s / %s: %s" name config.Config.name
                         grp.Ascend.Compiler.Fusion.tag (report fs))
                   (Codegen.graph_programs ~options config g))
-              option_combos)
+              Corpus.lint_option_combos)
         Config.all)
     (zoo ())
 
@@ -117,18 +104,11 @@ let test_wait_ordering_not_counting () =
 (* ------------------------------------------------------------------ *)
 (* Hazards: broken double-buffering must be flagged                    *)
 
+(* the largest cube-anchored program exercises every ring *)
 let gemm_program () =
-  let g = Ascend.Nn.Resnet.v1_5_18 () in
-  let programs = Codegen.graph_programs Config.max g in
-  (* the largest cube-anchored program exercises every ring *)
-  List.fold_left
-    (fun best (_, p) ->
-      if Program.length p > Program.length best then p else best)
-    (snd (List.hd programs))
-    programs
-
-let drop_nth n instrs =
-  List.filteri (fun i _ -> i <> n) instrs
+  Corpus.longest
+    (List.map snd
+       (Codegen.graph_programs Config.max (Ascend.Nn.Resnet.v1_5_18 ())))
 
 let test_broken_double_buffering_detected () =
   let p = gemm_program () in
@@ -150,7 +130,8 @@ let test_broken_double_buffering_detected () =
     !found
   in
   let broken =
-    { p with Program.instructions = drop_nth idx p.Program.instructions }
+    { p with
+      Program.instructions = Corpus.drop_nth idx p.Program.instructions }
   in
   let fs = Verify.analyze Config.max broken in
   let cls = classes fs in
@@ -165,10 +146,6 @@ let test_broken_double_buffering_detected () =
 (* Mutation property tests: the verifier finds exactly the injected    *)
 (* defect class                                                        *)
 
-let positions_of pred instrs =
-  List.mapi (fun i x -> (i, x)) instrs
-  |> List.filter_map (fun (i, x) -> if pred x then Some i else None)
-
 let subset ~of_:allowed cls = List.for_all (fun c -> List.mem c allowed) cls
 
 let mutation_prop name ~count mutate check =
@@ -180,24 +157,20 @@ let mutation_prop name ~count mutate check =
       | None -> QCheck.assume_fail ()
       | Some mutated -> check (classes (Verify.analyze Config.max mutated)))
 
-let pick seed xs =
-  match xs with
-  | [] -> None
-  | _ -> Some (List.nth xs (seed mod List.length xs))
-
 let drop_set_prop =
   mutation_prop "dropping a random Set_flag yields exactly a deadlock"
     ~count:25
     (fun seed p ->
       let sets =
-        positions_of
+        Corpus.positions_of
           (function Instruction.Set_flag _ -> true | _ -> false)
           p.Program.instructions
       in
       Option.map
         (fun n ->
-          { p with Program.instructions = drop_nth n p.Program.instructions })
-        (pick seed sets))
+          { p with
+            Program.instructions = Corpus.drop_nth n p.Program.instructions })
+        (Corpus.pick seed sets))
     (fun cls -> cls = [ "deadlock" ])
 
 let swap_wait_prop =
@@ -206,7 +179,7 @@ let swap_wait_prop =
     ~count:25
     (fun seed p ->
       let waits =
-        positions_of
+        Corpus.positions_of
           (function Instruction.Wait_flag _ -> true | _ -> false)
           p.Program.instructions
       in
@@ -224,7 +197,7 @@ let swap_wait_prop =
               p.Program.instructions
           in
           { p with Program.instructions })
-        (pick seed waits))
+        (Corpus.pick seed waits))
     (fun cls ->
       List.mem "deadlock" cls && subset ~of_:[ "deadlock"; "leak" ] cls)
 
@@ -463,6 +436,197 @@ let test_soc_drop_edge_mutation () =
     true (!raced_drops > 0)
 
 (* ------------------------------------------------------------------ *)
+(* Hb against a naive graph: random small programs over 2-6 pipes      *)
+
+let work_on = function
+  | Pipe.Scalar -> Instruction.Scalar_op { cycles = 1 }
+  | Pipe.Vector -> Instruction.vector_op ~op_name:"v" ~bytes:16 ()
+  | Pipe.Cube ->
+    Instruction.cube_matmul ~m:16 ~k:16 ~n:16 ~precision:Precision.Fp16 ()
+  | Pipe.Mte1 ->
+    Instruction.mte_move ~src:Buffer_id.L1 ~dst:Buffer_id.L0a ~bytes:16 ()
+  | Pipe.Mte2 ->
+    Instruction.mte_move ~src:Buffer_id.External ~dst:Buffer_id.L1 ~bytes:16 ()
+  | Pipe.Mte3 ->
+    Instruction.mte_move ~src:Buffer_id.Ub ~dst:Buffer_id.External ~bytes:16 ()
+
+(* Parts placed at random keys and sorted: work on a pipe, barriers,
+   set/wait pairs on a few triples with the set first (these alone never
+   deadlock) or the wait first (these may form cycles), and lone waits,
+   which can never be satisfied once they outnumber their sets. *)
+let hb_program_gen =
+  let open QCheck.Gen in
+  let* k = int_range 2 6 in
+  let* order = shuffle_l Pipe.all in
+  let pipe = oneofl (List.filteri (fun i _ -> i < k) order) in
+  let key = int_bound 999 in
+  let flag_triple = triple pipe pipe (int_bound 1) in
+  let pair ~forward =
+    map3
+      (fun (f, t, flag) a b ->
+        let a, b = if (a < b) = forward then (a, b) else (b, a) in
+        [ (a, set f t flag); (b, wait f t flag) ])
+      flag_triple key key
+  in
+  let+ parts =
+    list_size (int_range 0 12)
+      (frequency
+         [
+           (4, map2 (fun p at -> [ (at, work_on p) ]) pipe key);
+           (1, map (fun at -> [ (at, Instruction.Barrier) ]) key);
+           (4, pair ~forward:true);
+           (1, pair ~forward:false);
+           ( 1,
+             map2
+               (fun (f, t, flag) at -> [ (at, wait f t flag) ])
+               flag_triple key );
+         ])
+  in
+  List.concat parts
+  |> List.stable_sort (fun (a, _) (b, _) -> compare a b)
+  |> List.map snd
+
+(* the explicit edge set: per-lane program order with barriers on every
+   lane, and the k-th set of a triple to its k-th wait; [unsat] marks the
+   waits past a triple's last set *)
+let naive_edges (instrs : Instruction.t array) =
+  let n = Array.length instrs in
+  let edges = ref [] in
+  List.iter
+    (fun p ->
+      let prev = ref (-1) in
+      Array.iteri
+        (fun i x ->
+          let on_lane =
+            match x with
+            | Instruction.Barrier -> true
+            | _ -> Instruction.pipe_of x = Some p
+          in
+          if on_lane then begin
+            if !prev >= 0 then edges := (!prev, i) :: !edges;
+            prev := i
+          end)
+        instrs)
+    Pipe.all;
+  let unsat = Array.make n false in
+  let flag_of = function
+    | Instruction.Set_flag { from_pipe; to_pipe; flag } ->
+      Some (`Set, (from_pipe, to_pipe, flag))
+    | Instruction.Wait_flag { from_pipe; to_pipe; flag } ->
+      Some (`Wait, (from_pipe, to_pipe, flag))
+    | _ -> None
+  in
+  let indexed = List.mapi (fun i x -> (i, flag_of x)) (Array.to_list instrs) in
+  let on role tr =
+    List.filter_map
+      (fun (i, f) -> if f = Some (role, tr) then Some i else None)
+      indexed
+  in
+  List.filter_map (fun (_, f) -> Option.map snd f) indexed
+  |> List.sort_uniq compare
+  |> List.iter (fun tr ->
+         let sets = on `Set tr in
+         List.iteri
+           (fun k w ->
+             match List.nth_opt sets k with
+             | Some s -> edges := (s, w) :: !edges
+             | None -> unsat.(w) <- true)
+           (on `Wait tr));
+  (!edges, unsat)
+
+(* Kahn's algorithm with every unsatisfiable wait pinned: does it reach
+   every node? *)
+let naive_kahn_complete n edges unsat =
+  let indeg = Array.map (fun u -> if u then 1 else 0) unsat in
+  List.iter (fun (_, b) -> indeg.(b) <- indeg.(b) + 1) edges;
+  let queue = Queue.create () and reached = ref 0 in
+  Array.iteri (fun i d -> if d = 0 then Queue.add i queue) indeg;
+  while not (Queue.is_empty queue) do
+    let i = Queue.pop queue in
+    incr reached;
+    List.iter
+      (fun (a, b) ->
+        if a = i then begin
+          indeg.(b) <- indeg.(b) - 1;
+          if indeg.(b) = 0 then Queue.add b queue
+        end)
+      edges
+  done;
+  !reached = n
+
+let reaches edges a b =
+  let seen = Hashtbl.create 16 in
+  let rec go i =
+    i = b
+    || (not (Hashtbl.mem seen i))
+       && begin
+         Hashtbl.add seen i ();
+         List.exists (fun (x, y) -> x = i && go y) edges
+       end
+  in
+  go a
+
+let hb_naive_prop =
+  QCheck.Test.make ~count:500
+    ~name:"Hb: deadlock iff naive Kahn stalls; hb is reachability"
+    (QCheck.make
+       ~print:(fun l ->
+         Format.asprintf "%a" Program.pp (Program.make ~name:"hb" l))
+       hb_program_gen)
+    (fun instrs ->
+      let g = Verify.Hb.build instrs in
+      let a = Array.of_list instrs in
+      let n = Array.length a in
+      let edges, unsat = naive_edges a in
+      let complete = naive_kahn_complete n edges unsat in
+      let mapped =
+        List.filter
+          (fun i -> Instruction.pipe_of a.(i) <> None)
+          (List.init n Fun.id)
+      in
+      (g.Verify.Hb.findings = []) = complete
+      && ((not complete)
+         || List.for_all
+              (fun x ->
+                List.for_all
+                  (fun y -> Verify.Hb.hb g x y = reaches edges x y)
+                  mapped)
+              mapped))
+
+(* ------------------------------------------------------------------ *)
+(* Pin: one digest over the verifier's findings, in discovery order,   *)
+(* and Program.validate's verdict on the corpus test_core_sim pins;    *)
+(* the mutants reach unsatisfiable waits, cross-pipe cycles and        *)
+(* hazards, whose order comes from the triple table and the            *)
+(* topological order                                                   *)
+
+let pin_lint config p =
+  String.concat "\n"
+    ((match Program.validate config p with Ok () -> "ok" | Error e -> "E " ^ e)
+    :: List.map Finding.to_string (Verify.analyze config p))
+
+let test_findings_pinned () =
+  let parts = ref [] in
+  let add s = parts := s :: !parts in
+  Corpus.iter (fun ~core ~combo:_ config programs ->
+      List.iter (fun p -> add (pin_lint config p)) programs;
+      if core = 0 then
+        List.iter
+          (fun m -> add (pin_lint config m))
+          (Corpus.mutants (Corpus.longest programs)));
+  let all = List.rev !parts in
+  List.iter
+    (fun needle ->
+      Alcotest.(check bool) ("corpus reaches " ^ needle) true
+        (List.exists (Corpus.contains needle) all))
+    [
+      "is unsatisfiable"; "cross-pipe wait cycle"; "hazard/RAW"; "hazard/WAR";
+      "hazard/WAW"; "E flag"; "E instruction";
+    ];
+  Alcotest.(check string) "finding digest" "0a772dc184676e00777b192258a91d4d"
+    (Digest.to_hex (Digest.string (String.concat "\n--\n" all)))
+
+(* ------------------------------------------------------------------ *)
 (* Finding rendering goldens (pinned: the differential CI gate         *)
 (* byte-compares documents built from these)                           *)
 
@@ -533,4 +697,6 @@ let () =
         ] );
       ( "finding",
         [ quick "pp and json goldens" test_finding_goldens ] );
+      ("hb", [ QCheck_alcotest.to_alcotest hb_naive_prop ]);
+      ("pin", [ quick "findings and validation" test_findings_pinned ]);
     ]
