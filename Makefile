@@ -29,10 +29,11 @@ sanitize:
 # differential gates (CI runs this target): (a) the static whole-SoC
 # lint and the dynamic sanitizer agree byte-for-byte on the zoo-wide
 # findings document, which is the same under --jobs 1 (lint) and
-# --jobs 4 (sanitize) as at the default pool size; (b) closed-form
-# and schedule-derived collective times agree to three significant
-# digits; (c) statically predicted page-in counts equal what the fleet
-# run observes, under each routing policy
+# --jobs 4 (sanitize) as at the default pool size; (b) the cluster
+# sweep's findings document is the same across runs and worker counts,
+# and closed-form and schedule-derived collective times agree to three
+# significant digits; (c) statically predicted page-in counts equal
+# what the fleet run observes, under each routing policy
 differential:
 	dune exec bin/ascend_cli.exe -- lint --all --soc --json lint_soc.json
 	dune exec bin/ascend_cli.exe -- lint --all --soc --jobs 1 \
@@ -44,6 +45,13 @@ differential:
 	  --json sanitize_j4.json
 	cmp sanitize.json sanitize_j4.json
 	@echo "differential gate: lint --soc and sanitize agree, at any --jobs"
+	dune exec bin/ascend_cli.exe -- lint --cluster --json cluster_a.json
+	dune exec bin/ascend_cli.exe -- lint --cluster --json cluster_b.json
+	cmp cluster_a.json cluster_b.json
+	ASCEND_JOBS=7 dune exec bin/ascend_cli.exe -- lint --cluster --jobs 7 \
+	  --json cluster_jobs.json
+	cmp cluster_a.json cluster_jobs.json
+	@echo "differential gate: the cluster sweep agrees across runs and --jobs"
 	dune exec bin/ascend_cli.exe -- lint --cluster --times closed \
 	  --json times_closed.json
 	dune exec bin/ascend_cli.exe -- lint --cluster --times schedule \

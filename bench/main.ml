@@ -1690,54 +1690,6 @@ let trace () =
   Bench_json.record_int "cycles_identical" (if cycles_off = cycles_on then 1 else 0)
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel: simulator micro-benchmarks                                *)
-
-let bechamel () =
-  section_header "bechamel"
-    "simulator throughput micro-benchmarks (wall time of this library itself)";
-  let open Bechamel in
-  let gesture = Ascend.Nn.Gesture.build () in
-  let mobilenet = Ascend.Nn.Mobilenet.v2 () in
-  let tests =
-    Test.make_grouped ~name:"ascend" ~fmt:"%s %s"
-      [
-        Test.make ~name:"compile+simulate gesture (Tiny)"
-          (Staged.stage (fun () -> ok (Engine.run_inference Config.tiny gesture)));
-        Test.make ~name:"compile+simulate mobilenet (Max)"
-          (Staged.stage (fun () -> ok (Engine.run_inference Config.max mobilenet)));
-        Test.make ~name:"auto-tiling 4096^3"
-          (Staged.stage (fun () ->
-               Ascend.Compiler.Tiling.choose Config.max
-                 ~precision:Precision.Fp16 ~m:4096 ~k:4096 ~n:4096 ()));
-        Test.make ~name:"deflection mesh 500 packets"
-          (Staged.stage (fun () ->
-               Ascend.Noc.Deflection.uniform_random_experiment ~rows:6 ~cols:4
-                 ~packets:500 ~seed:7));
-        Test.make ~name:"fp16 round-trip"
-          (Staged.stage (fun () -> Ascend.Util.Fp16.round_float 3.14159));
-      ]
-  in
-  let instances = Toolkit.Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.25) () in
-  let raw = Benchmark.all cfg instances tests in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-  let t = Table.create ~header:[ "micro-benchmark"; "time/run" ] () in
-  Hashtbl.iter
-    (fun name ols_result ->
-      let ns =
-        match Analyze.OLS.estimates ols_result with
-        | Some (v :: _) -> v
-        | _ -> nan
-      in
-      Table.add_row t
-        [ name; Format.asprintf "%a" Ascend.Util.Units.pp_seconds (ns *. 1e-9) ])
-    results;
-  Table.print ~align:Table.Left t
-
-(* ------------------------------------------------------------------ *)
 (* Verification throughput: static lint, whole-SoC analysis and the    *)
 (* shadow-state sanitizer, serial vs service fan-out                   *)
 
@@ -1912,7 +1864,6 @@ let sections =
     ("compile", compile);
     ("lint", lint_bench);
     ("trace", trace);
-    ("bechamel", bechamel);
   ]
 
 let () =

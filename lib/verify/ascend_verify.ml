@@ -36,7 +36,7 @@ let kind_str = function
    none) and the reads issued since, newest first *)
 type frontier = { mutable last_write : int; mutable reads : int list }
 
-let hazard_findings (g : Hb.t) =
+let hazard_findings (g : Instruction.t Hb.t) =
   (* keyed by [slot * Buffer_id.count + Buffer_id.index buffer] *)
   let frontier : (int, frontier) Hashtbl.t = Hashtbl.create 64 in
   let findings = ref [] in
@@ -81,7 +81,7 @@ let hazard_findings (g : Hb.t) =
   in
   Array.iter
     (fun i ->
-      let accs = Instruction.accesses g.Hb.instrs.(i) in
+      let accs = Instruction.accesses g.Hb.nodes.(i) in
       (* reads of an instruction logically precede its writes *)
       List.iter
         (fun (a : Instruction.access) -> if a.kind = Read then visit i a)

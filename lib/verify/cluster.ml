@@ -12,12 +12,14 @@
       mirroring recv in the same step (rendezvous rounds) — same link,
       byte count, chunk range and reduce/copy mode;
     - {b deadlock}: the step dependency graph must be acyclic and
-      closed (no dependency on a missing step);
+      closed (no dependency on a missing step), which [Hb]'s Kahn pass
+      decides with no lanes;
     - {b link overcommit}: within one step, the bandwidth claims of all
       transfers sharing a link must not exceed its capacity;
     - {b reduction completeness}: simulating chunk-contribution flow
-      over the schedule, every chip's contribution to every chunk must
-      reach every chip — the all-reduce correctness invariant.
+      over the schedule, steps in that pass's topological order, every
+      chip's contribution to every chunk must reach every chip — the
+      all-reduce correctness invariant.
 
     The schedule representation is deliberately neutral — plain ints,
     strings and floats — so this library needs no dependency on
@@ -70,8 +72,6 @@ type schedule = {
   links : link list;
   steps : step list;
 }
-
-let op_kind_name = function Send -> "send" | Recv -> "recv"
 
 (* ------------------------------------------------------------------ *)
 (* Structural sanity: everything else assumes these hold. *)
@@ -188,67 +188,6 @@ let match_findings (s : schedule) =
   List.rev !findings
 
 (* ------------------------------------------------------------------ *)
-(* Deadlock: Kahn over the step dependency graph, exactly like the SoC
-   plan check — a cycle (or an edge to a missing step) means some step
-   can never start. *)
-
-let deadlock_findings (s : schedule) =
-  let arr = Array.of_list s.steps in
-  let n = Array.length arr in
-  let pos_of = Hashtbl.create (2 * n) in
-  Array.iteri (fun i st -> Hashtbl.replace pos_of st.step_id i) arr;
-  let findings = ref [] in
-  let succs = Array.make n [] in
-  let indeg = Array.make n 0 in
-  Array.iteri
-    (fun i st ->
-      List.iter
-        (fun d ->
-          match Hashtbl.find_opt pos_of d with
-          | Some j when j <> i ->
-            succs.(j) <- i :: succs.(j);
-            indeg.(i) <- indeg.(i) + 1
-          | Some _ -> ()
-          | None ->
-            findings :=
-              Finding.make ~index:st.step_id Finding.Coll_deadlock
-                (Printf.sprintf
-                   "step %d depends on step id %d which is not in the schedule"
-                   st.step_id d)
-              :: !findings)
-        st.deps)
-    arr;
-  let queue = Queue.create () in
-  Array.iteri (fun i d -> if d = 0 then Queue.add i queue) indeg;
-  let processed = Array.make n false in
-  let n_processed = ref 0 in
-  while not (Queue.is_empty queue) do
-    let i = Queue.pop queue in
-    processed.(i) <- true;
-    incr n_processed;
-    List.iter
-      (fun j ->
-        indeg.(j) <- indeg.(j) - 1;
-        if indeg.(j) = 0 then Queue.add j queue)
-      succs.(i)
-  done;
-  if !n_processed < n then begin
-    let stuck =
-      Array.to_list arr
-      |> List.filteri (fun i _ -> not processed.(i))
-      |> List.map (fun st -> string_of_int st.step_id)
-    in
-    findings :=
-      Finding.make Finding.Coll_deadlock
-        (Printf.sprintf
-           "step dependency graph is cyclic: %d step(s) can never start (%s)"
-           (n - !n_processed)
-           (String.concat ", " stuck))
-      :: !findings
-  end;
-  List.rev !findings
-
-(* ------------------------------------------------------------------ *)
 (* Link overcommit: within a step all transfers run concurrently, so
    the claims on one link must sum to at most its capacity.  Claims are
    accounted on the send side (the recv mirrors the same transfer). *)
@@ -316,48 +255,18 @@ let bs_union ~into src =
       (Char.chr (Char.code (Bytes.get into j) lor Char.code (Bytes.get src j)))
   done
 
-(* execute steps respecting deps, listing order among ready steps; the
-   caller guarantees the graph is acyclic and closed *)
-let execution_order (s : schedule) =
-  let arr = Array.of_list s.steps in
-  let n = Array.length arr in
-  let pos_of = Hashtbl.create (2 * n) in
-  Array.iteri (fun i st -> Hashtbl.replace pos_of st.step_id i) arr;
-  let executed = Array.make n false in
-  let out = ref [] in
-  let remaining = ref n in
-  let progress = ref true in
-  while !remaining > 0 && !progress do
-    progress := false;
-    Array.iteri
-      (fun i st ->
-        if
-          (not executed.(i))
-          && List.for_all
-               (fun d ->
-                 match Hashtbl.find_opt pos_of d with
-                 | Some j -> executed.(j)
-                 | None -> true)
-               st.deps
-        then begin
-          executed.(i) <- true;
-          decr remaining;
-          progress := true;
-          out := st :: !out
-        end)
-      arr
-  done;
-  List.rev !out
-
-let completeness_findings (s : schedule) =
+(* steps run in the dependency graph's topological order; the caller
+   guarantees the graph is acyclic and closed *)
+let completeness_findings (s : schedule) (g : step Hb.t) =
   let know = Array.init s.chips (fun _ -> Array.init s.chunks (fun _ -> bs_create s.chips)) in
   for c = 0 to s.chips - 1 do
     for k = 0 to s.chunks - 1 do
       bs_set know.(c).(k) c
     done
   done;
-  List.iter
-    (fun st ->
+  Array.iter
+    (fun i ->
+      let st = g.nodes.(i) in
       (* phase 1: snapshot each transfer's source contribution set *)
       let moves =
         List.filter_map
@@ -381,7 +290,7 @@ let completeness_findings (s : schedule) =
             else know.(o.peer).(k) <- Bytes.copy snap.(d)
           done)
         moves)
-    (execution_order s);
+    g.topo;
   let full = bs_create s.chips in
   for c = 0 to s.chips - 1 do
     bs_set full c
@@ -418,15 +327,36 @@ let analyze (s : schedule) =
   let structural = structural_findings s in
   if structural <> [] then structural
   else
-    let deadlock = deadlock_findings s in
+    (* deadlock: a cycle (or an edge to a missing step) means some step
+       can never start *)
+    let g =
+      Hb.of_deps
+        ~id:(fun st -> st.step_id)
+        ~deps:(fun st -> st.deps)
+        ~missing:(fun st d ->
+          Finding.make ~index:st.step_id Finding.Coll_deadlock
+            (Printf.sprintf
+               "step %d depends on step id %d which is not in the schedule"
+               st.step_id d))
+        ~cycle:(fun stuck ->
+          Finding.make Finding.Coll_deadlock
+            (Printf.sprintf
+               "step dependency graph is cyclic: %d step(s) can never start \
+                (%s)"
+               (List.length stuck)
+               (String.concat ", "
+                  (List.map (fun st -> string_of_int st.step_id) stuck))))
+        s.steps
+    in
     let unmatched = match_findings s in
     let overcommit = overcommit_findings s in
     (* completeness simulation only makes sense on a schedule whose
        transfers all run: gate it on the other checks *)
     let incomplete =
-      if deadlock = [] && unmatched = [] then completeness_findings s else []
+      if g.findings = [] && unmatched = [] then completeness_findings s g
+      else []
     in
-    deadlock @ unmatched @ overcommit @ incomplete
+    g.findings @ unmatched @ overcommit @ incomplete
 
 let schedule_seconds (s : schedule) =
   let time = Array.make (max 1 s.chips) 0. in

@@ -55,8 +55,6 @@ type schedule = {
   steps : step list;
 }
 
-val op_kind_name : op_kind -> string
-
 val analyze : schedule -> Finding.t list
 (** Never raises.  Emits [Malformed] for structural problems (out of
     range chips/chunks, undeclared or duplicate links, non-positive
@@ -64,11 +62,13 @@ val analyze : schedule -> Finding.t list
     dangling step dependencies, [Coll_unmatched] for a send with no
     mirroring same-step recv (or vice versa), [Coll_overcommit
     {resource="link"}] when one step's claims on a link exceed its
-    capacity, and — only when all of the former are clean, so every
-    transfer actually runs — [Coll_incomplete] when the simulated
-    contribution flow leaves some chip without some chip's
-    contribution to some chunk.  An empty result means the schedule is
-    a realizable, deadlock-free, capacity-respecting all-reduce. *)
+    capacity, and — only when the dependency and matching checks are
+    clean, so every transfer actually runs — [Coll_incomplete] when the
+    simulated contribution flow leaves some chip without some chip's
+    contribution to some chunk.  The simulation runs the steps in
+    {!Hb.of_deps}'s topological order.  An empty result means the
+    schedule is a realizable, deadlock-free, capacity-respecting
+    all-reduce. *)
 
 val schedule_seconds : schedule -> float
 (** Schedule-derived completion time: per chip, each step costs the

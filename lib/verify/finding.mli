@@ -30,7 +30,9 @@ type kind =
       (** a flag is still set when the program ends — it would satisfy a
           wait in whatever runs next on the core *)
   | Malformed
-      (** structural problem: bad flag id, illegal move, unmapped pipe *)
+      (** structural problem: bad flag id, illegal move, unmapped pipe;
+          an SoC task or a collective op on a core or chip out of
+          range *)
   | Soc_race of { dep : string }
       (** cross-core RAW/WAR/WAW: two tasks on different cores touch
           overlapping HBM byte ranges and no schedule edge (data
@@ -84,7 +86,6 @@ val make :
 val kind_name : kind -> string
 (** Stable slug, e.g. ["hazard/RAW"], ["soc-overcommit/LLC"]. *)
 
-val severity_name : severity -> string
 val is_error : t -> bool
 
 val compare : t -> t -> int

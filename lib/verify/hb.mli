@@ -1,65 +1,88 @@
-(** Happens-before graph over one core program.
+(** Happens-before graphs: one Kahn pass behind the program, SoC and
+    cluster verifiers.
 
-    Nodes are instruction indices of the program's listing.  Edges:
+    Every graph lists its nodes in order and puts each node on a lane
+    (none, one, or every lane); the pass chains each lane in listing
+    order, adds its front end's edges, and runs Kahn's algorithm with
+    in-degree-0 nodes queued in index order, a FIFO queue, and each
+    node's successors visited latest-added first.  Two front ends feed
+    it:
 
-    - {b program order} within each pipe's issue queue: the dispatcher
+    - {!build}, one core program.  Lanes are pipes: the dispatcher
       distributes instructions to per-pipe queues in program order, so
-      same-pipe instructions execute in listing order;
-    - {b flag edges}: the hardware flag is a counting semaphore per
+      same-pipe instructions execute in listing order, and a
+      {b barrier} joins and restarts every pipe.  {b Flag edges}: the
+      hardware flag is a counting semaphore per
       [(from_pipe, to_pipe, flag)] triple.  All sets of a triple issue
       from [from_pipe] in program order and all waits block [to_pipe]
       in program order, so the k-th wait can proceed exactly when the
       k-th set has executed — giving the precise edge
-      [set_k -> wait_k];
-    - {b barriers} join and restart every pipe.
+      [set_k -> wait_k].  A wait whose ordinal is >= its triple's total
+      set count can never be satisfied: the pass pins it with a phantom
+      in-degree.  A cycle through flag edges is a cross-pipe deadlock.
+    - {!of_deps}, nodes that name the nodes they wait for by id: SoC
+      tasks, whose lanes are cores ({!Soc}), and cluster steps, which
+      have no lanes ({!Cluster}).
 
-    A wait whose ordinal is >= its triple's total set count can never be
-    satisfied; a cycle through flag edges is a cross-pipe deadlock.
-    Both are detected during construction (Kahn's algorithm with
-    phantom in-degrees pinning unsatisfiable waits) and reported in
-    {!field-findings}.
+    {b Contract.} Construction never raises when [of_deps]'s lanes are
+    in range.  The graph is sound for reachability queries ({!hb}) only
+    when [findings = []]: stuck nodes have no meaningful vector clock,
+    and a race scan must not run over a deadlocked graph (racing with a
+    node that never executes is moot).  Reachability uses per-lane vector clocks computed along the
+    topological order — [vc.(b * lanes + l)] is the highest lane-[l]
+    sequence number that happens before (or at) node [b] — so a query
+    is O(1) and the whole structure O(V * lanes) int slots instead of a
+    quadratic closure. *)
 
-    {b Contract.} [build] never raises.  The graph is sound for
-    reachability queries ({!hb}) only when [findings = []]: stuck nodes
-    have no meaningful vector clock, and the hazard scan must not run
-    over a deadlocked graph (racing with an instruction that never
-    executes is moot).  Reachability uses per-pipe vector clocks
-    computed along the topological order — [vc.(b * Pipe.count + p)] is
-    the highest lane-[p] sequence number that happens before (or at)
-    node [b] — so a query is O(1) and the whole structure O(V * pipes)
-    int slots instead of a quadratic closure. *)
-
-open Ascend_isa
-
-type t = {
-  instrs : Instruction.t array;
-  lane : int array;  (** pipe index of each node; -1 for barriers *)
-  seq : int array;
-      (** position within the node's pipe lane; -1 for barriers *)
+type 'a t = {
+  nodes : 'a array;  (** in listing order *)
+  lanes : int;
+      (** [Pipe.count] for programs, cores for SoC plans, 0 for cluster
+          steps *)
+  lane : int array;
+      (** lane of each node; negative for none or, for a barrier,
+          every lane *)
+  seq : int array;  (** position within the node's lane; -1 without one *)
   topo : int array;  (** topological order of executable nodes *)
   vc : int array;
-      (** [vc.(node * Pipe.count + pipe)], one flat array — valid for
+      (** [vc.(node * lanes + lane)], one flat array — valid for
           executable nodes only.  It is the building domain's reusable
-          buffer, possibly longer than the program needs, and the next
-          [build] on that domain overwrites it: query a graph before
+          buffer, possibly longer than the graph needs, and the next
+          graph built on that domain overwrites it: query a graph before
           building the next one there. *)
   stuck : bool array;
       (** node can never execute under any interleaving *)
   findings : Finding.t list;
-      (** deadlock findings discovered during construction; empty iff
-          every node is executable *)
+      (** deadlock findings discovered during construction, in
+          discovery order *)
 }
 
-val build : Instruction.t list -> t
-(** Construct the graph and run deadlock detection.  Total: malformed
-    instructions (unmapped pipes) simply get no lane and are reported
-    by the structural checks elsewhere. *)
+val build : Ascend_isa.Instruction.t list -> Ascend_isa.Instruction.t t
+(** One core program's graph; [findings] is empty iff every instruction
+    is executable.  Total: malformed instructions (unmapped pipes)
+    simply get no lane and are reported by the structural checks
+    elsewhere. *)
 
-val deadlock_free : t -> bool
-(** [findings = []]. *)
+val of_deps :
+  ?lanes:int ->
+  ?lane:('a -> int) ->
+  id:('a -> int) ->
+  deps:('a -> int list) ->
+  missing:('a -> int -> Finding.t) ->
+  cycle:('a list -> Finding.t) ->
+  'a list ->
+  'a t
+(** The graph of nodes that wait for the nodes whose ids they list:
+    node [j] precedes node [i] when [i]'s [deps] name [j]'s [id] (a
+    repeated id names its last node; a node naming itself adds no
+    edge), and each of the [lanes] (default 0) chains its nodes in
+    listing order.  [lane] must map every node into [[0, lanes)].
+    [findings] holds [missing x d] for every id [d] of node [x] that
+    names no node, in listing order, then [cycle stuck] when some nodes
+    ([stuck], in listing order) can never execute. *)
 
-val hb : t -> int -> int -> bool
+val hb : 'a t -> int -> int -> bool
 (** [hb g a b]: node [a] happens before (or is) node [b] under every
     legal interleaving.  Only meaningful on a deadlock-free graph and
-    for executable pipe-mapped nodes (the hazard scan only queries
+    for executable nodes with a lane (the race scans only query
     those). *)

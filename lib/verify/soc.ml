@@ -6,7 +6,8 @@
     schedule of fused groups.  Tasks are compiled group programs pinned
     to cores; edges are the inter-core dependencies the memory planner
     and graph engine imply (producer->consumer data edges, memory-reuse
-    anti-dependencies, same-core issue order).  The checks:
+    anti-dependencies, same-core issue order), and [Hb]'s Kahn pass
+    orders them with cores as lanes.  The checks:
 
     - {b cross-core RAW/WAR/WAW races}: two tasks on different cores
       whose HBM byte-range footprints overlap and that no edge orders;
@@ -50,119 +51,13 @@ let region_overlaps a b =
   && b.base < a.base + a.bytes
 
 (* ------------------------------------------------------------------ *)
-(* Happens-before over tasks: same-core issue order + dependency edges,
-   with per-core vector clocks exactly like the per-program [Hb] graph
-   (lane = core, seq = issue position on that core). *)
-
-type hb = {
-  order : task array;  (* listing order = the serial reference schedule *)
-  pos_of : (int, int) Hashtbl.t;  (* task id -> position *)
-  lane : int array;
-  seq : int array;
-  vc : int array array;
-  cycle_findings : Finding.t list;
-}
-
-let build_hb (p : plan) =
-  let order = Array.of_list p.tasks in
-  let n = Array.length order in
-  let pos_of = Hashtbl.create (2 * n) in
-  Array.iteri (fun i t -> Hashtbl.replace pos_of t.id i) order;
-  let succs = Array.make n [] in
-  let indeg = Array.make n 0 in
-  let findings = ref [] in
-  let add_edge a b =
-    succs.(a) <- b :: succs.(a);
-    indeg.(b) <- indeg.(b) + 1
-  in
-  (* same-core issue order *)
-  let last_on_core = Hashtbl.create 8 in
-  let lane = Array.make n 0 in
-  let seq = Array.make n 0 in
-  let next_seq = Hashtbl.create 8 in
-  Array.iteri
-    (fun i t ->
-      lane.(i) <- t.core;
-      let s =
-        match Hashtbl.find_opt next_seq t.core with Some s -> s | None -> 0
-      in
-      seq.(i) <- s;
-      Hashtbl.replace next_seq t.core (s + 1);
-      (match Hashtbl.find_opt last_on_core t.core with
-      | Some j -> add_edge j i
-      | None -> ());
-      Hashtbl.replace last_on_core t.core i)
-    order;
-  (* dependency edges *)
-  Array.iteri
-    (fun i t ->
-      List.iter
-        (fun d ->
-          match Hashtbl.find_opt pos_of d with
-          | Some j -> if j <> i then add_edge j i
-          | None ->
-            findings :=
-              Finding.make ~index:t.id Finding.Soc_deadlock
-                (Printf.sprintf
-                   "task %s (core %d) depends on task id %d which is not in \
-                    the schedule"
-                   t.tag t.core d)
-              :: !findings)
-        t.deps)
-    order;
-  let cores = max 1 p.cores in
-  let vc = Array.make n [||] in
-  let queue = Queue.create () in
-  Array.iteri (fun i d -> if d = 0 then Queue.add i queue) indeg;
-  let processed = Array.make n false in
-  let n_processed = ref 0 in
-  while not (Queue.is_empty queue) do
-    let i = Queue.pop queue in
-    processed.(i) <- true;
-    incr n_processed;
-    if Array.length vc.(i) = 0 then vc.(i) <- Array.make cores (-1);
-    if lane.(i) < cores then
-      vc.(i).(lane.(i)) <- max vc.(i).(lane.(i)) seq.(i);
-    List.iter
-      (fun j ->
-        if Array.length vc.(j) = 0 then vc.(j) <- Array.make cores (-1);
-        Array.iteri (fun c v -> if v > vc.(j).(c) then vc.(j).(c) <- v) vc.(i);
-        indeg.(j) <- indeg.(j) - 1;
-        if indeg.(j) = 0 then Queue.add j queue)
-      succs.(i)
-  done;
-  if !n_processed < n then begin
-    let stuck =
-      Array.to_list order
-      |> List.filteri (fun i _ -> not processed.(i))
-      |> List.map (fun t -> Printf.sprintf "%s(core %d)" t.tag t.core)
-    in
-    findings :=
-      Finding.make Finding.Soc_deadlock
-        (Printf.sprintf
-           "schedule dependency graph is cyclic: %d task(s) can never start \
-            (%s)"
-           (n - !n_processed)
-           (String.concat ", " stuck))
-      :: !findings
-  end;
-  { order; pos_of; lane; seq; vc; cycle_findings = List.rev !findings }
-
-(* position [a] happens before (or is) position [b] *)
-let hb_query g a b =
-  a = b
-  || Array.length g.vc.(b) > 0
-     && g.lane.(a) < Array.length g.vc.(b)
-     && g.seq.(a) <= g.vc.(b).(g.lane.(a))
-
-(* ------------------------------------------------------------------ *)
 (* Cross-core races: every unordered pair of tasks on different cores
    with overlapping byte-range footprints.  The listing order is the
    serial reference schedule, so the earlier task's access names the
    dependence direction (RAW: earlier writes, later reads). *)
 
-let race_findings g =
-  let n = Array.length g.order in
+let race_findings (g : task Hb.t) =
+  let n = Array.length g.nodes in
   let findings = ref [] in
   let report dep (a : task) (b : task) name_a name_b (ra : region) =
     findings :=
@@ -176,8 +71,8 @@ let race_findings g =
   in
   for i = 0 to n - 1 do
     for j = i + 1 to n - 1 do
-      let a = g.order.(i) and b = g.order.(j) in
-      if a.core <> b.core && not (hb_query g i j) && not (hb_query g j i)
+      let a = g.nodes.(i) and b = g.nodes.(j) in
+      if a.core <> b.core && not (Hb.hb g i j) && not (Hb.hb g j i)
       then begin
         (* earlier write vs later read: RAW *)
         List.iter
@@ -213,8 +108,8 @@ let race_findings g =
    error: the plan cannot execute) and LLC working set per concurrent
    wave (a warning: it executes, but thrashes the shared cache). *)
 
-let capacity_findings g (p : plan) =
-  let n = Array.length g.order in
+let capacity_findings (tasks : task array) (p : plan) =
+  let n = Array.length tasks in
   let findings = ref [] in
   (match p.hbm_bytes with
   | None -> ()
@@ -233,9 +128,9 @@ let capacity_findings g (p : plan) =
                     List.exists (fun (_, ru) -> region_overlaps r ru) u.reads
                   in
                   if reads_it then Hashtbl.replace last_reader (i, r.base) j)
-              (Array.to_list g.order))
+              (Array.to_list tasks))
           t.writes)
-      g.order;
+      tasks;
     let peak = ref 0 in
     let peak_pos = ref 0 in
     for pos = 0 to n - 1 do
@@ -251,7 +146,7 @@ let capacity_findings g (p : plan) =
               in
               if i <= pos && pos <= last then live := !live + r.bytes)
             t.writes)
-        g.order;
+        tasks;
       if !live > !peak then begin
         peak := !live;
         peak_pos := pos
@@ -261,12 +156,12 @@ let capacity_findings g (p : plan) =
     if total > cap then
       findings :=
         Finding.make
-          ~index:g.order.(!peak_pos).id
+          ~index:tasks.(!peak_pos).id
           (Finding.Soc_overcommit { resource = "HBM" })
           (Printf.sprintf
              "resident weights %d B + peak live activations %d B (at task \
               %s) = %d B exceed the %d B HBM capacity"
-             p.weight_resident_bytes !peak g.order.(!peak_pos).tag total cap)
+             p.weight_resident_bytes !peak tasks.(!peak_pos).tag total cap)
         :: !findings);
   (match p.llc_bytes with
   | None -> ()
@@ -274,13 +169,15 @@ let capacity_findings g (p : plan) =
     (* ASAP wave levels over the edge set; within a wave at most
        [cores] tasks run concurrently, so charge the largest [cores]
        working sets *)
+    let pos_of = Hashtbl.create (2 * n) in
+    Array.iteri (fun i t -> Hashtbl.replace pos_of t.id i) tasks;
     let level = Array.make n 0 in
     Array.iteri
       (fun i (t : task) ->
         let dep_level =
           List.fold_left
             (fun acc d ->
-              match Hashtbl.find_opt g.pos_of d with
+              match Hashtbl.find_opt pos_of d with
               | Some j when j < i -> max acc (level.(j) + 1)
               | _ -> acc)
             0 t.deps
@@ -288,11 +185,11 @@ let capacity_findings g (p : plan) =
         (* same-core predecessor also precedes *)
         let core_level = ref dep_level in
         for j = 0 to i - 1 do
-          if g.order.(j).core = t.core then
+          if tasks.(j).core = t.core then
             core_level := max !core_level (level.(j) + 1)
         done;
         level.(i) <- !core_level)
-      g.order;
+      tasks;
     let by_level = Hashtbl.create 16 in
     Array.iteri
       (fun i (t : task) ->
@@ -302,7 +199,7 @@ let capacity_findings g (p : plan) =
           | None -> []
         in
         Hashtbl.replace by_level level.(i) (t :: cur))
-      g.order;
+      tasks;
     let worst = ref 0 and worst_level = ref 0 in
     Hashtbl.iter
       (fun lvl tasks ->
@@ -334,23 +231,41 @@ let capacity_findings g (p : plan) =
 (* ------------------------------------------------------------------ *)
 
 let analyze (p : plan) =
-  match p.tasks with
-  | [] -> []
-  | _ ->
-    let g = build_hb p in
+  match List.filter (fun t -> t.core < 0 || t.core >= p.cores) p.tasks with
+  | _ :: _ as outside ->
+    (* a task on no core of the plan has no lane: stop here *)
+    List.map
+      (fun t ->
+        Finding.make ~index:t.id Finding.Malformed
+          (Printf.sprintf "task %s: core %d out of range [0,%d)" t.tag t.core
+             p.cores))
+      outside
+  | [] when p.tasks = [] -> []
+  | [] ->
+    (* same-core issue order is the lanes, dependencies the edges *)
+    let g =
+      Hb.of_deps ~lanes:p.cores
+        ~lane:(fun t -> t.core)
+        ~id:(fun t -> t.id)
+        ~deps:(fun t -> t.deps)
+        ~missing:(fun t d ->
+          Finding.make ~index:t.id Finding.Soc_deadlock
+            (Printf.sprintf
+               "task %s (core %d) depends on task id %d which is not in the \
+                schedule"
+               t.tag t.core d))
+        ~cycle:(fun stuck ->
+          Finding.make Finding.Soc_deadlock
+            (Printf.sprintf
+               "schedule dependency graph is cyclic: %d task(s) can never \
+                start (%s)"
+               (List.length stuck)
+               (String.concat ", "
+                  (List.map (fun t -> Printf.sprintf "%s(core %d)" t.tag t.core)
+                     stuck))))
+        p.tasks
+    in
     (* race results are only meaningful on an acyclic schedule: a stuck
        task never runs, so racing with it is moot *)
-    let races = if g.cycle_findings = [] then race_findings g else [] in
-    g.cycle_findings @ races @ capacity_findings g p
-
-let pp_plan ppf (p : plan) =
-  Format.fprintf ppf "soc plan %s: %d cores, %d tasks, %d B weights@."
-    p.soc_name p.cores (List.length p.tasks) p.weight_resident_bytes;
-  List.iter
-    (fun t ->
-      Format.fprintf ppf "  c%d #%-3d %-28s r:%d w:%d ext %d/%d B%s@." t.core
-        t.id t.tag (List.length t.reads) (List.length t.writes)
-        t.ext_read_bytes t.ext_write_bytes
-        (if t.deps = [] then ""
-         else " <- " ^ String.concat "," (List.map string_of_int t.deps)))
-    p.tasks
+    let races = if g.findings = [] then race_findings g else [] in
+    g.findings @ races @ capacity_findings g.nodes p

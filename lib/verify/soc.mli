@@ -8,6 +8,8 @@
     plans from real model graphs; tests build mutated ones by hand.
 
     Reported findings ({!Finding.kind}):
+    - [Malformed] — a task pinned to a core outside [[0, cores)]: one
+      per such task, and no other check runs;
     - [Soc_race {dep}] — cross-core RAW/WAR/WAW on overlapping HBM byte
       ranges with no ordering edge; classified against the listing
       order, which is the serial reference schedule;
@@ -24,9 +26,10 @@
     exercises pure race/deadlock analysis, and tests pass small
     capacities to prove the checkers live.
 
-    [analyze] never raises; like {!Hb}, race results are only emitted
-    when the dependency graph is acyclic (racing with a task that never
-    starts is moot). *)
+    [analyze] never raises.  Its happens-before graph is {!Hb.of_deps}
+    with cores as lanes; like a program's, race results are only
+    emitted when the dependency graph is acyclic and closed (racing
+    with a task that never starts is moot). *)
 
 type region = { base : int; bytes : int }
 (** Half-open byte range [[base, base+bytes)] in the shared HBM
@@ -66,6 +69,3 @@ val region_overlaps : region -> region -> bool
 val analyze : plan -> Finding.t list
 (** Run all whole-SoC checks.  Empty list = schedule proven race-free,
     deadlock-free and within the configured capacities. *)
-
-val pp_plan : Format.formatter -> plan -> unit
-(** Debug dump of the schedule (tasks, cores, edges, footprints). *)

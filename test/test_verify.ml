@@ -364,6 +364,20 @@ let test_soc_deadlock () =
   Alcotest.(check (list string)) "missing dependency" [ "soc-deadlock" ]
     (classes (Soc.analyze (plan [ task 0 0 "x" ~deps:[ 9 ] ])))
 
+let test_soc_core_out_of_range () =
+  (* a task on no core of the plan is one malformed finding, and the
+     analysis stops there: neither a crash nor a race reported for the
+     task that explicitly depends on it *)
+  let fs = Soc.analyze (plan [ task 0 (-1) "neg" ]) in
+  Alcotest.(check (list string)) "core -1" [ "malformed" ] (classes fs);
+  let w = task 0 5 "far" ~writes:[ ("a", region 0 100) ] in
+  let w2 = task 1 1 "w2" ~deps:[ 0 ] ~writes:[ ("a", region 0 100) ] in
+  let fs = Soc.analyze (plan [ w; w2; task 2 7 "farther" ]) in
+  Alcotest.(check (list string)) "core 5 of 2" [ "malformed" ] (classes fs);
+  Alcotest.(check (list (option int))) "one per out-of-range task"
+    [ Some 0; Some 2 ]
+    (List.map (fun (f : Finding.t) -> f.Finding.index) fs)
+
 let test_soc_overcommit () =
   let w = task 0 0 "p" ~writes:[ ("a", region 0 1000) ] in
   let r = task 1 1 "c" ~deps:[ 0 ] ~reads:[ ("a", region 0 1000) ] in
@@ -383,18 +397,18 @@ let test_soc_overcommit () =
 (* the ISSUE's headline mutation: built plans are race-free by
    construction, and dropping a cross-core dependency edge between two
    footprint-conflicting tasks exposes a Soc_race *)
-let test_soc_drop_edge_mutation () =
+let conflicts (a : Soc.task) (b : Soc.task) =
   let overlap xs ys =
     List.exists
       (fun (_, r1) ->
         List.exists (fun (_, r2) -> Soc.region_overlaps r1 r2) ys)
       xs
   in
-  let conflicts (a : Soc.task) (b : Soc.task) =
-    overlap a.Soc.writes b.Soc.writes
-    || overlap a.Soc.writes b.Soc.reads
-    || overlap a.Soc.reads b.Soc.writes
-  in
+  overlap a.Soc.writes b.Soc.writes
+  || overlap a.Soc.writes b.Soc.reads
+  || overlap a.Soc.reads b.Soc.writes
+
+let test_soc_drop_edge_mutation () =
   let raced_drops = ref 0 in
   List.iter
     (fun g ->
@@ -593,6 +607,111 @@ let hb_naive_prop =
                   mapped)
               mapped))
 
+(* Random SoC plans over 1-4 cores: dependencies point backward, forward,
+   at the task itself (no edge) or at a missing id; footprints come from
+   a small pool of overlapping regions.  Task [i] has id [i] and tag
+   [t<i>]. *)
+let soc_plan_gen =
+  let open QCheck.Gen in
+  let* cores = int_range 1 4 in
+  let* n = int_range 2 10 in
+  let regions =
+    List.init 4 (fun k -> ("r" ^ string_of_int k, region (k * 48) 64))
+  in
+  let footprint = list_size (int_bound 2) (oneofl regions) in
+  let dep i =
+    frequency
+      [
+        (8, int_bound (max 0 (i - 1)));
+        (1, int_range i (n - 1));
+        (1, return (n + 7));
+      ]
+  in
+  let+ tasks =
+    flatten_l
+      (List.init n (fun i ->
+           let* core = int_bound (cores - 1) in
+           let* deps = list_size (int_bound 2) (dep i) in
+           let* reads = footprint in
+           let+ writes = footprint in
+           task ~deps ~reads ~writes i core ("t" ^ string_of_int i)))
+  in
+  plan ~cores tasks
+
+let soc_naive_prop =
+  QCheck.Test.make ~count:500
+    ~name:"Soc: deadlock iff a dependency is missing or naive Kahn stalls; \
+           races are the unordered conflicting pairs"
+    (QCheck.make
+       ~print:(fun p ->
+         Printf.sprintf "%d cores: " p.Soc.cores
+         ^ String.concat "; "
+           (List.map
+              (fun (t : Soc.task) ->
+                Printf.sprintf "t%d@c%d deps[%s] r[%s] w[%s]" t.Soc.id
+                  t.Soc.core
+                  (String.concat "," (List.map string_of_int t.Soc.deps))
+                  (String.concat "," (List.map fst t.Soc.reads))
+                  (String.concat "," (List.map fst t.Soc.writes)))
+              p.Soc.tasks))
+       soc_plan_gen)
+    (fun p ->
+      let a = Array.of_list p.Soc.tasks in
+      let n = Array.length a in
+      let edges = ref [] in
+      Array.iteri
+        (fun i (t : Soc.task) ->
+          (match
+             List.find_opt (fun j -> a.(j).Soc.core = t.Soc.core)
+               (List.init i (fun k -> i - 1 - k))
+           with
+          | Some j -> edges := (j, i) :: !edges
+          | None -> ());
+          List.iter
+            (fun d -> if d < n && d <> i then edges := (d, i) :: !edges)
+            t.Soc.deps)
+        a;
+      let edges = !edges in
+      let missing =
+        Array.exists
+          (fun (t : Soc.task) -> List.exists (fun d -> d >= n) t.Soc.deps)
+          a
+      in
+      let deadlocked =
+        missing || not (naive_kahn_complete n edges (Array.make n false))
+      in
+      let fs = Soc.analyze p in
+      let is_deadlock (f : Finding.t) = f.Finding.kind = Finding.Soc_deadlock in
+      let expected =
+        List.concat_map
+          (fun i ->
+            List.filter_map
+              (fun j ->
+                if
+                  a.(i).Soc.core <> a.(j).Soc.core
+                  && conflicts a.(i) a.(j)
+                  && (not (reaches edges i j))
+                  && not (reaches edges j i)
+                then Some (i, j)
+                else None)
+              (List.init (n - i - 1) (fun k -> i + 1 + k)))
+          (List.init n Fun.id)
+      in
+      let race_pair (f : Finding.t) =
+        match f.Finding.kind with
+        | Finding.Soc_race _ ->
+          Some
+            ( Scanf.sscanf f.Finding.message
+                "%_s race between core %_d task t%d" Fun.id,
+              Option.get f.Finding.index )
+        | _ -> None
+      in
+      List.exists is_deadlock fs = deadlocked
+      && (deadlocked
+         || List.for_all (fun f -> race_pair f <> None) fs
+            && List.sort_uniq compare (List.filter_map race_pair fs) = expected
+         ))
+
 (* ------------------------------------------------------------------ *)
 (* Pin: one digest over the verifier's findings, in discovery order,   *)
 (* and Program.validate's verdict on the corpus test_core_sim pins;    *)
@@ -624,6 +743,134 @@ let test_findings_pinned () =
       "hazard/WAW"; "E flag"; "E instruction";
     ];
   Alcotest.(check string) "finding digest" "0a772dc184676e00777b192258a91d4d"
+    (Digest.to_hex (Digest.string (String.concat "\n--\n" all)))
+
+(* ------------------------------------------------------------------ *)
+(* Pin: SoC and cluster findings in discovery order, over the built    *)
+(* plans of the pin corpus (plus the two branchy graphs whose drops    *)
+(* race) and the lint --cluster schedules, each with mutants that      *)
+(* reach every SoC and collective finding kind                         *)
+
+module Cluster = Ascend.Verify.Cluster
+
+(* every cross-core dependency dropped in turn, the first task made to
+   depend on the last, a dependency on a missing id, and capacities that
+   fire both overcommit findings *)
+let soc_mutants (p : Soc.plan) =
+  let tasks = p.Soc.tasks in
+  let core_of = Hashtbl.create 64 in
+  List.iter (fun (t : Soc.task) -> Hashtbl.replace core_of t.Soc.id t.Soc.core)
+    tasks;
+  let edit id f =
+    { p with
+      Soc.tasks =
+        List.map (fun (u : Soc.task) -> if u.Soc.id = id then f u else u) tasks
+    }
+  in
+  let drops =
+    List.concat_map
+      (fun (t : Soc.task) ->
+        List.filter_map
+          (fun d ->
+            match Hashtbl.find_opt core_of d with
+            | Some c when c <> t.Soc.core ->
+              Some
+                (edit t.Soc.id (fun u ->
+                     { u with
+                       Soc.deps = List.filter (fun x -> x <> d) u.Soc.deps }))
+            | _ -> None)
+          t.Soc.deps)
+      tasks
+  in
+  let first = List.hd tasks and last = List.nth tasks (List.length tasks - 1) in
+  drops
+  @ [
+      edit first.Soc.id (fun u ->
+          { u with Soc.deps = last.Soc.id :: u.Soc.deps });
+      edit last.Soc.id (fun u ->
+          { u with Soc.deps = u.Soc.deps @ [ 1_000_000 ] });
+      { p with Soc.hbm_bytes = Some 1; llc_bytes = Some 1 };
+    ]
+
+(* the first recv dropped, the chain closed into a cycle, a dangling
+   dependency, link capacities divided by 4, every reduce made a copy *)
+let cluster_mutants (s : Cluster.schedule) =
+  let steps f = { s with Cluster.steps = List.map f s.Cluster.steps } in
+  let first_deps deps =
+    steps (fun (st : Cluster.step) ->
+        if st.Cluster.step_id = 0 then { st with Cluster.deps } else st)
+  in
+  let dropped = ref false in
+  let drop_recv (o : Cluster.op) =
+    let drop = (not !dropped) && o.Cluster.op_kind = Cluster.Recv in
+    if drop then dropped := true;
+    not drop
+  in
+  [
+    steps (fun (st : Cluster.step) ->
+        { st with Cluster.ops = List.filter drop_recv st.Cluster.ops });
+    first_deps [ List.length s.Cluster.steps - 1 ];
+    first_deps [ 999 ];
+    { s with
+      Cluster.links =
+        List.map
+          (fun (l : Cluster.link) ->
+            { l with
+              Cluster.capacity_bytes_per_s =
+                l.Cluster.capacity_bytes_per_s /. 4. })
+          s.Cluster.links };
+    steps (fun (st : Cluster.step) ->
+        { st with
+          Cluster.ops =
+            List.map (fun (o : Cluster.op) -> { o with Cluster.reduce = false })
+              st.Cluster.ops });
+  ]
+
+let test_soc_cluster_findings_pinned () =
+  let render fs = String.concat "\n" (List.map Finding.to_string fs) in
+  let plans =
+    List.concat_map
+      (fun g ->
+        List.filter_map
+          (fun config ->
+            if Config.supports config (Ascend.Nn.Graph.dtype g) then
+              Some (fst (Soc_schedule.build config g))
+            else None)
+          Config.all)
+      (Corpus.graphs ())
+    @ List.map
+        (fun g -> fst (Soc_schedule.build Config.max g))
+        [ Ascend.Nn.Siamese.build (); Ascend.Nn.Fpn_detector.build () ]
+  in
+  let socs =
+    List.concat_map
+      (fun p -> List.map (fun m -> render (Soc.analyze m)) (p :: soc_mutants p))
+      plans
+  in
+  let clusters =
+    List.concat_map
+      (fun (pt : Ascend.Cluster.Collective_schedule.point) ->
+        let s = pt.Ascend.Cluster.Collective_schedule.build () in
+        List.map
+          (fun m -> render (Cluster.analyze m))
+          (s :: cluster_mutants s))
+      (Ascend.Cluster.Collective_schedule.sweep ())
+  in
+  let all = socs @ clusters in
+  List.iter
+    (fun needle ->
+      Alcotest.(check bool) ("pin corpus reaches " ^ needle) true
+        (List.exists (Corpus.contains needle) all))
+    [
+      "soc-race/RAW"; "soc-race/WAR"; "soc-race/WAW"; "depends on task id";
+      "schedule dependency graph is cyclic"; "soc-overcommit/HBM";
+      "soc-overcommit/LLC"; "coll-unmatched"; "depends on step id";
+      "step dependency graph is cyclic"; "coll-overcommit/link";
+      "coll-incomplete";
+    ];
+  Alcotest.(check int) "42 schedules" (42 * 6) (List.length clusters);
+  Alcotest.(check string) "soc and cluster digest"
+    "1fde9446227eb7ce667eefe6e0578d54"
     (Digest.to_hex (Digest.string (String.concat "\n--\n" all)))
 
 (* ------------------------------------------------------------------ *)
@@ -692,11 +939,18 @@ let () =
           quick "cross-core races" test_soc_cross_core_races;
           quick "transitive order" test_soc_transitive_order;
           quick "deadlock" test_soc_deadlock;
+          quick "core out of range" test_soc_core_out_of_range;
           quick "overcommit" test_soc_overcommit;
           quick "drop-edge mutation" test_soc_drop_edge_mutation;
         ] );
       ( "finding",
         [ quick "pp and json goldens" test_finding_goldens ] );
-      ("hb", [ QCheck_alcotest.to_alcotest hb_naive_prop ]);
-      ("pin", [ quick "findings and validation" test_findings_pinned ]);
+      ( "hb",
+        List.map QCheck_alcotest.to_alcotest [ hb_naive_prop; soc_naive_prop ]
+      );
+      ( "pin",
+        [
+          quick "findings and validation" test_findings_pinned;
+          quick "soc and cluster findings" test_soc_cluster_findings_pinned;
+        ] );
     ]
