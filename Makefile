@@ -29,7 +29,8 @@ sanitize:
 # differential gates (CI runs this target): (a) the static whole-SoC
 # lint and the dynamic sanitizer agree byte-for-byte on the zoo-wide
 # findings document, which is the same under --jobs 1 (lint) and
-# --jobs 4 (sanitize) as at the default pool size; (b) the cluster
+# --jobs 4 (sanitize) as at the default pool size, and a verbose lint
+# prints the same at --jobs 1 and --jobs 4; (b) the cluster
 # sweep's findings document is the same across runs and worker counts,
 # and closed-form and schedule-derived collective times agree to three
 # significant digits; (c) statically predicted page-in counts equal
@@ -44,7 +45,12 @@ differential:
 	dune exec bin/ascend_cli.exe -- sanitize --all --jobs 4 \
 	  --json sanitize_j4.json
 	cmp sanitize.json sanitize_j4.json
-	@echo "differential gate: lint --soc and sanitize agree, at any --jobs"
+	dune exec bin/ascend_cli.exe -- lint resnet18 --jobs 1 --verbose \
+	  > lint_j1.txt
+	dune exec bin/ascend_cli.exe -- lint resnet18 --jobs 4 --verbose \
+	  > lint_j4.txt
+	cmp lint_j1.txt lint_j4.txt
+	@echo "differential gate: lint --soc, sanitize and verbose lint agree, at any --jobs"
 	dune exec bin/ascend_cli.exe -- lint --cluster --json cluster_a.json
 	dune exec bin/ascend_cli.exe -- lint --cluster --json cluster_b.json
 	cmp cluster_a.json cluster_b.json

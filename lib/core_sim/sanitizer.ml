@@ -3,11 +3,11 @@
     shadow init/ownership state per (buffer, slot).
 
     The replay runs on {!Dispatch}, the issue engine {!Simulator} runs
-    on — per-pipe issue queues filled in program order, counting
-    semaphores per [(from_pipe, to_pipe, flag)] triple, all-pipe
-    barriers — but each executed instruction carries a per-pipe vector
-    clock instead of a cycle count, so every access is checked
-    against the shadow state *with the ordering the
+    on — per-pipe issue queues filled in program order, the k-th wait of
+    a [(from_pipe, to_pipe, flag)] triple released by its k-th set,
+    all-pipe barriers — but each executed instruction carries a
+    per-pipe vector clock instead of a cycle count, so every access is
+    checked against the shadow state *with the ordering the
     synchronisation actually establishes*, not the ordering one lucky
     interleaving happened to produce.  Because the clocks derive from
     the same sync edges as the static happens-before graph, the verdict
@@ -24,10 +24,12 @@
       allocating write established;
     - [Capacity_overflow] — live shadow footprints of a buffer exceed
       the config's capacity at some instant of the replay;
-    - [Flag_leak] — semaphore entries left when the replay drains;
+    - [Flag_leak] — sets no issued wait consumed when the replay ends;
     - [Peak_mismatch] — the shadow footprint high-water mark disagrees
       with the program's declared [buffer_peak];
-    - [Deadlock] — the replay wedges (every pipe blocked).
+    - [Deadlock] — the replay wedges (every pipe blocked);
+    - [Malformed] — the static checker's structural findings: an
+      instruction with no lane never issues.
 
     Mirroring the static checker's severities and end-state checks is
     what makes the differential gate meaningful: for every mutation
@@ -65,7 +67,13 @@ type state = {
   mutable executed : int;
   mutable findings_rev : Finding.t list;
   seen : (string, unit) Hashtbl.t;  (* dedup key -> () *)
+  tokens : int array;
+      (* each set's token, the setter's clock when it issued: set [i]'s
+         at [i * Pipe.count] *)
 }
+
+(* [tokens], reused per domain *)
+let tokens_buf = Ascend_util.Scratch.create 0
 
 let shadow_key buf slot = (slot * Buffer_id.count) + Buffer_id.index buf
 
@@ -187,8 +195,8 @@ let check_access st ~pipe ~index (a : Instruction.access) =
   end
 
 (* the sanitizer's side of {!Dispatch}: every issue ticks the pipe's
-   own clock component, a set's token is its clock, a wait joins the
-   token in, and a barrier joins every pipe's clock *)
+   own clock component, a set's token is a copy of its clock, a wait
+   joins the token in, and a barrier joins every pipe's clock *)
 let hooks st =
   let tick p =
     st.clock.(p).(p) <- st.clock.(p).(p) + 1;
@@ -197,7 +205,12 @@ let hooks st =
   {
     Dispatch.issue =
       (fun pipe index instr ->
-        tick (Pipe.index pipe);
+        let p = Pipe.index pipe in
+        tick p;
+        (match instr with
+        | Instruction.Set_flag _ ->
+          Array.blit st.clock.(p) 0 st.tokens (index * Pipe.count) Pipe.count
+        | _ -> ());
         let accesses = Instruction.accesses instr in
         (* reads of an instruction logically precede its writes *)
         List.iter
@@ -208,14 +221,14 @@ let hooks st =
           (fun (a : Instruction.access) ->
             if a.Instruction.kind = Write then check_access st ~pipe ~index a)
           accesses);
-    post = (fun pipe -> Array.copy st.clock.(Pipe.index pipe));
     take =
-      (fun pipe _ _ setter_vc ->
+      (fun pipe _ _ set ->
         let p = Pipe.index pipe in
         tick p;
-        Array.iteri
-          (fun i v -> if v > st.clock.(p).(i) then st.clock.(p).(i) <- v)
-          setter_vc);
+        for i = 0 to Pipe.count - 1 do
+          let v = st.tokens.((set * Pipe.count) + i) in
+          if v > st.clock.(p).(i) then st.clock.(p).(i) <- v
+        done);
     arrive = (fun _ _ -> ());
     release =
       (fun _ ->
@@ -288,6 +301,8 @@ let end_state_findings st (program : Program.t) leftover =
   leaks @ peaks
 
 let run (config : Config.t) (program : Program.t) =
+  let s = Program.sync program in
+  let malformed = Ascend_verify.structural_findings s in
   let st =
     {
       config;
@@ -297,16 +312,11 @@ let run (config : Config.t) (program : Program.t) =
       executed = 0;
       findings_rev = [];
       seen = Hashtbl.create 32;
+      tokens =
+        Ascend_util.Scratch.get tokens_buf (s.Program.length * Pipe.count);
     }
   in
-  let o = Dispatch.run (hooks st) program in
-  let malformed =
-    List.map
-      (fun index ->
-        Finding.make ~index Finding.Malformed
-          "instruction maps to no pipe (illegal MTE move)")
-      o.Dispatch.unmapped
-  in
+  let o = Dispatch.run (hooks st) s in
   let deadlocks =
     match o.Dispatch.stuck with
     | None -> []
@@ -322,5 +332,4 @@ let run (config : Config.t) (program : Program.t) =
   in
   { findings; instructions_executed = st.executed }
 
-let errors (r : report) = List.filter Finding.is_error r.findings
 let clean (r : report) = r.findings = []

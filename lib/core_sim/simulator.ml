@@ -45,7 +45,13 @@ type sim_state = {
   (* obs process lane for this run; -1 when no collector is installed,
      which keeps every emission below a dead branch (zero allocation) *)
   obs_pid : int;
+  finish : int array;
+      (* completion cycle by program index, read back for a set: its
+         wait's token *)
 }
+
+(* [finish], reused per domain *)
+let finish_buf = Ascend_util.Scratch.create 0
 
 let account_traffic st instr =
   let add_read buf bytes =
@@ -133,6 +139,7 @@ let obs_span st ~pipe ~start ~finish instr =
 let complete st pipe ~index ~start ~finish instr =
   let p = Pipe.index pipe in
   st.pipe_time.(p) <- finish;
+  st.finish.(index) <- finish;
   st.busy.(p) <- st.busy.(p) + (finish - start);
   st.count.(p) <- st.count.(p) + 1;
   push_trace st ~index ~pipe ~start_cycle:start ~end_cycle:finish instr;
@@ -156,10 +163,11 @@ let hooks st =
         complete st pipe ~index ~start
           ~finish:(start + Latency.instruction st.config instr)
           instr);
-    post = (fun pipe -> st.pipe_time.(Pipe.index pipe));
     take =
-      (fun pipe index instr set_time ->
-        let start = max (max st.pipe_time.(Pipe.index pipe) index) set_time in
+      (fun pipe index instr set ->
+        let start =
+          max (max st.pipe_time.(Pipe.index pipe) index) st.finish.(set)
+        in
         complete st pipe ~index ~start ~finish:(start + 1) instr);
     arrive =
       (fun pipe id ->
@@ -178,6 +186,7 @@ let run ?(trace = false) config (program : Program.t) =
   match Program.validate config program with
   | Error e -> Error (Printf.sprintf "validation: %s" e)
   | Ok () ->
+    let s = Program.sync program in
     let obs_pid =
       if not (Obs.Hook.enabled ()) then -1
       else begin
@@ -204,9 +213,10 @@ let run ?(trace = false) config (program : Program.t) =
         trace_rev = [];
         keep_trace = trace;
         obs_pid;
+        finish = Ascend_util.Scratch.get finish_buf s.Program.length;
       }
     in
-    match (Dispatch.run (hooks st) program).Dispatch.stuck with
+    match (Dispatch.run (hooks st) s).Dispatch.stuck with
     | Some stuck -> Error (Printf.sprintf "deadlock: %s" stuck)
     | None ->
       let total_cycles = Array.fold_left max 0 st.pipe_time in
@@ -238,17 +248,6 @@ let seconds (config : Config.t) r =
   Ascend_util.Units.seconds_of_cycles ~cycles:r.total_cycles
     ~frequency_ghz:config.frequency_ghz
 
-let average_power_w config r =
-  let t = seconds config r in
-  let leakage =
-    0.1
-    *. (Silicon.cube_power_w ~precision:config.Config.native_precision
-          config.Config.cube ~frequency_ghz:config.Config.frequency_ghz
-       +. Silicon.vector_power_w ~width_bytes:config.Config.vector_width_bytes
-            ~frequency_ghz:config.Config.frequency_ghz)
-  in
-  if t <= 0. then leakage else (r.energy_j /. t) +. leakage
-
 let l1_read_bits_per_cycle r =
   if r.total_cycles = 0 then 0.
   else
@@ -260,22 +259,3 @@ let l1_write_bits_per_cycle r =
   else
     float_of_int ((traffic r Buffer_id.L1).written_bytes * 8)
     /. float_of_int r.total_cycles
-
-let pp_report ppf r =
-  Format.fprintf ppf "cycles: %d, energy: %.3f mJ, MACs: %d@." r.total_cycles
-    (r.energy_j *. 1e3) r.cube_macs_executed;
-  List.iter
-    (fun p ->
-      let s = pipe_stats r p in
-      if s.instruction_count > 0 then
-        Format.fprintf ppf "  %-5s %6d instr, busy %8d cyc (%.1f%%)@."
-          (Pipe.name p) s.instruction_count s.busy_cycles
-          (100. *. utilization r p))
-    Pipe.all;
-  List.iter
-    (fun b ->
-      let t = traffic r b in
-      if t.read_bytes > 0 || t.written_bytes > 0 then
-        Format.fprintf ppf "  %-4s read %10d B, written %10d B@."
-          (Buffer_id.name b) t.read_bytes t.written_bytes)
-    Buffer_id.all

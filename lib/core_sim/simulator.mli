@@ -45,12 +45,7 @@ val utilization : report -> Ascend_isa.Pipe.t -> float
 
 val seconds : Ascend_arch.Config.t -> report -> float
 
-val average_power_w : Ascend_arch.Config.t -> report -> float
-(** energy / time, plus the configuration's leakage floor. *)
-
 val l1_read_bits_per_cycle : report -> float
 (** L1 bytes read (into L0) * 8 / total cycles — Figure 9's y-axis. *)
 
 val l1_write_bits_per_cycle : report -> float
-
-val pp_report : Format.formatter -> report -> unit

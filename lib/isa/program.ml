@@ -18,28 +18,142 @@ let merge_peaks a b =
 
 let max_flag = 63
 
-(* Net flag balance per (from_pipe, to_pipe, flag) triple: sets minus
-   waits.  A positive entry means the program ends with that flag still
-   set — it leaks state into whatever runs next on the core. *)
-let flag_leaks t =
-  let tbl : (Pipe.t * Pipe.t * int, int) Hashtbl.t = Hashtbl.create 16 in
-  let bump key d =
-    let cur = match Hashtbl.find_opt tbl key with Some v -> v | None -> 0 in
-    Hashtbl.replace tbl key (cur + d)
+type sync = {
+  length : int;
+  instrs : Instruction.t array;
+  lane : int array;
+  set_of : int array;
+  used : int array;
+  buckets : buckets;
+}
+
+(* bucket [2j] holds the sets of triple [used.(j)] and bucket [2j + 1]
+   its waits: bucket [b] is [members.(start.(b))] up to
+   [members.(start.(b + 1) - 1)] *)
+and buckets = { members : int array; start : int array }
+
+let every_lane = -2
+let flags_per_pair = max_flag + 1
+let triples = Pipe.count * Pipe.count * flags_per_pair
+let pipes = Array.of_list Pipe.all
+
+let triple t =
+  let pair = t / flags_per_pair in
+  (pipes.(pair / Pipe.count), pipes.(pair mod Pipe.count), t mod flags_per_pair)
+
+let sets s j = s.buckets.start.((2 * j) + 1) - s.buckets.start.(2 * j)
+let waits s j = s.buckets.start.((2 * j) + 2) - s.buckets.start.((2 * j) + 1)
+let set s j k = s.buckets.members.(s.buckets.start.(2 * j) + k)
+let wait s j k = s.buckets.members.(s.buckets.start.((2 * j) + 1) + k)
+
+(* the decode's arrays, reused per domain.  [count] holds each bucket's
+   size by triple id while a decode runs and is all zero between
+   decodes; [slot] maps a used triple's id to its position in [used] *)
+let instrs_buf = Ascend_util.Scratch.create Instruction.Barrier
+let lane_buf = Ascend_util.Scratch.create 0
+let set_of_buf = Ascend_util.Scratch.create 0
+let members_buf = Ascend_util.Scratch.create 0
+let start_buf = Ascend_util.Scratch.create 0
+let used_buf = Ascend_util.Scratch.create 0
+let count_buf = Ascend_util.Scratch.create 0
+let slot_buf = Ascend_util.Scratch.create 0
+
+let sync t =
+  let n = List.length t.instructions in
+  let instrs = Ascend_util.Scratch.get instrs_buf n in
+  let lane = Ascend_util.Scratch.get lane_buf n in
+  let set_of = Ascend_util.Scratch.get set_of_buf n in
+  let count = Ascend_util.Scratch.get count_buf (2 * triples) in
+  let used = Ascend_util.Scratch.get used_buf triples in
+  let n_used = ref 0 in
+  (* the lane of a set ([role] 0), which issues on [from_pipe], or of a
+     wait (1), which blocks [to_pipe]; its bucket [2 * triple + role]
+     waits in [set_of] until placed *)
+  let flag i from_pipe to_pipe flag role =
+    if flag < 0 || flag > max_flag then -1
+    else begin
+      let t =
+        (((Pipe.index from_pipe * Pipe.count) + Pipe.index to_pipe)
+        * flags_per_pair)
+        + flag
+      in
+      if count.(2 * t) + count.((2 * t) + 1) = 0 then begin
+        used.(!n_used) <- t;
+        incr n_used
+      end;
+      count.((2 * t) + role) <- count.((2 * t) + role) + 1;
+      set_of.(i) <- (2 * t) + role;
+      Pipe.index (if role = 0 then from_pipe else to_pipe)
+    end
   in
-  List.iter
-    (fun instr ->
-      match instr with
-      | Instruction.Set_flag { from_pipe; to_pipe; flag } ->
-        bump (from_pipe, to_pipe, flag) 1
-      | Instruction.Wait_flag { from_pipe; to_pipe; flag } ->
-        bump (from_pipe, to_pipe, flag) (-1)
-      | _ -> ())
-    t.instructions;
-  Hashtbl.fold
-    (fun (f, p, flag) net acc -> if net > 0 then (f, p, flag, net) :: acc else acc)
-    tbl []
-  |> List.sort compare
+  let rec walk i = function
+    | [] -> ()
+    | instr :: rest ->
+      instrs.(i) <- instr;
+      set_of.(i) <- -1;
+      lane.(i) <-
+        (match instr with
+        | Instruction.Barrier -> every_lane
+        | Instruction.Set_flag { from_pipe; to_pipe; flag = f } ->
+          flag i from_pipe to_pipe f 0
+        | Instruction.Wait_flag { from_pipe; to_pipe; flag = f } ->
+          flag i from_pipe to_pipe f 1
+        | _ -> (
+          match Instruction.pipe_of instr with
+          | Some p -> Pipe.index p
+          | None -> -1));
+      walk (i + 1) rest
+  in
+  walk 0 t.instructions;
+  let used = Array.sub used 0 !n_used in
+  Array.sort Int.compare used;
+  (* counting sort over the used triples' buckets: [start.(b)] ends
+     bucket [b], and placing members last to first leaves it at the
+     bucket's beginning *)
+  let start = Ascend_util.Scratch.get start_buf ((2 * !n_used) + 1) in
+  let slot = Ascend_util.Scratch.get slot_buf triples in
+  let total = ref 0 in
+  Array.iteri
+    (fun j t ->
+      slot.(t) <- j;
+      for role = 0 to 1 do
+        total := !total + count.((2 * t) + role);
+        count.((2 * t) + role) <- 0;
+        start.((2 * j) + role) <- !total
+      done)
+    used;
+  start.(2 * !n_used) <- !total;
+  let members = Ascend_util.Scratch.get members_buf !total in
+  for i = n - 1 downto 0 do
+    let b = set_of.(i) in
+    if b >= 0 then begin
+      let b = (2 * slot.(b / 2)) + (b land 1) in
+      start.(b) <- start.(b) - 1;
+      members.(start.(b)) <- i;
+      set_of.(i) <- -1
+    end
+  done;
+  let s =
+    { length = n; instrs; lane; set_of; used; buckets = { members; start } }
+  in
+  (* the k-th wait of each triple is released by its k-th set *)
+  for j = 0 to !n_used - 1 do
+    for k = 0 to Int.min (sets s j) (waits s j) - 1 do
+      set_of.(wait s j k) <- set s j k
+    done
+  done;
+  s
+
+let flag_leaks t =
+  let s = sync t in
+  let leaks = ref [] in
+  for j = Array.length s.used - 1 downto 0 do
+    let net = sets s j - waits s j in
+    if net > 0 then
+      let f, to_, flag = triple s.used.(j) in
+      leaks := (f, to_, flag, net) :: !leaks
+  done;
+  !leaks
 
 let concat ~name parts =
   List.iter
@@ -96,111 +210,62 @@ let derived_buffer_peak t =
       | _ -> None)
     Buffer_id.all
 
-(* (from, to, flag) triples in that order, numbered from 0 *)
-let flags_per_pair = max_flag + 1
-let n_triples = Pipe.count * Pipe.count * flags_per_pair
-
-let triple_index from_pipe to_pipe flag =
-  (((Pipe.index from_pipe * Pipe.count) + Pipe.index to_pipe) * flags_per_pair)
-  + flag
-
-let pipes = Array.of_list Pipe.all
-
-(* [validate]'s per-domain counters: triple [k]'s sets at [2k], its
-   waits at [2k + 1] *)
-let flag_counts = Ascend_util.Scratch.create 0
-
 let validate (config : Ascend_arch.Config.t) t =
   let module I = Instruction in
   let err fmt = Printf.ksprintf (fun s -> Error s) fmt in
-  (* pipe mapping *)
-  let rec check_pipes i = function
-    | [] -> Ok ()
-    | instr :: rest -> (
-      match instr with
-      | I.Barrier -> check_pipes (i + 1) rest
-      | _ -> (
-        match I.pipe_of instr with
-        | Some _ -> check_pipes (i + 1) rest
-        | None -> err "instruction %d: no pipe (illegal MTE move)" i))
+  let ( let* ) = Result.bind in
+  (* the first error [check] gives over [i, n) *)
+  let rec first n check i =
+    if i = n then Ok ()
+    else match check i with Ok () -> first n check (i + 1) | e -> e
   in
-  (* flag ids in range (the first offender is named), then balance: sets
-     must cover waits per triple over the whole program *)
-  let check_flags () =
-    let rec range = function
-      | [] -> Ok ()
-      | (I.Set_flag { flag; _ } | I.Wait_flag { flag; _ }) :: _
-        when flag < 0 || flag > max_flag ->
-        err "flag id %d out of range" flag
-      | _ :: rest -> range rest
-    in
-    match range t.instructions with
-    | Error _ as e -> e
-    | Ok () ->
-      let counts = Ascend_util.Scratch.get flag_counts (2 * n_triples) in
-      Array.fill counts 0 (2 * n_triples) 0;
-      let bump slot = counts.(slot) <- counts.(slot) + 1 in
-      List.iter
-        (function
-          | I.Set_flag { from_pipe; to_pipe; flag } ->
-            bump (2 * triple_index from_pipe to_pipe flag)
-          | I.Wait_flag { from_pipe; to_pipe; flag } ->
-            bump ((2 * triple_index from_pipe to_pipe flag) + 1)
-          | _ -> ())
-        t.instructions;
-      (* the first unbalanced triple in (from, to, flag) order *)
-      let rec first k =
-        if k = n_triples then Ok ()
+  let s = sync t in
+  (* an instruction with no lane: an illegal move, then a set or wait
+     with an out-of-range flag id *)
+  let laneless ~flags i =
+    if s.lane.(i) <> -1 then Ok ()
+    else
+      match s.instrs.(i) with
+      | I.Set_flag { flag; _ } | I.Wait_flag { flag; _ } ->
+        if flags then err "flag id %d out of range" flag else Ok ()
+      | _ ->
+        if flags then Ok ()
+        else err "instruction %d: no pipe (illegal MTE move)" i
+  in
+  let* () = first s.length (laneless ~flags:false) 0 in
+  let* () = first s.length (laneless ~flags:true) 0 in
+  let* () =
+    first (Array.length s.used)
+      (fun j ->
+        if waits s j <= sets s j then Ok ()
         else
-          let sets = counts.(2 * k) and waits = counts.((2 * k) + 1) in
-          if waits > sets then
-            let pair = k / flags_per_pair in
-            err "flag %s->%s #%d: %d waits but only %d sets"
-              (Pipe.name pipes.(pair / Pipe.count))
-              (Pipe.name pipes.(pair mod Pipe.count))
-              (k mod flags_per_pair) waits sets
-          else first (k + 1)
-      in
-      first 0
+          let f, to_, flag = triple s.used.(j) in
+          err "flag %s->%s #%d: %d waits but only %d sets" (Pipe.name f)
+            (Pipe.name to_) flag (waits s j) (sets s j))
+      0
   in
-  let check_buffers () =
-    List.fold_left
-      (fun acc (buf, bytes) ->
-        match acc with
-        | Error _ as e -> e
-        | Ok () -> (
-          match Buffer_id.capacity_bytes config buf with
-          | None -> Ok ()
-          | Some cap ->
-            if bytes > cap then
-              err "buffer %s: peak %d B exceeds capacity %d B"
-                (Buffer_id.name buf) bytes cap
-            else Ok ()))
-      (Ok ()) t.buffer_peak
+  let* () =
+    List.find_map
+      (fun (buf, bytes) ->
+        match Buffer_id.capacity_bytes config buf with
+        | Some cap when bytes > cap ->
+          Some
+            (err "buffer %s: peak %d B exceeds capacity %d B"
+               (Buffer_id.name buf) bytes cap)
+        | _ -> None)
+      t.buffer_peak
+    |> Option.value ~default:(Ok ())
   in
-  let check_precisions () =
-    List.fold_left
-      (fun acc instr ->
-        match (acc, instr) with
-        | (Error _ as e), _ -> e
-        | Ok (), I.Cube_matmul { precision; _ } ->
-          if Ascend_arch.Config.supports config precision then Ok ()
-          else
-            err "cube precision %s unsupported on %s"
-              (Ascend_arch.Precision.name precision)
-              config.name
-        | Ok (), _ -> Ok ())
-      (Ok ()) t.instructions
-  in
-  match check_pipes 0 t.instructions with
-  | Error _ as e -> e
-  | Ok () -> (
-    match check_flags () with
-    | Error _ as e -> e
-    | Ok () -> (
-      match check_buffers () with
-      | Error _ as e -> e
-      | Ok () -> check_precisions ()))
+  first s.length
+    (fun i ->
+      match s.instrs.(i) with
+      | I.Cube_matmul { precision; _ }
+        when not (Ascend_arch.Config.supports config precision) ->
+        err "cube precision %s unsupported on %s"
+          (Ascend_arch.Precision.name precision)
+          config.name
+      | _ -> Ok ())
+    0
 
 let stats t =
   let counts = Array.make Pipe.count 0 in

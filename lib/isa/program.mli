@@ -18,11 +18,63 @@ val length : t -> int
 val max_flag : int
 (** Largest legal flag id per (from, to) pipe pair. *)
 
+(** {1 Synchronisation decode}
+
+    Flags and barriers are the only order between pipes (paper Figure
+    3).  All sets of a [(from, to, flag)] triple issue on [from] and all
+    its waits block [to], each in program order, so the k-th wait is
+    released by exactly the k-th set.  [sync] decodes this once for the
+    issue engine, the happens-before graph, validation and the leak
+    checks. *)
+
+type sync = {
+  length : int;  (** instructions; the arrays below may be longer *)
+  instrs : Instruction.t array;
+  lane : int array;
+      (** per instruction: its pipe's index, [every_lane] for a barrier,
+          or -1 for an illegal MTE move and for a set or wait whose flag
+          id is outside [[0, max_flag]]: these never issue and order
+          nothing *)
+  set_of : int array;
+      (** per wait: the set that releases it, its triple's k-th set for
+          its k-th wait; -1 for a wait past its triple's sets and for
+          every other instruction *)
+  used : int array;
+      (** the triple ids with a set or a wait, ascending; [j] below
+          indexes it *)
+  buckets : buckets;
+}
+
+and buckets
+(** each used triple's sets and waits, in program order *)
+
+val every_lane : int
+
+val triple : int -> Pipe.t * Pipe.t * int
+(** The [(from, to, flag)] of a triple id; ids follow that order. *)
+
+val sync : t -> sync
+(** One pass and a counting sort over the triples in use.  The arrays
+    are the calling domain's reusable buffers: use a decode before the
+    next [sync] on that domain ([flag_leaks], [concat] and [validate]
+    call it too). *)
+
+val sets : sync -> int -> int
+(** [sets s j]: how many sets triple [used.(j)] has; [waits] alike. *)
+
+val waits : sync -> int -> int
+
+val set : sync -> int -> int -> int
+(** [set s j k]: the program index of triple [used.(j)]'s [k]-th set;
+    [wait] alike. *)
+
+val wait : sync -> int -> int -> int
+
 val flag_leaks : t -> (Pipe.t * Pipe.t * int * int) list
-(** Flags whose sets outnumber their waits over the whole program, as
-    [(from, to, flag, net)] with [net > 0].  A leaky program corrupts
-    sequential composition: the leftover set satisfies a wait in the
-    next part.  Empty for flag-clean programs. *)
+(** Triples whose sets outnumber their waits over the whole program, as
+    [(from, to, flag, net)] with [net > 0], in [(from, to, flag)] order.
+    A leaky program corrupts sequential composition: the leftover set
+    satisfies a wait in the next part.  Empty for flag-clean programs. *)
 
 val concat : name:string -> t list -> t
 (** Sequential composition separated by barriers; buffer peaks take the
@@ -48,7 +100,8 @@ val validate : Ascend_arch.Config.t -> t -> (unit, string) result
 
     The error names the first offender: the first unmapped
     instruction, the first out-of-range flag id in program order, or
-    the first unbalanced triple in [(from, to, flag)] order.
+    the first unbalanced triple in [(from, to, flag)] order, all read
+    off [sync].
 
     The full happens-before / hazard / peak / leak analysis is
     [Ascend_verify.analyze]. *)

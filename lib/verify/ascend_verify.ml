@@ -141,63 +141,56 @@ let peak_findings (config : Ascend_arch.Config.t) (p : Program.t) =
     (List.filter (fun b -> not (Buffer_id.equal b Buffer_id.External))
        Buffer_id.all)
 
-let leak_findings (p : Program.t) =
-  List.map
-    (fun (f, to_, flag, net) ->
-      let last_set =
-        let best = ref None in
-        List.iteri
-          (fun i instr ->
-            match instr with
-            | Instruction.Set_flag { from_pipe; to_pipe; flag = fl }
-              when Pipe.equal from_pipe f && Pipe.equal to_pipe to_ && fl = flag
-              ->
-              best := Some i
-            | _ -> ())
-          p.Program.instructions;
-        !best
-      in
-      Finding.make ?index:last_set ~pipe:f Finding.Flag_leak
-        (Printf.sprintf
-           "flag %s->%s #%d ends the program with %d set(s) never consumed; \
-            a following program's first wait on this triple would pass \
-            spuriously"
-           (Pipe.name f) (Pipe.name to_) flag net))
-    (Program.flag_leaks p)
+(* triples whose sets outnumber their waits, each at its last set *)
+let leak_findings (s : Program.sync) =
+  let findings = ref [] in
+  for j = Array.length s.used - 1 downto 0 do
+    let sets = Program.sets s j in
+    let net = sets - Program.waits s j in
+    if net > 0 then
+      let f, to_, flag = Program.triple s.used.(j) in
+      findings :=
+        Finding.make
+          ~index:(Program.set s j (sets - 1))
+          ~pipe:f Finding.Flag_leak
+          (Printf.sprintf
+             "flag %s->%s #%d ends the program with %d set(s) never \
+              consumed; a following program's first wait on this triple \
+              would pass spuriously"
+             (Pipe.name f) (Pipe.name to_) flag net)
+        :: !findings
+  done;
+  !findings
 
-let structural_findings (p : Program.t) =
-  List.concat
-    (List.mapi
-       (fun i instr ->
-         match instr with
-         | Instruction.Barrier -> []
-         | Instruction.Set_flag { flag; _ } | Instruction.Wait_flag { flag; _ }
-           when flag < 0 || flag > Program.max_flag ->
-           [
-             Finding.make ~index:i Finding.Malformed
-               (Printf.sprintf "flag id %d out of range 0..%d" flag
-                  Program.max_flag);
-           ]
-         | _ -> (
-           match Instruction.pipe_of instr with
-           | Some _ -> []
-           | None ->
-             [
-               Finding.make ~index:i Finding.Malformed
-                 "instruction maps to no pipe (illegal MTE move)";
-             ]))
-       p.Program.instructions)
+(* the instructions with no lane: illegal moves and out-of-range flag
+   ids.  The sanitizer reports the same findings. *)
+let structural_findings (s : Program.sync) =
+  let findings = ref [] in
+  for i = s.length - 1 downto 0 do
+    if s.lane.(i) = -1 then
+      findings :=
+        Finding.make ~index:i Finding.Malformed
+          (match s.instrs.(i) with
+          | Instruction.Set_flag { flag; _ } | Instruction.Wait_flag { flag; _ }
+            ->
+            Printf.sprintf "flag id %d out of range 0..%d" flag
+              Program.max_flag
+          | _ -> "instruction maps to no pipe (illegal MTE move)")
+        :: !findings
+  done;
+  !findings
 
 (* ------------------------------------------------------------------ *)
 
 let analyze (config : Ascend_arch.Config.t) (p : Program.t) =
-  let structural = structural_findings p in
-  let g = Hb.build p.Program.instructions in
+  let s = Program.sync p in
+  let structural = structural_findings s in
+  let g = Hb.build s in
   let deadlocks = g.Hb.findings in
   (* hazard results are only meaningful on a deadlock-free graph: stuck
      instructions never execute, so racing with them is moot *)
   let hazards = if deadlocks = [] then hazard_findings g else [] in
-  structural @ deadlocks @ hazards @ peak_findings config p @ leak_findings p
+  structural @ deadlocks @ hazards @ peak_findings config p @ leak_findings s
 
 let errors findings = List.filter Finding.is_error findings
 

@@ -24,9 +24,6 @@ type 'a t = {
   findings : Finding.t list;
 }
 
-(* the lane of a barrier, which joins and restarts every lane *)
-let every_lane = -2
-
 (* The clock array and the construction temporaries, reused per domain.
    As a fresh block per build, the clock array alone raised a serial
    `lint --all`'s peak RSS from 381 to 468 MiB on a 2-vCPU host.  Each
@@ -35,15 +32,15 @@ let vc_buf = Scratch.create 0
 let indeg_buf = Scratch.create 0
 let first_buf = Scratch.create 0
 let succ_buf = Scratch.create 0
-let flag_succ_buf = Scratch.create 0
 let unsat_buf = Scratch.create false
 
 (* The pass.  [lane.(i)] is node [i]'s lane in [0, lanes), -1 for none
-   or [every_lane]; each lane is chained in listing order.  [edges f]
-   calls [f a b] for every front-end edge [a -> b], the same edges in the
-   same order each time: the pass calls it twice, once to count and once
-   to fill.  A [pinned] node keeps a phantom in-degree, so the pass never
-   reaches it, and every node left unprocessed is transitively stuck.
+   or [Program.every_lane] for a barrier; each lane is chained in
+   listing order.  [edges f] calls [f a b] for every front-end edge
+   [a -> b], the same edges in the same order each time: the pass calls
+   it twice, once to count and once to fill.  A [pinned] node keeps a
+   phantom in-degree, so the pass never reaches it, and every node left
+   unprocessed is transitively stuck.
    [vc.(b * lanes + l)] ends as the highest lane-[l] sequence number that
    happens before (or at) node [b]. *)
 let kahn ?pinned ~lanes ~lane nodes edges =
@@ -67,7 +64,7 @@ let kahn ?pinned ~lanes ~lane nodes edges =
     in
     for i = 0 to n - 1 do
       if lane.(i) >= 0 then chain lane.(i) i
-      else if lane.(i) = every_lane then
+      else if lane.(i) = Program.every_lane then
         for l = 0 to lanes - 1 do
           chain l i
         done
@@ -140,117 +137,56 @@ let kahn ?pinned ~lanes ~lane nodes edges =
     findings = [];
   }
 
-let build instrs_list =
-  let instrs = Array.of_list instrs_list in
-  let n = Array.length instrs in
-  let lane = Array.make n (-1) in
-  (* flag instructions per (from, to, flag) triple, newest first *)
-  let sets : (Pipe.t * Pipe.t * int, int list ref) Hashtbl.t =
-    Hashtbl.create 16
-  in
-  let waits : (Pipe.t * Pipe.t * int, int list ref) Hashtbl.t =
-    Hashtbl.create 16
-  in
-  let push tbl key i =
-    match Hashtbl.find_opt tbl key with
-    | Some r -> r := i :: !r
-    | None -> Hashtbl.add tbl key (ref [ i ])
-  in
-  Array.iteri
-    (fun i instr ->
-      (match instr with
-      | Instruction.Set_flag { from_pipe; to_pipe; flag } ->
-        push sets (from_pipe, to_pipe, flag) i
-      | Instruction.Wait_flag { from_pipe; to_pipe; flag } ->
-        push waits (from_pipe, to_pipe, flag) i
-      | _ -> ());
-      match instr with
-      | Instruction.Barrier -> lane.(i) <- every_lane
-      | _ -> (
-        match Instruction.pipe_of instr with
-        | Some p -> lane.(i) <- Pipe.index p
-        | None -> (* an illegal move, reported structurally elsewhere *) ()))
-    instrs;
-  (* flag edges: the k-th set of a triple -> its k-th wait, pairing the
-     two lists in one walk *)
-  let flag_succ = Scratch.get flag_succ_buf n in
-  Array.fill flag_succ 0 n (-1);
+let build (s : Program.sync) =
+  let n = s.length in
+  let instrs = Array.sub s.instrs 0 n in
+  (* waits past their triple's set count can never be satisfied *)
   let unsat = Scratch.get unsat_buf n in
   Array.fill unsat 0 n false;
   let findings = ref [] in
-  Hashtbl.iter
-    (fun ((f, p, flag) as key) wr ->
-      let ss =
-        match Hashtbl.find_opt sets key with
-        | Some sr -> List.rev !sr
-        | None -> []
-      in
-      let n_sets = List.length ss in
-      let rec pair k ss = function
-        | [] -> ()
-        | w :: ws -> (
-          match ss with
-          | s :: ss ->
-            flag_succ.(s) <- w;
-            pair (k + 1) ss ws
-          | [] ->
-            (* wait ordinal k needs k+1 sets; only n_sets exist *)
-            unsat.(w) <- true;
-            findings :=
-              Finding.make ~index:w ~pipe:p Finding.Deadlock
-                (Printf.sprintf
-                   "wait #%d on flag %s->%s #%d is unsatisfiable: it is wait \
-                    %d of this triple but the program only sets it %d time(s)"
-                   w (Pipe.name f) (Pipe.name p) flag (k + 1) n_sets)
-              :: !findings;
-            pair (k + 1) [] ws)
-      in
-      pair 0 ss (List.rev !wr))
-    waits;
+  for j = 0 to Array.length s.used - 1 do
+    let sets = Program.sets s j in
+    for k = sets to Program.waits s j - 1 do
+      let w = Program.wait s j k in
+      let f, p, flag = Program.triple s.used.(j) in
+      unsat.(w) <- true;
+      findings :=
+        Finding.make ~index:w ~pipe:p Finding.Deadlock
+          (Printf.sprintf
+             "wait #%d on flag %s->%s #%d is unsatisfiable: it is wait %d of \
+              this triple but the program only sets it %d time(s)"
+             w (Pipe.name f) (Pipe.name p) flag (k + 1) sets)
+        :: !findings
+    done
+  done;
+  (* flag edges: the k-th set of a triple -> its k-th wait.  A set has
+     at most one, so their order fixes no node's successor order. *)
   let g =
-    kahn ~pinned:unsat ~lanes:Pipe.count ~lane instrs (fun f ->
-        for s = 0 to n - 1 do
-          if flag_succ.(s) >= 0 then f s flag_succ.(s)
+    kahn ~pinned:unsat ~lanes:Pipe.count ~lane:s.lane instrs (fun f ->
+        for j = 0 to Array.length s.used - 1 do
+          for k = 0 to Int.min (Program.sets s j) (Program.waits s j) - 1 do
+            f (Program.set s j k) (Program.wait s j k)
+          done
         done)
   in
-  (* every unprocessed node not explained by an unsatisfiable-ordinal wait
-     is stuck behind one, or part of a cross-pipe wait cycle *)
-  let unexplained =
-    let rec first_wait i =
-      if i >= n then None
-      else if
-        g.stuck.(i)
-        && (not unsat.(i))
-        && match instrs.(i) with Instruction.Wait_flag _ -> true | _ -> false
-      then Some i
-      else first_wait (i + 1)
-    in
-    first_wait 0
-  in
-  (match unexplained with
-  | Some i ->
-    (* does a flag edge from a stuck node target this wait? then it is on
-       (or behind) a genuine cross-pipe cycle rather than queued after an
-       unsatisfiable wait *)
-    let pipe =
+  (* report the first stuck wait that is not pinned: it sits on a
+     cross-pipe wait cycle or behind one.  A stall with no pinned wait
+     has a cycle, and as program-order edges run forward, the cycle
+     enters a wait through a flag edge, so no stall goes unreported *)
+  let rec cycle i =
+    if i < n then
       match instrs.(i) with
-      | Instruction.Wait_flag { to_pipe; _ } -> Some to_pipe
-      | _ -> None
-    in
-    findings :=
-      Finding.make ~index:i ?pipe Finding.Deadlock
-        (Printf.sprintf
-           "wait #%d can never be reached: it sits on a cross-pipe wait \
-            cycle (or behind one) — no interleaving satisfies it" i)
-      :: !findings
-  | None ->
-    (* [findings] holds only unsatisfiable waits so far *)
-    if Array.length g.topo < n && !findings = [] then
-      (* cycle with no wait? cannot happen (program-order edges are
-         acyclic), but stay sound *)
-      findings :=
-        Finding.make Finding.Deadlock
-          "happens-before graph contains a cycle" :: !findings);
+      | Instruction.Wait_flag { to_pipe; _ } when g.stuck.(i) && not unsat.(i)
+        ->
+        findings :=
+          Finding.make ~index:i ~pipe:to_pipe Finding.Deadlock
+            (Printf.sprintf
+               "wait #%d can never be reached: it sits on a cross-pipe wait \
+                cycle (or behind one) — no interleaving satisfies it" i)
+          :: !findings
+      | _ -> cycle (i + 1)
+  in
+  cycle 0;
   { g with findings = List.rev !findings }
 
 let of_deps ?(lanes = 0) ?lane ~id ~deps ~missing ~cycle nodes_list =

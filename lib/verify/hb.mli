@@ -8,18 +8,13 @@
     node's successors visited latest-added first.  Two front ends feed
     it:
 
-    - {!build}, one core program.  Lanes are pipes: the dispatcher
-      distributes instructions to per-pipe queues in program order, so
-      same-pipe instructions execute in listing order, and a
-      {b barrier} joins and restarts every pipe.  {b Flag edges}: the
-      hardware flag is a counting semaphore per
-      [(from_pipe, to_pipe, flag)] triple.  All sets of a triple issue
-      from [from_pipe] in program order and all waits block [to_pipe]
-      in program order, so the k-th wait can proceed exactly when the
-      k-th set has executed — giving the precise edge
-      [set_k -> wait_k].  A wait whose ordinal is >= its triple's total
-      set count can never be satisfied: the pass pins it with a phantom
-      in-degree.  A cycle through flag edges is a cross-pipe deadlock.
+    - {!build}, one core program, read off its
+      {!Ascend_isa.Program.sync} decode.  Lanes are pipes: same-pipe
+      instructions execute in listing order, and a {b barrier} joins
+      and restarts every pipe.  {b Flag edges} run from the k-th set of
+      a triple to its k-th wait.  A wait past its triple's set count can
+      never be satisfied: the pass pins it with a phantom in-degree.  A
+      cycle through flag edges is a cross-pipe deadlock.
     - {!of_deps}, nodes that name the nodes they wait for by id: SoC
       tasks, whose lanes are cores ({!Soc}), and cluster steps, which
       have no lanes ({!Cluster}).
@@ -41,7 +36,9 @@ type 'a t = {
           steps *)
   lane : int array;
       (** lane of each node; negative for none or, for a barrier,
-          every lane *)
+          every lane.  A program graph's is its decode's array, which
+          may be longer and which the next decode on the building
+          domain overwrites. *)
   seq : int array;  (** position within the node's lane; -1 without one *)
   topo : int array;  (** topological order of executable nodes *)
   vc : int array;
@@ -57,11 +54,13 @@ type 'a t = {
           discovery order *)
 }
 
-val build : Ascend_isa.Instruction.t list -> Ascend_isa.Instruction.t t
+val build : Ascend_isa.Program.sync -> Ascend_isa.Instruction.t t
 (** One core program's graph; [findings] is empty iff every instruction
-    is executable.  Total: malformed instructions (unmapped pipes)
-    simply get no lane and are reported by the structural checks
-    elsewhere. *)
+    is executable, and lists the unsatisfiable waits in
+    [(from, to, flag)] order, then any wait cycle.  Total: an
+    instruction with no lane (an illegal move, an out-of-range flag id)
+    is on no lane and orders nothing; the structural check reports
+    it. *)
 
 val of_deps :
   ?lanes:int ->
@@ -74,9 +73,10 @@ val of_deps :
   'a t
 (** The graph of nodes that wait for the nodes whose ids they list:
     node [j] precedes node [i] when [i]'s [deps] name [j]'s [id] (a
-    repeated id names its last node; a node naming itself adds no
-    edge), and each of the [lanes] (default 0) chains its nodes in
-    listing order.  [lane] must map every node into [[0, lanes)].
+    node naming itself adds no edge), and each of the [lanes] (default
+    0) chains its nodes in listing order.  Ids must be distinct, which
+    both callers check first, and [lane] must map every node into
+    [[0, lanes)].
     [findings] holds [missing x d] for every id [d] of node [x] that
     names no node, in listing order, then [cycle stuck] when some nodes
     ([stuck], in listing order) can never execute. *)

@@ -108,7 +108,8 @@ let race_findings (g : task Hb.t) =
    error: the plan cannot execute) and LLC working set per concurrent
    wave (a warning: it executes, but thrashes the shared cache). *)
 
-let capacity_findings (tasks : task array) (p : plan) =
+let capacity_findings (g : task Hb.t) (p : plan) =
+  let tasks = g.Hb.nodes in
   let n = Array.length tasks in
   let findings = ref [] in
   (match p.hbm_bytes with
@@ -166,39 +167,38 @@ let capacity_findings (tasks : task array) (p : plan) =
   (match p.llc_bytes with
   | None -> ()
   | Some cap ->
-    (* ASAP wave levels over the edge set; within a wave at most
+    (* ASAP wave levels along the topological order: one past the
+       task's latest dependency and its same-core predecessor, which
+       the lane chain places just before it.  Within a wave at most
        [cores] tasks run concurrently, so charge the largest [cores]
-       working sets *)
-    let pos_of = Hashtbl.create (2 * n) in
-    Array.iteri (fun i t -> Hashtbl.replace pos_of t.id i) tasks;
-    let level = Array.make n 0 in
-    Array.iteri
-      (fun i (t : task) ->
-        let dep_level =
+       working sets.  A task that never starts joins no wave. *)
+    let level = Hashtbl.create (2 * n) in
+    let core_level = Array.make p.cores (-1) in
+    Array.iter
+      (fun i ->
+        let t = tasks.(i) in
+        let l =
           List.fold_left
             (fun acc d ->
-              match Hashtbl.find_opt pos_of d with
-              | Some j when j < i -> max acc (level.(j) + 1)
-              | _ -> acc)
-            0 t.deps
+              match Hashtbl.find_opt level d with
+              | Some l -> max acc (l + 1)
+              | None -> acc)
+            (core_level.(t.core) + 1)
+            t.deps
         in
-        (* same-core predecessor also precedes *)
-        let core_level = ref dep_level in
-        for j = 0 to i - 1 do
-          if tasks.(j).core = t.core then
-            core_level := max !core_level (level.(j) + 1)
-        done;
-        level.(i) <- !core_level)
-      tasks;
+        core_level.(t.core) <- l;
+        Hashtbl.replace level t.id l)
+      g.Hb.topo;
     let by_level = Hashtbl.create 16 in
-    Array.iteri
-      (fun i (t : task) ->
-        let cur =
-          match Hashtbl.find_opt by_level level.(i) with
-          | Some l -> l
-          | None -> []
-        in
-        Hashtbl.replace by_level level.(i) (t :: cur))
+    Array.iter
+      (fun (t : task) ->
+        match Hashtbl.find_opt level t.id with
+        | None -> ()
+        | Some l ->
+          let cur =
+            match Hashtbl.find_opt by_level l with Some l -> l | None -> []
+          in
+          Hashtbl.replace by_level l (t :: cur))
       tasks;
     let worst = ref 0 and worst_level = ref 0 in
     Hashtbl.iter
@@ -230,16 +230,28 @@ let capacity_findings (tasks : task array) (p : plan) =
 
 (* ------------------------------------------------------------------ *)
 
+(* a task on no core of the plan has no lane, and one that repeats an
+   earlier task's id makes a dependency on that id ambiguous *)
+let malformed_findings (p : plan) =
+  let seen = Hashtbl.create 64 in
+  List.filter_map
+    (fun t ->
+      let repeated = Hashtbl.mem seen t.id in
+      Hashtbl.replace seen t.id ();
+      let malformed fmt =
+        Printf.ksprintf
+          (fun m -> Some (Finding.make ~index:t.id Finding.Malformed m))
+          fmt
+      in
+      if t.core < 0 || t.core >= p.cores then
+        malformed "task %s: core %d out of range [0,%d)" t.tag t.core p.cores
+      else if repeated then malformed "task %s: duplicate task id %d" t.tag t.id
+      else None)
+    p.tasks
+
 let analyze (p : plan) =
-  match List.filter (fun t -> t.core < 0 || t.core >= p.cores) p.tasks with
-  | _ :: _ as outside ->
-    (* a task on no core of the plan has no lane: stop here *)
-    List.map
-      (fun t ->
-        Finding.make ~index:t.id Finding.Malformed
-          (Printf.sprintf "task %s: core %d out of range [0,%d)" t.tag t.core
-             p.cores))
-      outside
+  match malformed_findings p with
+  | _ :: _ as malformed -> malformed
   | [] when p.tasks = [] -> []
   | [] ->
     (* same-core issue order is the lanes, dependencies the edges *)
@@ -268,4 +280,4 @@ let analyze (p : plan) =
     (* race results are only meaningful on an acyclic schedule: a stuck
        task never runs, so racing with it is moot *)
     let races = if g.findings = [] then race_findings g else [] in
-    g.findings @ races @ capacity_findings g.nodes p
+    g.findings @ races @ capacity_findings g p

@@ -8,8 +8,9 @@
     plans from real model graphs; tests build mutated ones by hand.
 
     Reported findings ({!Finding.kind}):
-    - [Malformed] — a task pinned to a core outside [[0, cores)]: one
-      per such task, and no other check runs;
+    - [Malformed] — a task pinned to a core outside [[0, cores)], or
+      reusing an earlier task's id: one per such task, and no other
+      check runs;
     - [Soc_race {dep}] — cross-core RAW/WAR/WAW on overlapping HBM byte
       ranges with no ordering edge; classified against the listing
       order, which is the serial reference schedule;
@@ -19,7 +20,9 @@
       peak live activation regions exceed HBM capacity;
     - [Soc_overcommit {resource="LLC"}] (warning) — the largest
       concurrent per-wave working set (top [cores] tasks of an ASAP
-      wave) exceeds LLC capacity.
+      wave, levelled along the happens-before graph's topological
+      order; a task that never starts joins no wave) exceeds LLC
+      capacity.
 
     Capacity checks only run when the corresponding capacity is [Some];
     the default schedule builder leaves both [None] so the zoo sweep
@@ -36,7 +39,7 @@ type region = { base : int; bytes : int }
     activation arena (planner offsets). *)
 
 type task = {
-  id : int;  (** stable id, referenced by [deps] *)
+  id : int;  (** stable id, referenced by [deps]; distinct per plan *)
   core : int;  (** core the group is pinned to, [0 .. cores-1] *)
   tag : string;  (** fused-group tag, for messages *)
   deps : int list;

@@ -378,6 +378,31 @@ let test_soc_core_out_of_range () =
     [ Some 0; Some 2 ]
     (List.map (fun (f : Finding.t) -> f.Finding.index) fs)
 
+let test_soc_duplicate_ids () =
+  (* r depends on id 0, which both w and x use: one malformed finding for
+     the repeat, and no race read off whichever task the id binds to *)
+  let w = task 0 0 "w" ~writes:[ ("a", region 0 100) ] in
+  let x = task 0 1 "x" in
+  let r = task 2 1 "r" ~deps:[ 0 ] ~reads:[ ("a", region 0 100) ] in
+  let fs = Soc.analyze (plan [ w; x; r ]) in
+  Alcotest.(check (list string)) "malformed, and nothing else"
+    [ "[error] malformed @0: task x: duplicate task id 0" ]
+    (List.map Finding.to_string fs)
+
+let test_soc_llc_waves () =
+  (* A waits for B, so the two never share a wave, whichever is listed
+     first; tasks that never start join no wave *)
+  let a = task 0 0 "A" ~deps:[ 1 ] ~working_set:600 in
+  let b = task 1 1 "B" ~working_set:600 in
+  Alcotest.(check (list string)) "A listed first" []
+    (classes (Soc.analyze (plan ~llc_bytes:1000 [ a; b ])));
+  Alcotest.(check (list string)) "B listed first" []
+    (classes (Soc.analyze (plan ~llc_bytes:1000 [ b; a ])));
+  Alcotest.(check (list string)) "a cycle starts nothing" [ "soc-deadlock" ]
+    (classes
+       (Soc.analyze
+          (plan ~llc_bytes:1 [ a; { b with Soc.deps = [ 0 ] } ])))
+
 let test_soc_overcommit () =
   let w = task 0 0 "p" ~writes:[ ("a", region 0 1000) ] in
   let r = task 1 1 "c" ~deps:[ 0 ] ~reads:[ ("a", region 0 1000) ] in
@@ -464,17 +489,28 @@ let work_on = function
   | Pipe.Mte3 ->
     Instruction.mte_move ~src:Buffer_id.Ub ~dst:Buffer_id.External ~bytes:16 ()
 
+(* an MTE move no pipe carries *)
+let illegal_move =
+  Instruction.Mte_move
+    { src = Buffer_id.L0c; dst = Buffer_id.L0a; bytes = 16;
+      transform = Instruction.Plain; src_slot = 0; dst_slot = 0 }
+
 (* Parts placed at random keys and sorted: work on a pipe, barriers,
-   set/wait pairs on a few triples with the set first (these alone never
-   deadlock) or the wait first (these may form cycles), and lone waits,
-   which can never be satisfied once they outnumber their sets. *)
+   illegal moves, set/wait pairs on a few triples with the set first
+   (these alone never deadlock) or the wait first (these may form
+   cycles), and lone waits, which can never be satisfied once they
+   outnumber their sets.  A few flag ids are out of range: such a set
+   or wait, like an illegal move, is on no lane and orders nothing. *)
 let hb_program_gen =
   let open QCheck.Gen in
   let* k = int_range 2 6 in
   let* order = shuffle_l Pipe.all in
   let pipe = oneofl (List.filteri (fun i _ -> i < k) order) in
   let key = int_bound 999 in
-  let flag_triple = triple pipe pipe (int_bound 1) in
+  let flag_id =
+    frequency [ (12, int_bound 1); (1, return (-1)); (1, return 64) ]
+  in
+  let flag_triple = triple pipe pipe flag_id in
   let pair ~forward =
     map3
       (fun (f, t, flag) a b ->
@@ -488,6 +524,7 @@ let hb_program_gen =
          [
            (4, map2 (fun p at -> [ (at, work_on p) ]) pipe key);
            (1, map (fun at -> [ (at, Instruction.Barrier) ]) key);
+           (1, map (fun at -> [ (at, illegal_move) ]) key);
            (4, pair ~forward:true);
            (1, pair ~forward:false);
            ( 1,
@@ -499,6 +536,16 @@ let hb_program_gen =
   List.concat parts
   |> List.stable_sort (fun (a, _) (b, _) -> compare a b)
   |> List.map snd
+
+let in_range flag = flag >= 0 && flag <= Program.max_flag
+
+(* the pipe an instruction is on: none for an illegal move or a flag id
+   out of range *)
+let lane_of = function
+  | Instruction.Set_flag { flag; _ } | Instruction.Wait_flag { flag; _ }
+    when not (in_range flag) ->
+    None
+  | x -> Instruction.pipe_of x
 
 (* the explicit edge set: per-lane program order with barriers on every
    lane, and the k-th set of a triple to its k-th wait; [unsat] marks the
@@ -514,7 +561,7 @@ let naive_edges (instrs : Instruction.t array) =
           let on_lane =
             match x with
             | Instruction.Barrier -> true
-            | _ -> Instruction.pipe_of x = Some p
+            | _ -> lane_of x = Some p
           in
           if on_lane then begin
             if !prev >= 0 then edges := (!prev, i) :: !edges;
@@ -524,9 +571,9 @@ let naive_edges (instrs : Instruction.t array) =
     Pipe.all;
   let unsat = Array.make n false in
   let flag_of = function
-    | Instruction.Set_flag { from_pipe; to_pipe; flag } ->
+    | Instruction.Set_flag { from_pipe; to_pipe; flag } when in_range flag ->
       Some (`Set, (from_pipe, to_pipe, flag))
-    | Instruction.Wait_flag { from_pipe; to_pipe; flag } ->
+    | Instruction.Wait_flag { from_pipe; to_pipe; flag } when in_range flag ->
       Some (`Wait, (from_pipe, to_pipe, flag))
     | _ -> None
   in
@@ -580,23 +627,26 @@ let reaches edges a b =
   in
   go a
 
+let hb_program =
+  QCheck.make
+    ~print:(fun l ->
+      Format.asprintf "%a" Program.pp (Program.make ~name:"hb" l))
+    hb_program_gen
+
+let hb_of instrs =
+  Verify.Hb.build (Program.sync (Program.make ~name:"hb" instrs))
+
 let hb_naive_prop =
   QCheck.Test.make ~count:500
-    ~name:"Hb: deadlock iff naive Kahn stalls; hb is reachability"
-    (QCheck.make
-       ~print:(fun l ->
-         Format.asprintf "%a" Program.pp (Program.make ~name:"hb" l))
-       hb_program_gen)
+    ~name:"Hb: deadlock iff naive Kahn stalls; hb is reachability" hb_program
     (fun instrs ->
-      let g = Verify.Hb.build instrs in
+      let g = hb_of instrs in
       let a = Array.of_list instrs in
       let n = Array.length a in
       let edges, unsat = naive_edges a in
       let complete = naive_kahn_complete n edges unsat in
       let mapped =
-        List.filter
-          (fun i -> Instruction.pipe_of a.(i) <> None)
-          (List.init n Fun.id)
+        List.filter (fun i -> lane_of a.(i) <> None) (List.init n Fun.id)
       in
       (g.Verify.Hb.findings = []) = complete
       && ((not complete)
@@ -606,6 +656,105 @@ let hb_naive_prop =
                   (fun y -> Verify.Hb.hb g x y = reaches edges x y)
                   mapped)
               mapped))
+
+module Sanitizer = Ascend.Core_sim.Sanitizer
+
+(* the (from, to, flag) a deadlock or leak message names, pipes by name *)
+let flag_named (f : Finding.t) =
+  let m = f.Finding.message in
+  let rec at i = if String.sub m i 5 = "flag " then i else at (i + 1) in
+  let i = at 0 in
+  Scanf.sscanf
+    (String.sub m i (String.length m - i))
+    "flag %s@->%s #%d" (fun a b c -> (a, b, c))
+
+let of_kind k fs = List.filter (fun (f : Finding.t) -> f.Finding.kind = k) fs
+
+let sanitizer_hb_prop =
+  QCheck.Test.make ~count:500
+    ~name:"Sanitizer: deadlock iff Hb finds one; else its leaks are \
+           Program.flag_leaks"
+    hb_program
+    (fun instrs ->
+      let p = Program.make ~name:"hb" instrs in
+      let static = (hb_of instrs).Verify.Hb.findings <> [] in
+      let dynamic = (Sanitizer.run Config.max p).Sanitizer.findings in
+      let leaks =
+        List.map
+          (fun f ->
+            let a, b, c = flag_named f in
+            ( (a, b, c),
+              Scanf.sscanf f.Finding.message "%_s@#%_d ends the replay with %d"
+                Fun.id ))
+          (of_kind Finding.Flag_leak dynamic)
+      in
+      (of_kind Finding.Deadlock dynamic <> []) = static
+      && (static
+         || List.sort compare leaks
+            = List.sort compare
+                (List.map
+                   (fun (f, t, flag, n) ->
+                     ((Pipe.name f, Pipe.name t, flag), n))
+                   (Program.flag_leaks p))))
+
+let test_triple_order () =
+  (* three unsatisfiable triples and three leaking ones, each listed in
+     descending (from, to, flag) order *)
+  let p =
+    Program.make ~name:"order"
+      [
+        set Pipe.Mte3 Pipe.Vector 9;
+        set Pipe.Vector Pipe.Cube 5;
+        set Pipe.Scalar Pipe.Vector 2;
+        wait Pipe.Mte2 Pipe.Mte1 4;
+        wait Pipe.Cube Pipe.Vector 7;
+        wait Pipe.Scalar Pipe.Cube 1;
+      ]
+  in
+  let named k fs = List.map flag_named (of_kind k fs) in
+  let static = Verify.analyze Config.max p in
+  let dynamic = (Sanitizer.run Config.max p).Sanitizer.findings in
+  let leaks = [ ("S", "V", 2); ("V", "M", 5); ("MTE3", "V", 9) ] in
+  Alcotest.(check (list (triple string string int)))
+    "unsatisfiable waits"
+    [ ("S", "M", 1); ("M", "V", 7); ("MTE2", "MTE1", 4) ]
+    (named Finding.Deadlock static);
+  Alcotest.(check (list (triple string string int))) "static leaks" leaks
+    (named Finding.Flag_leak static);
+  Alcotest.(check (list (triple string string int))) "replay leaks" leaks
+    (named Finding.Flag_leak dynamic)
+
+let test_out_of_range_flag () =
+  (* flag 64 is past every pipe pair's 0..63: the pair is malformed in
+     both checkers and orders nothing, so the fill and the drain race *)
+  let mte src dst = Instruction.mte_move ~src ~dst ~bytes:1024 () in
+  let p =
+    Program.make ~name:"flag64"
+      ~buffer_peak:[ (Buffer_id.Ub, 1024) ]
+      [
+        mte Buffer_id.External Buffer_id.Ub;
+        set Pipe.Mte2 Pipe.Mte3 64;
+        wait Pipe.Mte2 Pipe.Mte3 64;
+        mte Buffer_id.Ub Buffer_id.External;
+      ]
+  in
+  let static = Verify.analyze Config.max p in
+  let dynamic = (Sanitizer.run Config.max p).Sanitizer.findings in
+  let malformed fs =
+    List.map Finding.to_string (of_kind Finding.Malformed fs)
+  in
+  Alcotest.(check (list string)) "one finding each for the set and the wait"
+    [
+      "[error] malformed @1: flag id 64 out of range 0..63";
+      "[error] malformed @2: flag id 64 out of range 0..63";
+    ]
+    (malformed static);
+  Alcotest.(check (list string)) "the sanitizer's are the same"
+    (malformed static) (malformed dynamic);
+  Alcotest.(check (list string)) "static: malformed and the race"
+    [ "hazard/RAW"; "malformed" ] (classes static);
+  Alcotest.(check (list string)) "replay: malformed and the race"
+    [ "hazard/RAW"; "malformed" ] (classes dynamic)
 
 (* Random SoC plans over 1-4 cores: dependencies point backward, forward,
    at the task itself (no edge) or at a missing id; footprints come from
@@ -940,14 +1089,21 @@ let () =
           quick "transitive order" test_soc_transitive_order;
           quick "deadlock" test_soc_deadlock;
           quick "core out of range" test_soc_core_out_of_range;
+          quick "duplicate ids" test_soc_duplicate_ids;
           quick "overcommit" test_soc_overcommit;
+          quick "llc waves follow the order" test_soc_llc_waves;
           quick "drop-edge mutation" test_soc_drop_edge_mutation;
         ] );
       ( "finding",
         [ quick "pp and json goldens" test_finding_goldens ] );
       ( "hb",
-        List.map QCheck_alcotest.to_alcotest [ hb_naive_prop; soc_naive_prop ]
-      );
+        List.map QCheck_alcotest.to_alcotest
+          [ hb_naive_prop; sanitizer_hb_prop; soc_naive_prop ] );
+      ( "sync",
+        [
+          quick "triples in (from, to, flag) order" test_triple_order;
+          quick "an out-of-range flag orders nothing" test_out_of_range_flag;
+        ] );
       ( "pin",
         [
           quick "findings and validation" test_findings_pinned;
