@@ -81,9 +81,9 @@ let wait b ~from_pipe ~to_pipe flag =
     emit b (I.wait_flag ~from_pipe ~to_pipe ~flag)
   | Coarse_barriers -> barrier b
 
-(* epilogue: consume every flag still set, so the program composes
-   cleanly under [Program.concat] (a leaked set would satisfy a wait in
-   the next part).  No-op under coarse barriers (no flags exist). *)
+(* epilogue: consume every flag still set, so the program leaks none (a
+   leaked set would satisfy the next program's first wait on its
+   triple).  No-op under coarse barriers (no flags exist). *)
 let drain b =
   Hashtbl.fold (fun key net acc -> (key, net) :: acc) b.nets []
   |> List.sort compare
@@ -404,7 +404,7 @@ let group_program ?(options = default_options) (config : Config.t)
   (* declare exactly the footprint the instruction stream allocates —
      the verifier recomputes the same quantity and cross-checks it *)
   let p = Program.make ~name:group.tag (List.rev b.rev) in
-  { p with Program.buffer_peak = Program.derived_buffer_peak p }
+  { p with Program.buffer_peak = Program.(derived_buffer_peak (sync p)) }
 
 let graph_programs ?options config graph =
   let groups = Fusion.partition graph in

@@ -22,7 +22,7 @@ let div_up = Ascend_util.Stats.divide_round_up
    by Ascend_verify's independent peak recomputation) *)
 let finish ~name instrs =
   let p = Program.make ~name instrs in
-  { p with Program.buffer_peak = Program.derived_buffer_peak p }
+  { p with Program.buffer_peak = Program.(derived_buffer_peak (sync p)) }
 
 (* row-granular streamed kernel: [passes] vector sweeps per chunk of
    whole rows, double-buffered through UB ring slots — input ring 0..1,

@@ -18,26 +18,22 @@
 
 module Graph = Ascend_nn.Graph
 module Soc = Ascend_verify.Soc
-module Instruction = Ascend_isa.Instruction
 module Buffer_id = Ascend_isa.Buffer_id
 module Program = Ascend_isa.Program
 
 let default_cores = 4
 
 (* total External-buffer traffic of a compiled program, from its
-   instruction accesses *)
+   decoded accesses *)
 let external_traffic (p : Program.t) =
-  List.fold_left
-    (fun (r, w) instr ->
-      List.fold_left
-        (fun (r, w) (a : Instruction.access) ->
-          if Buffer_id.equal a.buffer Buffer_id.External then
-            match a.kind with
-            | Instruction.Read -> (r + a.bytes, w)
-            | Instruction.Write -> (r, w + a.bytes)
-          else (r, w))
-        (r, w) (Instruction.accesses instr))
-    (0, 0) p.Program.instructions
+  let s = Program.sync p in
+  let r = ref 0 and w = ref 0 in
+  for a = 0 to Program.first_access s s.Program.length - 1 do
+    if Buffer_id.equal (Program.access_buffer s a) Buffer_id.External then
+      let total = if Program.access_write s a then w else r in
+      total := !total + Program.access_bytes s a
+  done;
+  (!r, !w)
 
 let build ?options ?(cores = default_cores) ?llc_bytes ?hbm_bytes config graph
     =

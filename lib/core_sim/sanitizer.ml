@@ -61,8 +61,9 @@ type slot_shadow = {
 
 type state = {
   config : Config.t;
+  sync : Program.sync;
   clock : int array array;  (* per-pipe vector clock *)
-  shadow : (int, slot_shadow) Hashtbl.t;  (* keyed by [shadow_key] *)
+  shadow : (int, slot_shadow) Hashtbl.t;  (* keyed by [Program.access_key] *)
   live : int array;  (* per-buffer current live footprint sum *)
   mutable executed : int;
   mutable findings_rev : Finding.t list;
@@ -74,8 +75,6 @@ type state = {
 
 (* [tokens], reused per domain *)
 let tokens_buf = Ascend_util.Scratch.create 0
-
-let shadow_key buf slot = (slot * Buffer_id.count) + Buffer_id.index buf
 
 let slot_shadow st key =
   match Hashtbl.find st.shadow key with
@@ -105,70 +104,70 @@ let emit st ?severity ?index ?pipe ?buffer ~slot kind message =
    p's view *)
 let ordered_before st (s : stamp) p = s.clock <= st.clock.(p).(s.pipe)
 
-let check_access st ~pipe ~index (a : Instruction.access) =
-  if not (Buffer_id.equal a.Instruction.buffer Buffer_id.External) then begin
-    let buf = a.Instruction.buffer in
-    let sh = slot_shadow st (shadow_key buf a.Instruction.slot) in
+(* access [a] of the decode, by instruction [index] on [pipe] *)
+let check_access st ~pipe ~index a =
+  let s = st.sync in
+  let buf = Program.access_buffer s a in
+  if not (Buffer_id.equal buf Buffer_id.External) then begin
+    let slot = Program.access_slot s a and bytes = Program.access_bytes s a in
+    let exact = Program.access_exact s a in
+    let sh = slot_shadow st (Program.access_key s a) in
     let pipe_idx = Pipe.index pipe in
     let stamp () =
       { pipe = pipe_idx; clock = st.clock.(pipe_idx).(pipe_idx); index }
     in
-    match a.Instruction.kind with
-    | Instruction.Read ->
+    match Program.access_write s a with
+    | false ->
       (match sh.writer with
       | None ->
-        if a.Instruction.bytes > 0 then
-          emit st ~index ~pipe ~buffer:buf ~slot:a.Instruction.slot
-            Finding.Uninit_read
+        if bytes > 0 then
+          emit st ~index ~pipe ~buffer:buf ~slot Finding.Uninit_read
             (Printf.sprintf
                "instruction %d reads %d B from %s slot %d before any write \
                 established it"
-               index a.Instruction.bytes (Buffer_id.name buf)
-               a.Instruction.slot)
+               index bytes (Buffer_id.name buf) slot)
       | Some w ->
-        if a.Instruction.exact && a.Instruction.bytes > sh.footprint then
-          emit st ~index ~pipe ~buffer:buf ~slot:a.Instruction.slot
-            Finding.Uninit_read
+        if exact && bytes > sh.footprint then
+          emit st ~index ~pipe ~buffer:buf ~slot Finding.Uninit_read
             (Printf.sprintf
                "instruction %d reads %d B from %s slot %d but only %d B were \
                 written"
-               index a.Instruction.bytes (Buffer_id.name buf)
-               a.Instruction.slot sh.footprint);
+               index bytes (Buffer_id.name buf) slot sh.footprint);
         if not (ordered_before st w pipe_idx) then
-          emit st ~index ~pipe ~buffer:buf ~slot:a.Instruction.slot
+          emit st ~index ~pipe ~buffer:buf ~slot
             (Finding.Hazard { dep = "RAW" })
             (Printf.sprintf
                "replay race on %s slot %d: instruction %d reads bytes \
                 instruction %d is writing — no satisfied flag or barrier \
                 orders them"
-               (Buffer_id.name buf) a.Instruction.slot index w.index));
+               (Buffer_id.name buf) slot index w.index));
       sh.readers <- stamp () :: sh.readers
-    | Instruction.Write ->
+    | true ->
       (match sh.writer with
       | Some w when not (ordered_before st w pipe_idx) ->
-        emit st ~index ~pipe ~buffer:buf ~slot:a.Instruction.slot
+        emit st ~index ~pipe ~buffer:buf ~slot
           (Finding.Hazard { dep = "WAW" })
           (Printf.sprintf
              "replay race on %s slot %d: instruction %d overwrites bytes \
               instruction %d is writing — slot reused without a satisfied \
               wait"
-             (Buffer_id.name buf) a.Instruction.slot index w.index)
+             (Buffer_id.name buf) slot index w.index)
       | _ -> ());
       List.iter
         (fun r ->
           if not (ordered_before st r pipe_idx) then
-            emit st ~index ~pipe ~buffer:buf ~slot:a.Instruction.slot
+            emit st ~index ~pipe ~buffer:buf ~slot
               (Finding.Hazard { dep = "WAR" })
               (Printf.sprintf
                  "replay race on %s slot %d: instruction %d overwrites bytes \
                   instruction %d is still reading — slot reused without a \
                   satisfied wait"
-                 (Buffer_id.name buf) a.Instruction.slot index r.index))
+                 (Buffer_id.name buf) slot index r.index))
         sh.readers;
-      if a.Instruction.alloc then begin
+      if Program.access_alloc s a then begin
         let bi = Buffer_id.index buf in
-        st.live.(bi) <- st.live.(bi) - sh.footprint + a.Instruction.bytes;
-        sh.footprint <- a.Instruction.bytes;
+        st.live.(bi) <- st.live.(bi) - sh.footprint + bytes;
+        sh.footprint <- bytes;
         if sh.footprint > sh.max_footprint then
           sh.max_footprint <- sh.footprint;
         (match Buffer_id.capacity_bytes st.config buf with
@@ -182,14 +181,12 @@ let check_access st ~pipe ~index (a : Instruction.access) =
                index)
         | _ -> ())
       end
-      else if a.Instruction.exact && a.Instruction.bytes > sh.footprint then
-        emit st ~index ~pipe ~buffer:buf ~slot:a.Instruction.slot
-          Finding.Slot_overflow
+      else if exact && bytes > sh.footprint then
+        emit st ~index ~pipe ~buffer:buf ~slot Finding.Slot_overflow
           (Printf.sprintf
              "instruction %d writes %d B in place into %s slot %d whose \
               allocating write established only %d B"
-             index a.Instruction.bytes (Buffer_id.name buf)
-             a.Instruction.slot sh.footprint);
+             index bytes (Buffer_id.name buf) slot sh.footprint);
       sh.writer <- Some (stamp ());
       sh.readers <- []
   end
@@ -211,16 +208,11 @@ let hooks st =
         | Instruction.Set_flag _ ->
           Array.blit st.clock.(p) 0 st.tokens (index * Pipe.count) Pipe.count
         | _ -> ());
-        let accesses = Instruction.accesses instr in
-        (* reads of an instruction logically precede its writes *)
-        List.iter
-          (fun (a : Instruction.access) ->
-            if a.Instruction.kind = Read then check_access st ~pipe ~index a)
-          accesses;
-        List.iter
-          (fun (a : Instruction.access) ->
-            if a.Instruction.kind = Write then check_access st ~pipe ~index a)
-          accesses);
+        (* the decode lists an instruction's reads before its writes *)
+        for a = Program.first_access st.sync index
+            to Program.first_access st.sync (index + 1) - 1 do
+          check_access st ~pipe ~index a
+        done);
     take =
       (fun pipe _ _ set ->
         let p = Pipe.index pipe in
@@ -252,26 +244,21 @@ let end_state_findings st (program : Program.t) leftover =
              (Pipe.name f) (Pipe.name t) flag n))
       leftover
   in
+  (* each (buffer, slot) has one shadow entry, so a buffer's peak is the
+     sum of its slots' high-water marks, as in
+     [Program.derived_buffer_peak] *)
+  let shadow_peak = Array.make Buffer_id.count 0 in
+  Hashtbl.iter
+    (fun key (sh : slot_shadow) ->
+      let b = key mod Buffer_id.count in
+      shadow_peak.(b) <- shadow_peak.(b) + sh.max_footprint)
+    st.shadow;
   let peaks =
     List.concat_map
       (fun buf ->
         if Buffer_id.equal buf Buffer_id.External then []
         else begin
-          (* per-slot maxima, matching [Program.derived_buffer_peak] *)
-          let slot_max = Hashtbl.create 8 in
-          Hashtbl.iter
-            (fun key (sh : slot_shadow) ->
-              if key mod Buffer_id.count = Buffer_id.index buf then
-                let slot = key / Buffer_id.count in
-                let cur =
-                  match Hashtbl.find_opt slot_max slot with
-                  | Some v -> v
-                  | None -> 0
-                in
-                if sh.max_footprint > cur then
-                  Hashtbl.replace slot_max slot sh.max_footprint)
-            st.shadow;
-          let shadow_peak = Hashtbl.fold (fun _ v acc -> acc + v) slot_max 0 in
+          let shadow_peak = shadow_peak.(Buffer_id.index buf) in
           let declared =
             match List.assoc_opt buf program.Program.buffer_peak with
             | Some v -> v
@@ -306,6 +293,7 @@ let run (config : Config.t) (program : Program.t) =
   let st =
     {
       config;
+      sync = s;
       clock = Array.init Pipe.count (fun _ -> Array.make Pipe.count 0);
       shadow = Hashtbl.create 64;
       live = Array.make Buffer_id.count 0;

@@ -33,6 +33,7 @@ let external_energy_pj_per_byte = 15.0
 
 type sim_state = {
   config : Config.t;
+  sync : Program.sync;
   pipe_time : int array;
   busy : int array;
   count : int array;
@@ -53,35 +54,16 @@ type sim_state = {
 (* [finish], reused per domain *)
 let finish_buf = Ascend_util.Scratch.create 0
 
-let account_traffic st instr =
-  let add_read buf bytes =
-    let i = Buffer_id.index buf in
-    st.read_bytes.(i) <- st.read_bytes.(i) + bytes
-  in
-  let add_write buf bytes =
-    let i = Buffer_id.index buf in
-    st.written_bytes.(i) <- st.written_bytes.(i) + bytes
-  in
-  match instr with
-  | Instruction.Mte_move { src; dst; bytes; _ } ->
-    add_read src (Instruction.source_bytes instr);
-    add_write dst bytes
-  | Instruction.Vector_op { bytes; reads_ub; writes_ub; _ } ->
-    if reads_ub then add_read Buffer_id.Ub bytes;
-    if writes_ub then add_write Buffer_id.Ub bytes
-  | Instruction.Cube_matmul { m; k; n; precision; accumulate; _ } ->
-    let src = Ascend_arch.Precision.size_bytes precision in
-    let acc =
-      Ascend_arch.Precision.size_bytes (Ascend_arch.Precision.accumulator precision)
-    in
-    add_read Buffer_id.L0a (int_of_float (float_of_int (m * k) *. src));
-    add_read Buffer_id.L0b (int_of_float (float_of_int (k * n) *. src));
-    let out = int_of_float (float_of_int (m * n) *. acc) in
-    add_write Buffer_id.L0c out;
-    if accumulate then add_read Buffer_id.L0c out
-  | Instruction.Scalar_op _ | Instruction.Set_flag _ | Instruction.Wait_flag _
-  | Instruction.Barrier ->
-    ()
+(* per-buffer bytes from instruction [i]'s decoded accesses *)
+let count_traffic st i =
+  let s = st.sync in
+  for a = Program.first_access s i to Program.first_access s (i + 1) - 1 do
+    let b = Buffer_id.index (Program.access_buffer s a) in
+    let bytes = Program.access_bytes s a in
+    if Program.access_write s a then
+      st.written_bytes.(b) <- st.written_bytes.(b) + bytes
+    else st.read_bytes.(b) <- st.read_bytes.(b) + bytes
+  done
 
 let account_energy st instr =
   let pj =
@@ -158,7 +140,7 @@ let hooks st =
     Dispatch.issue =
       (fun pipe index instr ->
         let start = max st.pipe_time.(Pipe.index pipe) index in
-        account_traffic st instr;
+        count_traffic st index;
         account_energy st instr;
         complete st pipe ~index ~start
           ~finish:(start + Latency.instruction st.config instr)
@@ -185,8 +167,7 @@ let hooks st =
 let run ?(trace = false) config (program : Program.t) =
   match Program.validate config program with
   | Error e -> Error (Printf.sprintf "validation: %s" e)
-  | Ok () ->
-    let s = Program.sync program in
+  | Ok s ->
     let obs_pid =
       if not (Obs.Hook.enabled ()) then -1
       else begin
@@ -203,6 +184,7 @@ let run ?(trace = false) config (program : Program.t) =
     let st =
       {
         config;
+        sync = s;
         pipe_time = Array.make Pipe.count 0;
         busy = Array.make Pipe.count 0;
         count = Array.make Pipe.count 0;

@@ -34,8 +34,10 @@ type report = {
 val run :
   ?trace:bool -> Ascend_arch.Config.t -> Ascend_isa.Program.t ->
   (report, string) result
-(** Runs {!Ascend_isa.Program.validate} first; its error comes back as
-    ["validation: ..."], and a run that wedges as ["deadlock: ..."]. *)
+(** Runs {!Ascend_isa.Program.validate} first and dispatches on the
+    decode it returns; its error comes back as ["validation: ..."], and
+    a run that wedges as ["deadlock: ..."].  Buffer traffic sums the
+    decode's accesses. *)
 
 val pipe_stats : report -> Ascend_isa.Pipe.t -> pipe_stats
 val traffic : report -> Ascend_isa.Buffer_id.t -> buffer_traffic

@@ -100,78 +100,46 @@ let source_bytes = function
 
 (* ------------------------------------------------------------------ *)
 (* Abstract buffer accesses: the (buffer, slot) pairs an instruction
-   touches.  A slot stands in for an address range inside the buffer
-   (double-buffering rings rotate through slots); the hazard analysis in
-   Ascend_verify and the derived buffer peaks are both built on this
-   single model.  [alloc] marks the write that establishes a slot's
-   footprint; in-place updates (accumulating matmuls, read-modify-write
-   vector passes on one slot) are writes but not allocations.  [exact]
-   marks accesses whose byte count is a real footprint claim: an
-   in-place vector pass carries a *work* amount (a fused elementwise
-   chain sweeps the same tile several times), so its bytes drive
-   latency and energy but are bounded in memory by the slot's
-   established footprint — the shadow-state sanitizer must not
-   bounds-check them. *)
+   touches, the one model behind the simulator's traffic, the hazard
+   scan, the sanitizer and the derived peaks.  A slot stands in for an
+   address range inside the buffer (double-buffering rings rotate
+   through slots). *)
 
-type access_kind = Read | Write
-
-type access = {
-  buffer : Buffer_id.t;
-  slot : int;
-  bytes : int;
-  kind : access_kind;
-  alloc : bool;
-  exact : bool;
-}
-
-let accesses instr =
+let iter_accesses f instr =
   let bytes_of elems size = int_of_float (ceil (float_of_int elems *. size)) in
   match instr with
   | Mte_move { src; dst; src_slot; dst_slot; bytes; _ } ->
-    [
-      { buffer = src; slot = src_slot; bytes = source_bytes instr; kind = Read;
-        alloc = false; exact = true };
-      { buffer = dst; slot = dst_slot; bytes; kind = Write; alloc = true;
-        exact = true };
-    ]
+    f src ~slot:src_slot ~bytes:(source_bytes instr) ~write:false ~alloc:false
+      ~exact:true;
+    f dst ~slot:dst_slot ~bytes ~write:true ~alloc:true ~exact:true
   | Cube_matmul { m; k; n; precision; accumulate; l0a_slot; l0b_slot; l0c_slot }
     ->
     let src = Ascend_arch.Precision.size_bytes precision in
-    let acc =
-      Ascend_arch.Precision.size_bytes
-        (Ascend_arch.Precision.accumulator precision)
+    let out =
+      bytes_of (m * n)
+        (Ascend_arch.Precision.size_bytes
+           (Ascend_arch.Precision.accumulator precision))
     in
-    let out = bytes_of (m * n) acc in
-    [
-      { buffer = Buffer_id.L0a; slot = l0a_slot; bytes = bytes_of (m * k) src;
-        kind = Read; alloc = false; exact = true };
-      { buffer = Buffer_id.L0b; slot = l0b_slot; bytes = bytes_of (k * n) src;
-        kind = Read; alloc = false; exact = true };
-    ]
-    @ (if accumulate then
-         [ { buffer = Buffer_id.L0c; slot = l0c_slot; bytes = out; kind = Read;
-             alloc = false; exact = true } ]
-       else [])
-    @ [
-        { buffer = Buffer_id.L0c; slot = l0c_slot; bytes = out; kind = Write;
-          alloc = not accumulate; exact = true };
-      ]
+    f Buffer_id.L0a ~slot:l0a_slot ~bytes:(bytes_of (m * k) src) ~write:false
+      ~alloc:false ~exact:true;
+    f Buffer_id.L0b ~slot:l0b_slot ~bytes:(bytes_of (k * n) src) ~write:false
+      ~alloc:false ~exact:true;
+    if accumulate then
+      f Buffer_id.L0c ~slot:l0c_slot ~bytes:out ~write:false ~alloc:false
+        ~exact:true;
+    f Buffer_id.L0c ~slot:l0c_slot ~bytes:out ~write:true
+      ~alloc:(not accumulate) ~exact:true
   | Vector_op { bytes; reads_ub; writes_ub; ub_in_slot; ub_out_slot; _ } ->
-    (* vector bytes are work amounts, never footprint claims: a fused
-       elementwise chain sweeps a tile several times, and a gather reads
-       a small index list while producing a large output *)
-    (if reads_ub then
-       [ { buffer = Buffer_id.Ub; slot = ub_in_slot; bytes; kind = Read;
-           alloc = false; exact = false } ]
-     else [])
-    @
+    (* vector bytes are work amounts, never footprint claims *)
+    if reads_ub then
+      f Buffer_id.Ub ~slot:ub_in_slot ~bytes ~write:false ~alloc:false
+        ~exact:false;
     if writes_ub then
-      [ { buffer = Buffer_id.Ub; slot = ub_out_slot; bytes; kind = Write;
-          (* writing the slot just read is an in-place update *)
-          alloc = (not reads_ub) || ub_out_slot <> ub_in_slot;
-          exact = false } ]
-    else []
-  | Scalar_op _ | Set_flag _ | Wait_flag _ | Barrier -> []
+      f Buffer_id.Ub ~slot:ub_out_slot ~bytes ~write:true
+        (* writing the slot just read is an in-place update *)
+        ~alloc:((not reads_ub) || ub_out_slot <> ub_in_slot)
+        ~exact:false
+  | Scalar_op _ | Set_flag _ | Wait_flag _ | Barrier -> ()
 
 let transform_name = function
   | Plain -> ""

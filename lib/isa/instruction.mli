@@ -80,30 +80,20 @@ val source_bytes : t -> int
 (** Bytes read from the source of an [Mte_move] (differs from [bytes]
     under [Img2col] expansion and [Decompress]); 0 for other forms. *)
 
-type access_kind = Read | Write
-
-type access = {
-  buffer : Buffer_id.t;
-  slot : int;
-  bytes : int;
-  kind : access_kind;
-  alloc : bool;
-      (** true when this write establishes the slot's footprint; false
-          for in-place updates (accumulating matmul, read-modify-write
-          vector pass on a single slot) and for all reads *)
-  exact : bool;
-      (** true when [bytes] is an exact footprint claim the shadow-state
-          sanitizer may bounds-check against the slot's established
-          footprint.  False for every vector-op access, whose [bytes] is
-          a work amount: a fused elementwise chain sweeps the same tile
-          several times, and a gather reads a small index list while
-          producing a large output — the figure drives latency and
-          energy but is bounded in memory by whatever the slot holds *)
-}
-
-val accesses : t -> access list
-(** The abstract (buffer, slot) accesses an instruction performs.
-    Sync and scalar instructions access no buffers. *)
+val iter_accesses :
+  (Buffer_id.t -> slot:int -> bytes:int -> write:bool -> alloc:bool ->
+   exact:bool -> unit) ->
+  t -> unit
+(** [iter_accesses f instr] calls [f] on each (buffer, slot) access
+    [instr] performs, reads before writes, without allocating; sync and
+    scalar instructions access no buffers.  [alloc] marks a write that
+    establishes the slot's footprint (not an in-place update: an
+    accumulating matmul, a vector pass that writes the slot it reads).
+    [exact] marks [bytes] as a footprint claim the sanitizer may
+    bounds-check.  No vector access is exact: its [bytes] is a work
+    amount (a fused elementwise chain sweeps one tile several times, a
+    gather reads a small index list and writes a large output).  This is
+    the one byte model; its readers take it from {!Program.sync}. *)
 
 val pp : Format.formatter -> t -> unit
 (** One-line disassembly. *)

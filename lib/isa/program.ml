@@ -9,13 +9,6 @@ let make ~name ?(buffer_peak = []) instructions =
 
 let length t = List.length t.instructions
 
-let merge_peaks a b =
-  List.fold_left
-    (fun acc (buf, bytes) ->
-      let cur = match List.assoc_opt buf acc with Some v -> v | None -> 0 in
-      (buf, max cur bytes) :: List.remove_assoc buf acc)
-    a b
-
 let max_flag = 63
 
 type sync = {
@@ -25,12 +18,19 @@ type sync = {
   set_of : int array;
   used : int array;
   buckets : buckets;
+  accesses : accesses;
 }
 
 (* bucket [2j] holds the sets of triple [used.(j)] and bucket [2j + 1]
    its waits: bucket [b] is [members.(start.(b))] up to
    [members.(start.(b + 1) - 1)] *)
 and buckets = { members : int array; start : int array }
+
+(* instruction [i]'s accesses are entries [first.(i)] up to
+   [first.(i + 1) - 1]; entry [a] is [entries.(2a)], its slot, buffer
+   index (3 bits) and exact, alloc and write bits, and
+   [entries.(2a + 1)], its bytes *)
+and accesses = { first : int array; entries : int array }
 
 let every_lane = -2
 let flags_per_pair = max_flag + 1
@@ -45,6 +45,16 @@ let sets s j = s.buckets.start.((2 * j) + 1) - s.buckets.start.(2 * j)
 let waits s j = s.buckets.start.((2 * j) + 2) - s.buckets.start.((2 * j) + 1)
 let set s j k = s.buckets.members.(s.buckets.start.(2 * j) + k)
 let wait s j k = s.buckets.members.(s.buckets.start.((2 * j) + 1) + k)
+let buffers = Array.of_list Buffer_id.all (* in index order *)
+let first_access s i = s.accesses.first.(i)
+let buffer_index s a = (s.accesses.entries.(2 * a) lsr 3) land 7
+let access_buffer s a = buffers.(buffer_index s a)
+let access_slot s a = s.accesses.entries.(2 * a) lsr 6
+let access_key s a = (access_slot s a * Buffer_id.count) + buffer_index s a
+let access_bytes s a = s.accesses.entries.((2 * a) + 1)
+let access_write s a = s.accesses.entries.(2 * a) land 1 <> 0
+let access_alloc s a = s.accesses.entries.(2 * a) land 2 <> 0
+let access_exact s a = s.accesses.entries.(2 * a) land 4 <> 0
 
 (* the decode's arrays, reused per domain.  [count] holds each bucket's
    size by triple id while a decode runs and is all zero between
@@ -57,6 +67,8 @@ let start_buf = Ascend_util.Scratch.create 0
 let used_buf = Ascend_util.Scratch.create 0
 let count_buf = Ascend_util.Scratch.create 0
 let slot_buf = Ascend_util.Scratch.create 0
+let first_buf = Ascend_util.Scratch.create 0
+let entries_buf = Ascend_util.Scratch.create 0
 
 let sync t =
   let n = List.length t.instructions in
@@ -66,6 +78,27 @@ let sync t =
   let count = Ascend_util.Scratch.get count_buf (2 * triples) in
   let used = Ascend_util.Scratch.get used_buf triples in
   let n_used = ref 0 in
+  let first = Ascend_util.Scratch.get first_buf (n + 1) in
+  (* about one access per instruction to start; growing the buffer
+     keeps the entries written so far *)
+  let entries = ref (Ascend_util.Scratch.get entries_buf (2 * n)) in
+  let n_acc = ref 0 in
+  let add buf ~slot ~bytes ~write ~alloc ~exact =
+    let e = 2 * !n_acc in
+    if e + 2 > Array.length !entries then begin
+      let old = !entries in
+      entries := Ascend_util.Scratch.get entries_buf (e + 2);
+      Array.blit old 0 !entries 0 e
+    end;
+    !entries.(e) <-
+      ((slot lsl 6)
+      lor (Buffer_id.index buf lsl 3)
+      lor Bool.to_int write
+      lor (Bool.to_int alloc lsl 1)
+      lor (Bool.to_int exact lsl 2));
+    !entries.(e + 1) <- bytes;
+    incr n_acc
+  in
   (* the lane of a set ([role] 0), which issues on [from_pipe], or of a
      wait (1), which blocks [to_pipe]; its bucket [2 * triple + role]
      waits in [set_of] until placed *)
@@ -91,6 +124,8 @@ let sync t =
     | instr :: rest ->
       instrs.(i) <- instr;
       set_of.(i) <- -1;
+      first.(i) <- !n_acc;
+      Instruction.iter_accesses add instr;
       lane.(i) <-
         (match instr with
         | Instruction.Barrier -> every_lane
@@ -105,6 +140,7 @@ let sync t =
       walk (i + 1) rest
   in
   walk 0 t.instructions;
+  first.(n) <- !n_acc;
   let used = Array.sub used 0 !n_used in
   Array.sort Int.compare used;
   (* counting sort over the used triples' buckets: [start.(b)] ends
@@ -134,7 +170,15 @@ let sync t =
     end
   done;
   let s =
-    { length = n; instrs; lane; set_of; used; buckets = { members; start } }
+    {
+      length = n;
+      instrs;
+      lane;
+      set_of;
+      used;
+      buckets = { members; start };
+      accesses = { first; entries = !entries };
+    }
   in
   (* the k-th wait of each triple is released by its k-th set *)
   for j = 0 to !n_used - 1 do
@@ -155,59 +199,34 @@ let flag_leaks t =
   done;
   !leaks
 
-let concat ~name parts =
-  List.iter
-    (fun p ->
-      match flag_leaks p with
-      | [] -> ()
-      | (f, to_, flag, net) :: _ ->
-        invalid_arg
-          (Printf.sprintf
-             "Program.concat: part %s leaks flag %s->%s #%d (%d set(s) never \
-              consumed); a leaked flag would satisfy waits in the next part"
-             p.program_name (Pipe.name f) (Pipe.name to_) flag net))
-    parts;
-  let instructions =
-    List.concat_map (fun p -> p.instructions @ [ Instruction.Barrier ]) parts
-  in
-  let buffer_peak =
-    List.fold_left (fun acc p -> merge_peaks acc p.buffer_peak) [] parts
-  in
-  { program_name = name; instructions; buffer_peak }
-
-(* Independent recomputation of the peak footprint from the instruction
-   stream's slot-annotated accesses: per buffer, each slot is charged its
-   largest allocating write, and concurrent slots sum.  This is the same
-   model the code generator uses to declare [buffer_peak], and
-   [Ascend_verify] cross-checks the two. *)
-let derived_buffer_peak t =
-  let slot_max : (Buffer_id.t * int, int) Hashtbl.t = Hashtbl.create 32 in
-  List.iter
-    (fun instr ->
-      List.iter
-        (fun (a : Instruction.access) ->
-          if a.alloc && not (Buffer_id.equal a.buffer Buffer_id.External) then begin
-            let key = (a.buffer, a.slot) in
-            let cur =
-              match Hashtbl.find_opt slot_max key with Some v -> v | None -> 0
-            in
-            Hashtbl.replace slot_max key (max cur a.bytes)
-          end)
-        (Instruction.accesses instr))
-    t.instructions;
-  let totals : (Buffer_id.t, int) Hashtbl.t = Hashtbl.create 8 in
+(* Independent recomputation of the peak footprint from the decode's
+   slot-annotated accesses: per buffer, each slot is charged its largest
+   allocating write, and concurrent slots sum.  This is the same model
+   the code generator uses to declare [buffer_peak], and [Ascend_verify]
+   cross-checks the two. *)
+let derived_buffer_peak s =
+  (* keyed by [access_key] *)
+  let slot_max : (int, int) Hashtbl.t = Hashtbl.create 32 in
+  for a = 0 to first_access s s.length - 1 do
+    if
+      access_alloc s a
+      && not (Buffer_id.equal (access_buffer s a) Buffer_id.External)
+    then
+      let key = access_key s a and bytes = access_bytes s a in
+      match Hashtbl.find slot_max key with
+      | cur -> if bytes > cur then Hashtbl.replace slot_max key bytes
+      | exception Not_found -> Hashtbl.add slot_max key bytes
+  done;
+  let totals = Array.make Buffer_id.count 0 in
   Hashtbl.iter
-    (fun (buf, _slot) bytes ->
-      let cur =
-        match Hashtbl.find_opt totals buf with Some v -> v | None -> 0
-      in
-      Hashtbl.replace totals buf (cur + bytes))
+    (fun key bytes ->
+      let b = key mod Buffer_id.count in
+      totals.(b) <- totals.(b) + bytes)
     slot_max;
   List.filter_map
     (fun buf ->
-      match Hashtbl.find_opt totals buf with
-      | Some bytes when bytes > 0 -> Some (buf, bytes)
-      | _ -> None)
+      let bytes = totals.(Buffer_id.index buf) in
+      if bytes > 0 then Some (buf, bytes) else None)
     Buffer_id.all
 
 let validate (config : Ascend_arch.Config.t) t =
@@ -266,16 +285,7 @@ let validate (config : Ascend_arch.Config.t) t =
           config.name
       | _ -> Ok ())
     0
-
-let stats t =
-  let counts = Array.make Pipe.count 0 in
-  List.iter
-    (fun instr ->
-      match Instruction.pipe_of instr with
-      | Some p -> counts.(Pipe.index p) <- counts.(Pipe.index p) + 1
-      | None -> ())
-    t.instructions;
-  List.map (fun p -> (p, counts.(Pipe.index p))) Pipe.all
+  |> Result.map (fun () -> s)
 
 let pp ppf t =
   Format.fprintf ppf "program %s (%d instructions)@." t.program_name

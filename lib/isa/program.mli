@@ -18,14 +18,16 @@ val length : t -> int
 val max_flag : int
 (** Largest legal flag id per (from, to) pipe pair. *)
 
-(** {1 Synchronisation decode}
+(** {1 Decode}
 
     Flags and barriers are the only order between pipes (paper Figure
     3).  All sets of a [(from, to, flag)] triple issue on [from] and all
     its waits block [to], each in program order, so the k-th wait is
     released by exactly the k-th set.  [sync] decodes this once for the
     issue engine, the happens-before graph, validation and the leak
-    checks. *)
+    checks, beside each instruction's buffer accesses
+    ({!Instruction.iter_accesses}) for the simulator's traffic, the
+    hazard scan, the sanitizer and the derived peaks. *)
 
 type sync = {
   length : int;  (** instructions; the arrays below may be longer *)
@@ -43,10 +45,15 @@ type sync = {
       (** the triple ids with a set or a wait, ascending; [j] below
           indexes it *)
   buckets : buckets;
+  accesses : accesses;
 }
 
 and buckets
 (** each used triple's sets and waits, in program order *)
+
+and accesses
+(** each instruction's buffer accesses, read through [first_access] and
+    the [access_*] accessors *)
 
 val every_lane : int
 
@@ -56,8 +63,8 @@ val triple : int -> Pipe.t * Pipe.t * int
 val sync : t -> sync
 (** One pass and a counting sort over the triples in use.  The arrays
     are the calling domain's reusable buffers: use a decode before the
-    next [sync] on that domain ([flag_leaks], [concat] and [validate]
-    call it too). *)
+    next [sync] on that domain ([flag_leaks] and [validate] call it
+    too). *)
 
 val sets : sync -> int -> int
 (** [sets s j]: how many sets triple [used.(j)] has; [waits] alike. *)
@@ -70,25 +77,36 @@ val set : sync -> int -> int -> int
 
 val wait : sync -> int -> int -> int
 
+val first_access : sync -> int -> int
+(** Instruction [i]'s accesses are the entries [first_access s i] up to
+    [first_access s (i + 1) - 1], reads before writes;
+    [first_access s s.length] is the entry count. *)
+
+val access_key : sync -> int -> int
+(** An entry's (buffer, slot) as one int:
+    [slot * Buffer_id.count + Buffer_id.index buffer]. *)
+
+val access_buffer : sync -> int -> Buffer_id.t
+val access_slot : sync -> int -> int
+val access_bytes : sync -> int -> int
+val access_write : sync -> int -> bool
+val access_alloc : sync -> int -> bool
+val access_exact : sync -> int -> bool
+(** An entry's fields, as {!Instruction.iter_accesses} gave them. *)
+
 val flag_leaks : t -> (Pipe.t * Pipe.t * int * int) list
 (** Triples whose sets outnumber their waits over the whole program, as
     [(from, to, flag, net)] with [net > 0], in [(from, to, flag)] order.
     A leaky program corrupts sequential composition: the leftover set
     satisfies a wait in the next part.  Empty for flag-clean programs. *)
 
-val concat : name:string -> t list -> t
-(** Sequential composition separated by barriers; buffer peaks take the
-    per-part maximum (parts run after one another).  Raises
-    [Invalid_argument] if any part leaks flags ([flag_leaks] non-empty) —
-    a leaked set would silently satisfy a wait in the following part. *)
-
-val derived_buffer_peak : t -> (Buffer_id.t * int) list
-(** Peak footprint recomputed from the instruction stream itself: per
-    buffer, the sum over slots of the largest allocating write each slot
+val derived_buffer_peak : sync -> (Buffer_id.t * int) list
+(** Peak footprint recomputed from the decode's accesses: per buffer,
+    the sum over slots of the largest allocating write each slot
     receives.  [External] is excluded.  This is the reference the
     verifier cross-checks declared [buffer_peak] against. *)
 
-val validate : Ascend_arch.Config.t -> t -> (unit, string) result
+val validate : Ascend_arch.Config.t -> t -> (sync, string) result
 (** Static checks:
     - every instruction maps to a pipe (or is a barrier);
     - every [Wait_flag] has a matching earlier-or-equal count of
@@ -103,11 +121,9 @@ val validate : Ascend_arch.Config.t -> t -> (unit, string) result
     the first unbalanced triple in [(from, to, flag)] order, all read
     off [sync].
 
-    The full happens-before / hazard / peak / leak analysis is
+    On success it returns the decode it checked.  The full
+    happens-before / hazard / peak / leak analysis is
     [Ascend_verify.analyze]. *)
-
-val stats : t -> (Pipe.t * int) list
-(** Instruction count per pipe. *)
 
 val pp : Format.formatter -> t -> unit
 (** Full disassembly. *)

@@ -18,10 +18,6 @@ module Hb = Hb
 module Soc = Soc
 module Cluster = Cluster
 
-let kind_str = function
-  | Instruction.Read -> "read"
-  | Instruction.Write -> "write"
-
 (* ------------------------------------------------------------------ *)
 (* Hazards: scan each (buffer, slot)'s accesses in a topological order
    of the happens-before graph, keeping the frontier — the last write
@@ -36,27 +32,31 @@ let kind_str = function
    none) and the reads issued since, newest first *)
 type frontier = { mutable last_write : int; mutable reads : int list }
 
-let hazard_findings (g : Instruction.t Hb.t) =
-  (* keyed by [slot * Buffer_id.count + Buffer_id.index buffer] *)
+let hazard_findings (s : Program.sync) (g : Instruction.t Hb.t) =
+  (* keyed by [Program.access_key] *)
   let frontier : (int, frontier) Hashtbl.t = Hashtbl.create 64 in
   let findings = ref [] in
-  let report dep i j (a : Instruction.access) =
+  let report dep i j a =
     let pipe =
       if g.Hb.lane.(i) >= 0 then List.nth_opt Pipe.all g.Hb.lane.(i) else None
     in
+    let buffer = Program.access_buffer s a in
     findings :=
-      Finding.make ~index:i ?pipe ~buffer:a.buffer (Finding.Hazard { dep })
+      Finding.make ~index:i ?pipe ~buffer (Finding.Hazard { dep })
         (Printf.sprintf
            "%s hazard on %s slot %d: instruction %d %ss it but is not \
             ordered after instruction %d's %s — no flag or barrier \
             separates them"
-           dep (Buffer_id.name a.buffer) a.slot i (kind_str a.kind) j
+           dep (Buffer_id.name buffer) (Program.access_slot s a) i
+           (if Program.access_write s a then "write" else "read")
+           j
            (match dep with "RAW" | "WAW" -> "write" | _ -> "read"))
       :: !findings
   in
-  let visit i (a : Instruction.access) =
-    if not (Buffer_id.equal a.buffer Buffer_id.External) then begin
-      let key = (a.slot * Buffer_id.count) + Buffer_id.index a.buffer in
+  let visit i a =
+    if not (Buffer_id.equal (Program.access_buffer s a) Buffer_id.External)
+    then begin
+      let key = Program.access_key s a in
       let f =
         match Hashtbl.find frontier key with
         | f -> f
@@ -66,11 +66,11 @@ let hazard_findings (g : Instruction.t Hb.t) =
           f
       in
       let j = f.last_write in
-      match a.kind with
-      | Read ->
+      match Program.access_write s a with
+      | false ->
         if j >= 0 && not (Hb.hb g j i) then report "RAW" i j a;
         f.reads <- i :: f.reads
-      | Write ->
+      | true ->
         if j >= 0 && not (Hb.hb g j i) then report "WAW" i j a;
         List.iter
           (fun r -> if not (Hb.hb g r i) then report "WAR" i r a)
@@ -79,23 +79,19 @@ let hazard_findings (g : Instruction.t Hb.t) =
         f.reads <- []
     end
   in
+  (* the decode lists an instruction's reads before its writes *)
   Array.iter
     (fun i ->
-      let accs = Instruction.accesses g.Hb.nodes.(i) in
-      (* reads of an instruction logically precede its writes *)
-      List.iter
-        (fun (a : Instruction.access) -> if a.kind = Read then visit i a)
-        accs;
-      List.iter
-        (fun (a : Instruction.access) -> if a.kind = Write then visit i a)
-        accs)
+      for a = Program.first_access s i to Program.first_access s (i + 1) - 1 do
+        visit i a
+      done)
     g.Hb.topo;
   List.rev !findings
 
 (* ------------------------------------------------------------------ *)
 
-let peak_findings (config : Ascend_arch.Config.t) (p : Program.t) =
-  let derived = Program.derived_buffer_peak p in
+let peak_findings (config : Ascend_arch.Config.t) (p : Program.t) s =
+  let derived = Program.derived_buffer_peak s in
   let declared buf =
     match List.assoc_opt buf p.Program.buffer_peak with
     | Some v -> v
@@ -189,8 +185,8 @@ let analyze (config : Ascend_arch.Config.t) (p : Program.t) =
   let deadlocks = g.Hb.findings in
   (* hazard results are only meaningful on a deadlock-free graph: stuck
      instructions never execute, so racing with them is moot *)
-  let hazards = if deadlocks = [] then hazard_findings g else [] in
-  structural @ deadlocks @ hazards @ peak_findings config p @ leak_findings s
+  let hazards = if deadlocks = [] then hazard_findings s g else [] in
+  structural @ deadlocks @ hazards @ peak_findings config p s @ leak_findings s
 
 let errors findings = List.filter Finding.is_error findings
 

@@ -295,7 +295,7 @@ let test_codegen_validates_everywhere () =
                 in
                 match Program.validate config p with
                 | Error e -> fail e
-                | Ok () -> (
+                | Ok _ -> (
                   match Ascend.Verify.(errors (analyze config p)) with
                   | [] -> ()
                   | f :: _ -> fail (Ascend.Verify.Finding.to_string f)))
@@ -572,7 +572,8 @@ let test_operator_lib_transpose_uses_trans_module () =
       p.Program.instructions
   in
   Alcotest.(check bool) "MTE trans move present" true has_trans;
-  Alcotest.(check bool) "validates" true (Program.validate Config.max p = Ok ())
+  Alcotest.(check bool) "validates" true
+    (Result.is_ok (Program.validate Config.max p))
 
 let test_operator_lib_softmax_matches_engine_scale () =
   (* the canned softmax should be in the same cycle range as the generic

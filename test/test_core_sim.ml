@@ -173,6 +173,17 @@ let test_traffic_accounting () =
   Alcotest.(check int) "external read" 1000
     (Simulator.traffic r Buffer_id.External).Simulator.read_bytes
 
+(* the access model rounds operand bytes up: 3x5 and 5x7 int4 operands
+   take 8 and 18 bytes *)
+let test_int4_traffic_ceiling () =
+  let r =
+    run_ok ~config:Config.standard
+      [ Instruction.cube_matmul ~m:3 ~k:5 ~n:7 ~precision:Precision.Int4 () ]
+  in
+  Alcotest.(check (pair int int)) "L0A/L0B read bytes" (8, 18)
+    ( (Simulator.traffic r Buffer_id.L0a).Simulator.read_bytes,
+      (Simulator.traffic r Buffer_id.L0b).Simulator.read_bytes )
+
 let test_energy_positive_and_scales () =
   let small = run_ok [ cube 16 16 16 ] in
   let big = run_ok [ cube 256 256 256 ] in
@@ -638,6 +649,8 @@ let () =
       ( "accounting",
         [
           Alcotest.test_case "traffic" `Quick test_traffic_accounting;
+          Alcotest.test_case "int4 traffic ceiling" `Quick
+            test_int4_traffic_ceiling;
           Alcotest.test_case "energy" `Quick test_energy_positive_and_scales;
           Alcotest.test_case "trace" `Quick test_trace;
           Alcotest.test_case "timeline" `Quick test_timeline;

@@ -73,7 +73,7 @@ let test_kernel_program_validates () =
       if Ascend.Arch.Config.supports config Ascend.Arch.Precision.Fp16 then begin
         let p = Kernel.to_program config k in
         match Ascend.Isa.Program.validate config p with
-        | Ok () -> ()
+        | Ok _ -> ()
         | Error e -> Alcotest.failf "%s: %s" config.Config.name e
       end)
     Config.all
