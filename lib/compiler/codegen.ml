@@ -34,10 +34,6 @@ let f_ub_free = 7 (* MTE3 -> Vector: UB slot stored *)
 let f_a_free = 8 (* MTE1 -> MTE2: L1 A slot fully read, reload allowed *)
 let f_b_free = 9 (* MTE1 -> MTE2: L1 B slot fully read, reload allowed *)
 
-let gemm_tile_flags =
-  (f_a_panel, f_b_data, f_l0_data, f_l0_free, f_drain, f_l0c_free, f_store,
-   f_ub_free)
-
 (* L1 is shared between the A ring (slots 0..1) and the B region
    (slots 2..3): slot ids only need to be disjoint per buffer *)
 let l1_b_slot_base = 2
@@ -50,7 +46,9 @@ type builder = {
   mode : sync_mode;
 }
 
-let builder ?(mode = Flags) () = { rev = []; nets = Hashtbl.create 16; mode }
+(* every program opens with the scalar control prologue *)
+let builder ?(mode = Flags) () =
+  { rev = [ I.Scalar_op { cycles = 4 } ]; nets = Hashtbl.create 16; mode }
 let emit b i = b.rev <- i :: b.rev
 
 (* under coarse-barrier synchronisation (the ablation of Figure 3's
@@ -92,6 +90,14 @@ let drain b =
            wait b ~from_pipe ~to_pipe flag
          done)
 
+(* every program ends here: drain, then declare exactly the footprint
+   the instruction stream allocates — the verifier recomputes the same
+   quantity and cross-checks it *)
+let finish b ~name =
+  drain b;
+  let p = Program.make ~name (List.rev b.rev) in
+  { p with Program.buffer_peak = Program.(derived_buffer_peak (sync p)) }
+
 let bytes_of ~elems ~size = int_of_float (ceil (float_of_int elems *. size))
 
 let div_up = Ascend_util.Stats.divide_round_up
@@ -100,12 +106,9 @@ let div_up = Ascend_util.Stats.divide_round_up
 (* Cube-anchored group: tiled GEMM nest.                               *)
 
 let emit_gemm b (config : Config.t) ~options ~precision ~expansion
-    ~post_bytes_per_tile (g : Ascend_nn.Workload.gemm) =
+    ~post_bytes_per_tile ~(tiling : Tiling.t) (g : Ascend_nn.Workload.gemm) =
   let src = Precision.size_bytes precision in
   let acc = Precision.size_bytes (Precision.accumulator precision) in
-  let tiling =
-    select_tiling ~options config ~precision ~expansion ~m:g.m ~k:g.k ~n:g.n
-  in
   (* clamp mt so a compact A panel (mt x K) double-buffers in half of L1 *)
   let dims = Config.cube_dims_at config ~precision in
   let panel_budget = config.buffers.l1_bytes / 4 in
@@ -294,62 +297,59 @@ let emit_gemm b (config : Config.t) ~options ~precision ~expansion
   done
 
 (* ------------------------------------------------------------------ *)
-(* Vector-only group: streamed load -> vector -> store pipeline.       *)
+(* UB stream: load -> vector passes -> store, one round per chunk.     *)
+
+type chunk = { load : int; passes : (string * int) list; store : int }
 
 let f_in_data = 0 (* MTE2 -> Vector *)
 let f_in_free = 1 (* Vector -> MTE2 *)
 let f_out_data = 2 (* Vector -> MTE3 *)
 let f_out_free = 3 (* MTE3 -> Vector *)
 
-let emit_vector_stream b (config : Config.t) ~options ~precision ~vector_bytes
-    ~input_bytes ~output_bytes =
-  let chunk = max 1 (config.buffers.ub_bytes / 4) in
-  (* chunk so that every per-round share fits one quarter-UB slot: two
-     input slots (ring 0..1) plus two output slots (ring 2..3) is the
-     whole UB at double-buffering depth *)
-  let n_chunks =
-    max 1
-      (List.fold_left max 0
-         (List.map
-            (fun total -> div_up total chunk)
-            [ vector_bytes; input_bytes; output_bytes ]))
-  in
-  let share total i =
-    (* split [total] across chunks, spreading the remainder *)
-    (total / n_chunks) + if i < total mod n_chunks then 1 else 0
-  in
-  ignore precision;
-  let depth = if options.double_buffer then 2 else 1 in
+(* four quarter-UB ring slots: two inputs (0..1) and two outputs (2..3)
+   are the whole UB at double-buffering depth *)
+let ub_slot_bytes (config : Config.t) = max 1 (config.buffers.ub_bytes / 4)
+
+(* round [i]'s part of [total] split over [chunks] rounds, spreading the
+   remainder *)
+let share ~chunks total i =
+  (total / chunks) + if i < total mod chunks then 1 else 0
+
+let emit_vector_stream b ~depth chunks =
   let ub_out_base = 2 in
-  for i = 0 to n_chunks - 1 do
-    let in_b = share input_bytes i in
-    let work_b = share vector_bytes i in
-    let out_b = share output_bytes i in
-    let in_slot = i mod depth in
-    let out_slot = ub_out_base + (i mod depth) in
-    if i >= depth then
-      wait b ~from_pipe:Pipe.Vector ~to_pipe:Pipe.Mte2 f_in_free;
-    if in_b > 0 then
-      emit b
-        (I.mte_move ~src:Buffer_id.External ~dst:Buffer_id.Ub
-           ~dst_slot:in_slot ~bytes:in_b ());
-    set b ~from_pipe:Pipe.Mte2 ~to_pipe:Pipe.Vector f_in_data;
-    wait b ~from_pipe:Pipe.Mte2 ~to_pipe:Pipe.Vector f_in_data;
-    if i >= depth then
-      wait b ~from_pipe:Pipe.Mte3 ~to_pipe:Pipe.Vector f_out_free;
-    if work_b > 0 then
-      emit b
-        (I.vector_op ~op_name:"vec" ~bytes:work_b ~ub_in_slot:in_slot
-           ~ub_out_slot:out_slot ());
-    set b ~from_pipe:Pipe.Vector ~to_pipe:Pipe.Mte2 f_in_free;
-    set b ~from_pipe:Pipe.Vector ~to_pipe:Pipe.Mte3 f_out_data;
-    wait b ~from_pipe:Pipe.Vector ~to_pipe:Pipe.Mte3 f_out_data;
-    if out_b > 0 then
-      emit b
-        (I.mte_move ~src:Buffer_id.Ub ~dst:Buffer_id.External
-           ~src_slot:out_slot ~bytes:out_b ());
-    set b ~from_pipe:Pipe.Mte3 ~to_pipe:Pipe.Vector f_out_free
-  done
+  List.iteri
+    (fun i { load; passes; store } ->
+      let in_slot = i mod depth in
+      let out_slot = ub_out_base + (i mod depth) in
+      if i >= depth then
+        wait b ~from_pipe:Pipe.Vector ~to_pipe:Pipe.Mte2 f_in_free;
+      if load > 0 then
+        emit b
+          (I.mte_move ~src:Buffer_id.External ~dst:Buffer_id.Ub
+             ~dst_slot:in_slot ~bytes:load ());
+      set b ~from_pipe:Pipe.Mte2 ~to_pipe:Pipe.Vector f_in_data;
+      wait b ~from_pipe:Pipe.Mte2 ~to_pipe:Pipe.Vector f_in_data;
+      if i >= depth then
+        wait b ~from_pipe:Pipe.Mte3 ~to_pipe:Pipe.Vector f_out_free;
+      (* the first pass reads the input slot, later passes update the
+         output slot in place *)
+      List.iteri
+        (fun pi (op_name, bytes) ->
+          if bytes > 0 then
+            emit b
+              (I.vector_op ~op_name ~bytes
+                 ~ub_in_slot:(if pi = 0 then in_slot else out_slot)
+                 ~ub_out_slot:out_slot ()))
+        passes;
+      set b ~from_pipe:Pipe.Vector ~to_pipe:Pipe.Mte2 f_in_free;
+      set b ~from_pipe:Pipe.Vector ~to_pipe:Pipe.Mte3 f_out_data;
+      wait b ~from_pipe:Pipe.Vector ~to_pipe:Pipe.Mte3 f_out_data;
+      if store > 0 then
+        emit b
+          (I.mte_move ~src:Buffer_id.Ub ~dst:Buffer_id.External
+             ~src_slot:out_slot ~bytes:store ());
+      set b ~from_pipe:Pipe.Mte3 ~to_pipe:Pipe.Vector f_out_free)
+    chunks
 
 (* ------------------------------------------------------------------ *)
 
@@ -361,29 +361,29 @@ let group_program ?(options = default_options) (config : Config.t)
          (Precision.name group.precision)
          config.name);
   let b = builder ~mode:options.sync_mode () in
-  (* scalar control prologue *)
-  emit b (I.Scalar_op { cycles = 4 });
   let src = Precision.size_bytes group.precision in
+  let vector_bytes = int_of_float (ceil (group.vector_elems *. src)) in
   (match group.kind with
   | Fusion.Cube_anchored ->
+    let tiled =
+      List.map
+        (fun (g : Ascend_nn.Workload.gemm) ->
+          ( g,
+            select_tiling ~options config ~precision:group.precision
+              ~expansion:group.img2col_expansion ~m:g.m ~k:g.k ~n:g.n ))
+        group.gemms
+    in
     let total_out_tiles =
       List.fold_left
-        (fun acc (g : Ascend_nn.Workload.gemm) ->
-          let tiling =
-            select_tiling ~options config ~precision:group.precision
-              ~expansion:group.img2col_expansion ~m:g.m ~k:g.k ~n:g.n
-          in
-          acc + (g.count * tiling.m_tiles * tiling.n_tiles))
-        0 group.gemms
-    in
-    let total_post_bytes =
-      int_of_float (ceil (group.vector_elems *. src))
+        (fun acc ((g : Ascend_nn.Workload.gemm), (t : Tiling.t)) ->
+          acc + (g.count * t.m_tiles * t.n_tiles))
+        0 tiled
     in
     let post_bytes_per_tile =
-      if total_out_tiles = 0 then 0 else total_post_bytes / total_out_tiles
+      if total_out_tiles = 0 then 0 else vector_bytes / total_out_tiles
     in
     List.iteri
-      (fun i g ->
+      (fun i (g, tiling) ->
         if i > 0 then begin
           (* a multi-GEMM group (kv attention's scores + context) reuses
              every ring slot with counters starting over; drain the
@@ -393,18 +393,22 @@ let group_program ?(options = default_options) (config : Config.t)
           barrier b
         end;
         emit_gemm b config ~options ~precision:group.precision
-          ~expansion:group.img2col_expansion ~post_bytes_per_tile g)
-      group.gemms
+          ~expansion:group.img2col_expansion ~post_bytes_per_tile ~tiling g)
+      tiled
   | Fusion.Vector_only ->
-    emit_vector_stream b config ~options ~precision:group.precision
-      ~vector_bytes:(int_of_float (ceil (group.vector_elems *. src)))
-      ~input_bytes:group.input_bytes ~output_bytes:group.output_bytes);
-  (* consume leftover ring-release flags so the program is flag-clean *)
-  drain b;
-  (* declare exactly the footprint the instruction stream allocates —
-     the verifier recomputes the same quantity and cross-checks it *)
-  let p = Program.make ~name:group.tag (List.rev b.rev) in
-  { p with Program.buffer_peak = Program.(derived_buffer_peak (sync p)) }
+    (* an even split whose every round fits one UB ring slot *)
+    let totals = [ vector_bytes; group.input_bytes; group.output_bytes ] in
+    let slot = ub_slot_bytes config in
+    let chunks =
+      max 1 (List.fold_left (fun acc t -> max acc (div_up t slot)) 0 totals)
+    in
+    emit_vector_stream b
+      ~depth:(if options.double_buffer then 2 else 1)
+      (List.init chunks (fun i ->
+           { load = share ~chunks group.input_bytes i;
+             passes = [ ("vec", share ~chunks vector_bytes i) ];
+             store = share ~chunks group.output_bytes i })));
+  finish b ~name:group.tag
 
 let graph_programs ?options config graph =
   let groups = Fusion.partition graph in

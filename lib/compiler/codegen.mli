@@ -15,7 +15,10 @@
 
     Vector-only groups (depthwise convolutions, standalone
     normalisations) become a streamed [load -> vector -> store] pipeline
-    through the unified buffer.
+    through the unified buffer: {!emit_vector_stream} over an even split
+    of the group's bytes into rounds that each fit a UB ring slot, with
+    one ["vec"] pass per round.  {!Operator_lib}'s vector kernels are
+    other chunk plans over the same stream.
 
     The generated programs pass {!Ascend_isa.Program.validate} and are
     deadlock-free by construction (tested by property tests). *)
@@ -45,10 +48,6 @@ type options = {
 
 val default_options : options
 
-val gemm_tile_flags : int * int * int * int * int * int * int * int
-(** The eight flag ids used by the GEMM loop, for tests and disassembly:
-    (a_panel, b_data, l0_data, l0_free, drain, l0c_free, store, ub_free). *)
-
 val group_program :
   ?options:options -> Ascend_arch.Config.t -> Fusion.t ->
   Ascend_isa.Program.t
@@ -58,3 +57,55 @@ val group_program :
 val graph_programs :
   ?options:options -> Ascend_arch.Config.t -> Ascend_nn.Graph.t ->
   (Fusion.t * Ascend_isa.Program.t) list
+
+(** {1 Program builder}
+
+    What every program is emitted with, {!group_program}'s and
+    {!Operator_lib}'s alike. *)
+
+type builder
+(** A program under construction: it opens with the 4-cycle scalar
+    control prologue and keeps each flag triple's net of sets minus
+    waits. *)
+
+val builder : ?mode:sync_mode -> unit -> builder
+(** [mode] defaults to [Flags]. *)
+
+val emit : builder -> Ascend_isa.Instruction.t -> unit
+
+val set :
+  builder -> from_pipe:Ascend_isa.Pipe.t -> to_pipe:Ascend_isa.Pipe.t ->
+  int -> unit
+(** Under [Coarse_barriers] a set vanishes and a wait becomes a barrier. *)
+
+val wait :
+  builder -> from_pipe:Ascend_isa.Pipe.t -> to_pipe:Ascend_isa.Pipe.t ->
+  int -> unit
+
+val finish : builder -> name:string -> Ascend_isa.Program.t
+(** Waits out every flag still set, so the program leaks none, and
+    declares the buffer peak its instruction stream allocates. *)
+
+type chunk = {
+  load : int;  (** bytes loaded External -> UB input slot *)
+  passes : (string * int) list;  (** vector passes: op name, bytes *)
+  store : int;  (** bytes stored UB output slot -> External *)
+}
+(** One round of the UB stream. *)
+
+val emit_vector_stream : builder -> depth:int -> chunk list -> unit
+(** One [load -> passes -> store] round per chunk, [depth]-buffered
+    through UB ring slots (inputs [0..depth-1], outputs from 2) with
+    MTE2->Vector, Vector->MTE2, Vector->MTE3 and MTE3->Vector flags 0-3.
+    The first pass reads the input slot, later passes update the output
+    slot in place; zero-byte moves and passes are skipped. *)
+
+val ub_slot_bytes : Ascend_arch.Config.t -> int
+(** A quarter of the unified buffer: one ring slot of the stream. *)
+
+val share : chunks:int -> int -> int -> int
+(** [share ~chunks total i]: round [i]'s part of [total] bytes split
+    evenly over [chunks] rounds, the remainder spread over the first. *)
+
+val bytes_of : elems:int -> size:float -> int
+(** Bytes of [elems] elements of [size] bytes each, rounded up. *)

@@ -3,11 +3,12 @@
     would ship alongside the compiler, each generating a complete core
     program.
 
-    Unlike the generic vector-stream lowering, these kernels respect the
-    operator's natural granularity: softmax and layer-norm chunk at row
-    boundaries (a row's working set must be UB-resident across its
-    passes), transpose runs on the MTE [trans] module, and requantize is
-    a fused single-pass conversion. *)
+    The kernels emit through {!Codegen}'s builder, double-buffered under
+    flags, and choose their own chunks on the UB stream that lowers
+    vector-only groups ({!Codegen.emit_vector_stream}): softmax and
+    layer-norm chunk at row boundaries (a row's working set must be
+    UB-resident across its passes), and requantize is a fused
+    single-pass conversion.  Transpose runs on the MTE [trans] module. *)
 
 type kernel = {
   kernel_name : string;

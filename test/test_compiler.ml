@@ -6,6 +6,8 @@ module Shape = Ascend.Tensor.Shape
 module Pipe = Ascend.Isa.Pipe
 module Program = Ascend.Isa.Program
 module Prng = Ascend.Util.Prng
+module Verify = Ascend.Verify
+module Sanitizer = Ascend.Core_sim.Sanitizer
 
 (* ------------------------------------------------------------------ *)
 (* Tiling                                                             *)
@@ -531,24 +533,48 @@ let planner_random_prop =
 (* ------------------------------------------------------------------ *)
 (* Operator Lib (§5.1 canned kernels)                                  *)
 
+(* (instructions, total cycles) of each registry kernel on each core of
+   [Config.all]: Tiny, Lite, Mini, Standard, Max *)
+let operator_lib_pins =
+  [
+    ("softmax",
+     [ (449, 68_747); (225, 18_251); (113, 9_857); (113, 9_673);
+       (113, 9_887) ]);
+    ("layer_norm",
+     [ (961, 168_715); (481, 43_659); (241, 22_561); (241, 22_377);
+       (241, 22_591) ]);
+    ("transpose",
+     [ (3_585, 133_416); (1_793, 42_216); (897, 22_774); (897, 19_784);
+       (897, 23_229) ]);
+    ("requantize",
+     [ (221, 17_153); (111, 5_535); (56, 3_125); (56, 2_737); (56, 3_183) ]);
+  ]
+
 let test_operator_lib_all_simulate () =
+  let findings fs = List.map Verify.Finding.to_string fs in
   List.iter
     (fun (name, make) ->
       let k = make () in
-      List.iter
-        (fun config ->
+      List.iter2
+        (fun config pin ->
+          let what = Printf.sprintf "%s on %s" name config.Config.name in
           match Operator_lib.simulate config k with
           | Ok r ->
-            Alcotest.(check bool)
-              (Printf.sprintf "%s on %s runs" name config.Config.name)
-              true
-              (r.Ascend.Core_sim.Simulator.total_cycles > 0)
+            let p = k.Operator_lib.generate config in
+            Alcotest.(check (list string)) (what ^ ": Verify.analyze") []
+              (findings (Verify.analyze config p));
+            Alcotest.(check (list string)) (what ^ ": Sanitizer.run") []
+              (findings (Sanitizer.run config p).Sanitizer.findings);
+            Alcotest.(check (pair int int))
+              (what ^ ": (instructions, cycles)")
+              pin
+              (Program.length p, r.Ascend.Core_sim.Simulator.total_cycles)
           | Error e ->
             (* a kernel may legitimately reject a core whose UB cannot
                hold one row — but only for the small cores *)
             if config.Config.vector_width_bytes >= 256 then
-              Alcotest.failf "%s on %s: %s" name config.Config.name e)
-        Config.all)
+              Alcotest.failf "%s: %s" what e)
+        Config.all (List.assoc name operator_lib_pins))
     (Operator_lib.registry ())
 
 let test_operator_lib_row_residency () =

@@ -446,7 +446,14 @@ let test_quantized_rejects_float () =
 (* ------------------------------------------------------------------ *)
 (* Autodiff: gradient checking against finite differences             *)
 
+(* the analytic gradient of every parameter, at a handful of entries,
+   against the central difference of the loss.  Where they disagree, a
+   ReLU kink may lie within [eps] of the entry: the central difference
+   then averages the two slopes.  That is accepted only when the two
+   one-sided differences disagree with each other by more than [tol]
+   (the kink) and the analytic gradient matches one of them. *)
 let grad_check ?(tol = 1e-3) g ~seed =
+  let eps = 1e-4 in
   let params = Eval.random_params ~seed g in
   let rng = Prng.create ~seed:(seed + 100) in
   let inputs =
@@ -458,22 +465,39 @@ let grad_check ?(tol = 1e-3) g ~seed =
       (Graph.nodes g)
   in
   let grads = Autodiff.backward g params ~inputs () in
+  let agree a b = Float.abs (a -. b) /. Float.max 1. (Float.abs b) <= tol in
+  (* the loss with entry [idx] of parameter tensor [t] moved by [d] *)
+  let loss_moved t idx d =
+    let original = Tensor.get_flat t idx in
+    Tensor.set_flat t idx (original +. d);
+    let l = Autodiff.loss g params ~inputs in
+    Tensor.set_flat t idx original;
+    l
+  in
   (* check a handful of entries of every parameter *)
   List.iter
     (fun (name, gt) ->
       let n = Tensor.numel gt in
+      let t = Option.get (Eval.find_param params name) in
       List.iter
         (fun idx ->
           let idx = idx mod n in
           let analytic = Tensor.get_flat gt idx in
           let numeric =
             Autodiff.numeric_param_grad g params ~inputs ~param:name ~index:idx
-              ()
+              ~eps ()
           in
-          let scale = Float.max 1. (Float.abs numeric) in
-          if Float.abs (analytic -. numeric) /. scale > tol then
-            Alcotest.failf "%s[%d]: analytic %.6f vs numeric %.6f" name idx
-              analytic numeric)
+          if not (agree analytic numeric) then begin
+            let here = Autodiff.loss g params ~inputs in
+            let forward = (loss_moved t idx eps -. here) /. eps in
+            let backward = (here -. loss_moved t idx (-.eps)) /. eps in
+            if agree forward backward
+               || not (agree analytic forward || agree analytic backward)
+            then
+              Alcotest.failf
+                "%s[%d]: analytic %.6f vs numeric %.6f (one-sided %.6f, %.6f)"
+                name idx analytic numeric forward backward
+          end)
         [ 0; 7; 13; n - 1 ])
     grads.Autodiff.param_grads
 
@@ -582,28 +606,34 @@ let test_autodiff_input_grad_shape () =
       (Shape.to_string (Tensor.shape gx))
   | _ -> Alcotest.fail "one input gradient expected"
 
+(* a random two-conv ReLU CNN drawn from graph seed [seed] *)
+let random_cnn seed =
+  let rng = Prng.create ~seed in
+  let g = Graph.create ~name:"rand" ~dtype:Precision.Fp32 in
+  let x = ref (Graph.input g ~name:"x" (Shape.nchw ~n:1 ~c:2 ~h:5 ~w:5)) in
+  for i = 0 to 1 do
+    let cout = 2 + Prng.int rng ~bound:2 in
+    x := Graph.conv2d g ~name:(Printf.sprintf "c%d" i) ~cout ~k:3 ~padding:1 !x;
+    x := Graph.relu g !x
+  done;
+  let gp = Graph.global_avg_pool g !x in
+  let fc = Graph.linear g ~name:"fc" ~out_features:3 gp in
+  ignore (Graph.output g fc);
+  g
+
 let autodiff_random_cnn_prop =
   QCheck.Test.make ~count:8 ~name:"gradient check on random small CNNs"
     QCheck.(int_range 0 1000)
     (fun seed ->
-      let rng = Prng.create ~seed in
-      let g = Graph.create ~name:"rand" ~dtype:Precision.Fp32 in
-      let x = ref (Graph.input g ~name:"x" (Shape.nchw ~n:1 ~c:2 ~h:5 ~w:5)) in
-      for i = 0 to 1 do
-        let cout = 2 + Prng.int rng ~bound:2 in
-        x :=
-          Graph.conv2d g
-            ~name:(Printf.sprintf "c%d" i)
-            ~cout ~k:3 ~padding:1 !x;
-        x := Graph.relu g !x
-      done;
-      let gp = Graph.global_avg_pool g !x in
-      let fc = Graph.linear g ~name:"fc" ~out_features:3 gp in
-      ignore (Graph.output g fc);
       try
-        grad_check g ~seed;
+        grad_check (random_cnn seed) ~seed;
         true
       with _ -> false)
+
+(* graph seed 445 puts a ReLU pre-activation within eps of zero: c0[7]'s
+   central difference straddles the kink, and the analytic gradient
+   matches the backward one-sided difference *)
+let test_autodiff_relu_kink () = grad_check (random_cnn 445) ~seed:445
 
 let () =
   let q = QCheck_alcotest.to_alcotest in
@@ -673,6 +703,8 @@ let () =
           Alcotest.test_case "attention" `Quick test_autodiff_attention;
           Alcotest.test_case "embedding scatter" `Quick test_autodiff_embedding;
           Alcotest.test_case "input grads" `Quick test_autodiff_input_grad_shape;
+          Alcotest.test_case "gradient check at a ReLU kink" `Quick
+            test_autodiff_relu_kink;
           q autodiff_random_cnn_prop;
         ] );
     ]
