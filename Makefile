@@ -34,7 +34,9 @@ sanitize:
 # sweep's findings document is the same across runs and worker counts,
 # and closed-form and schedule-derived collective times agree to three
 # significant digits; (c) statically predicted page-in counts equal
-# what the fleet run observes, under each routing policy
+# what the fleet run observes, under each routing policy; (d) serve
+# with K cores and a one-node fleet with K cores per node agree on
+# metrics, batch count, cost_cache and config
 differential:
 	dune exec bin/ascend_cli.exe -- lint --all --soc --json lint_soc.json
 	dune exec bin/ascend_cli.exe -- lint --all --soc --jobs 1 \
@@ -74,6 +76,9 @@ differential:
 	  cmp pagein_predicted_$$policy.json pagein_observed_$$policy.json; \
 	done
 	@echo "differential gate: predicted and observed page-ins agree"
+	dune build bin/ascend_cli.exe
+	sh test/serve_fleet_differential.sh ./_build/default/bin/ascend_cli.exe
+	@echo "differential gate: serve and a one-node fleet agree"
 
 bench:
 	dune exec bench/main.exe

@@ -1468,12 +1468,6 @@ let trace model_pos model_opt core batch output =
      print_string (Obs.Summary.render c.Exec_trace.summary);
      Format.printf "%s on %s (batch %d): %d simulated cycles@." name
        core.Config.name batch c.Exec_trace.total_cycles;
-     (* the capture itself is deliberately serial (never the pooled
-        service), so these counters are the process-wide default
-        service's — all zero unless ASCEND_CACHE_DIR points at a
-        populated persistent tier *)
-     Format.printf "exec cache: %a@." Ascend.Exec.Cache.pp_stats
-       (Ascend.Exec.Service.stats (Ascend.Exec.Service.default ()));
      Format.printf "wrote %s (load in Perfetto or chrome://tracing)@." output;
      Ok ())
 

@@ -96,11 +96,10 @@ let run ?(budget_pct = 5.) ~service ~core ~model ~build ~max_batch () =
   if max_batch < 1 then invalid_arg "Calibration.run: max_batch < 1";
   if budget_pct < 0. then invalid_arg "Calibration.run: negative budget";
   (* no fused group recurs across batch sizes, so a batch's cache entries
-     are never hit again: persist and drop them once the batch is priced,
-     or the memory tier holds every compiled program of every batch *)
+     are never hit again: drop them once the batch is priced, or the
+     cache holds every compiled program of every batch *)
   let price ~batch =
     let entry = price ~service ~core (build ~batch) in
-    Service.flush service;
     Service.clear service;
     entry
   in

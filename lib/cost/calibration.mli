@@ -79,10 +79,9 @@ val run :
 (** {!fit} against the {!price} oracle, scored into a {!report}.  The
     reported max error is within [budget_pct] by construction — the CI
     gate re-checks it end to end.  No fused group recurs across batch
-    sizes, so after pricing each batch [service] is flushed to its disk
-    tier (if any) and its memory tier and counters are cleared.  Raises
-    [Invalid_argument] on [max_batch < 1]; [Error] when any batch fails
-    to compile. *)
+    sizes, so after pricing each batch [service]'s cache and counters
+    are cleared.  Raises [Invalid_argument] on [max_batch < 1]; [Error]
+    when any batch fails to compile. *)
 
 val to_json : report -> Ascend_util.Json.t
 

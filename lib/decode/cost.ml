@@ -13,8 +13,8 @@ type entry = Surrogate.entry = {
 type costing = [ `Exact | `Surrogate ]
 
 (* Phase-aware pricing for one LLM on one core.  Every exact price goes
-   through the serving oracle's counted [price] (private single-domain
-   service, hit/miss deltas folded into its counters).  Unlike serving,
+   through the serving oracle's [price] (private single-domain service,
+   whose cache counters are the oracle's hits and misses).  Unlike serving,
    decode steps are a function of (batch, cache length), so the
    surrogate tier is the 2-D grid of {!Ascend_cost.Surrogate2d}, and
    prefill — once per request, never the volume term — stays on the
@@ -121,4 +121,3 @@ let hits t = Oracle.hits t.oracle
 let misses t = Oracle.misses t.oracle
 let interpolated t = t.interpolated
 let fallbacks t = t.fallbacks
-let stats t = Oracle.stats t.oracle

@@ -3,8 +3,9 @@
 
     {b Prefill} runs once per request, so it stays on the exact
     compile+simulate tier behind a (batch, prompt-length) memo — repeats
-    are free, and the private {!Ascend_exec.Service} caches at the
-    fused-group level below that.
+    are free, and the private execution service of the
+    {!Ascend_serving.Cost} oracle caches at the fused-group level below
+    that.
 
     {b Decode steps} are the volume term — one per generated token — and
     their latency is a function of (batch, KV-cache length).  [`Exact]
@@ -15,9 +16,8 @@
     tier outside the grid.
 
     Both tiers are deterministic, counters included; the service is
-    private and single-domain so an engine run is a pure function of its
-    inputs ([ASCEND_CACHE_DIR] being the documented disk-tier
-    exception). *)
+    private, single-domain and in-memory, so an engine run is a pure
+    function of its inputs. *)
 
 type entry = Ascend_cost.Surrogate.entry = {
   cycles : int;
@@ -65,5 +65,3 @@ val interpolated : t -> int
 
 val fallbacks : t -> int
 (** Surrogate-mode decode steps outside the grid, answered exactly. *)
-
-val stats : t -> Ascend_exec.Cache.stats

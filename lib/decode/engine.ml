@@ -41,7 +41,6 @@ type result = {
   cost_misses : int;
   cost_interpolated : int;
   cost_fallbacks : int;
-  cost_stats : Ascend_exec.Cache.stats;
 }
 
 (* one sequence in flight: created at prefill, mutated once per decode
@@ -348,7 +347,6 @@ let run config requests =
         cost_misses = Cost.misses cost;
         cost_interpolated = Cost.interpolated cost;
         cost_fallbacks = Cost.fallbacks cost;
-        cost_stats = Cost.stats cost;
       }
   | exception Serving.Cost.Unpriced e -> Error e
 
@@ -387,13 +385,8 @@ let to_json r =
           ] );
       ("steps", Json.Int (List.length r.steps));
       ( "cost_cache",
-        Json.Obj
-          [
-            ("hits", Json.Int r.cost_hits);
-            ("misses", Json.Int r.cost_misses);
-            ("interpolated", Json.Int r.cost_interpolated);
-            ("fallbacks", Json.Int r.cost_fallbacks);
-          ] );
+        Serving.Cost.counters_json ~hits:r.cost_hits ~misses:r.cost_misses
+          ~interpolated:r.cost_interpolated ~fallbacks:r.cost_fallbacks );
     ]
 
 let pp ppf r =

@@ -53,7 +53,6 @@ type result = {
   cost_misses : int;
   cost_interpolated : int;
   cost_fallbacks : int;
-  cost_stats : Ascend_exec.Cache.stats;
 }
 
 val run : config -> Request.t list -> (result, string) Stdlib.result

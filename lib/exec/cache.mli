@@ -1,65 +1,38 @@
-(** Bounded content-addressed result store with an optional disk tier.
+(** Bounded in-memory content-addressed result store.
 
     Keys are stable digests (see {!Ascend_util.Stable_hash}); values are
     whatever the service wants to reuse — here compiled programs plus
     simulator reports.  Capacity-bound with LRU eviction; every lookup
     counts a hit or a miss and every eviction is counted, so the cache's
-    effectiveness is observable as metrics ({!stats}).
-
-    With [dir] set the cache persists across processes: creation indexes
-    the directory's entries (load-on-create; values stream in lazily on
-    first probe), {!find} falls back to disk on a memory miss, and
-    {!flush} writes entries added since the last flush (save-on-flush,
-    one [Marshal]ed file per key, atomic tmp+rename).  Memory and disk
-    hits are counted separately.  A file that fails to unmarshal — e.g.
-    written by a build with different value types — is silently dropped
-    and counted as a miss, so a stale directory can cost time but never
-    correctness... provided the caller's keys cover everything that
-    determines the value (the execution service's content addresses
-    do). *)
+    effectiveness is observable as metrics ({!stats}).  Nothing outlives
+    the process, so a run's results and counters depend on its inputs
+    alone. *)
 
 type 'v t
 
 type stats = {
-  hits : int;        (** memory hits *)
-  misses : int;      (** found in neither tier *)
+  hits : int;
+  misses : int;
   evictions : int;
-  entries : int;     (** in memory *)
-  disk_hits : int;   (** memory misses satisfied from [dir] *)
-  disk_writes : int; (** entries written by {!flush} *)
-  disk_entries : int;(** indexed files in [dir] *)
+  entries : int;
 }
 
-val create : ?capacity:int -> ?dir:string -> unit -> 'v t
-(** Default capacity: 4096 entries; no disk tier unless [dir] is given
-    (created, with parents, if missing).  Raises [Invalid_argument] on a
+val create : ?capacity:int -> unit -> 'v t
+(** Default capacity: 4096 entries.  Raises [Invalid_argument] on a
     capacity below 1. *)
 
-val capacity : 'v t -> int
-
-val dir : 'v t -> string option
-
 val find : 'v t -> string -> 'v option
-(** Counts a memory hit, a disk hit (promoting the entry into memory)
-    or a miss; refreshes recency on memory hit. *)
+(** Counts a hit (refreshing the entry's recency) or a miss. *)
 
 val add : 'v t -> string -> 'v -> unit
 (** Inserts unless present; evicts the least-recently-used entry when
-    full.  With a disk tier, the entry is also queued for the next
-    {!flush} (serialized immediately, so a later eviction cannot lose
-    it). *)
-
-val flush : 'v t -> unit
-(** Write queued entries to [dir]; a no-op without a disk tier. *)
+    full. *)
 
 val stats : 'v t -> stats
 
 val pp_stats : Format.formatter -> stats -> unit
-(** One line covering both tiers — memory hits/misses/evictions/entries
-    plus disk hits/writes/files — the single formatter every
-    user-visible summary ([serve], [fleet], [trace]) prints, so the
-    disk-tier counters are never silently collected-but-unshown. *)
+(** One line — hits, misses, evictions, entries — the single formatter
+    the [serve] and [fleet] summaries print. *)
 
 val clear : 'v t -> unit
-(** Reset the memory tier and all counters.  Disk entries survive (and
-    remain probeable): clearing drops state, not the persistent store. *)
+(** Drop every entry and reset all counters. *)

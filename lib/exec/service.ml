@@ -24,19 +24,13 @@ type t = {
   mutable prefix : (Config.t * Codegen.options * Hash.t) option;
 }
 
-let create ?jobs ?capacity ?dir () =
-  let t =
-    {
-      pool = Pool.create ?jobs ();
-      cache = Cache.create ?capacity ?dir ();
-      obs = None;
-      prefix = None;
-    }
-  in
-  (* persistent services flush on exit so plain CLI runs (which never
-     call shutdown) still leave their compile results behind *)
-  if dir <> None then at_exit (fun () -> Cache.flush t.cache);
-  t
+let create ?jobs () =
+  {
+    pool = Pool.create ?jobs ();
+    cache = Cache.create ();
+    obs = None;
+    prefix = None;
+  }
 
 let jobs t = Pool.jobs t.pool
 
@@ -46,11 +40,7 @@ let jobs t = Pool.jobs t.pool
 let map t f xs = Pool.map t.pool f xs
 let stats t = Cache.stats t.cache
 let clear t = Cache.clear t.cache
-let flush t = Cache.flush t.cache
-
-let shutdown t =
-  Cache.flush t.cache;
-  Pool.shutdown t.pool
+let shutdown t = Pool.shutdown t.pool
 
 (* --- content addressing ------------------------------------------- *)
 
@@ -192,8 +182,7 @@ let obs_record_batch t to_compute computed =
     emit "cache_hits" s.Cache.hits;
     emit "cache_misses" s.Cache.misses;
     emit "cache_evictions" s.Cache.evictions;
-    emit "cache_entries" s.Cache.entries;
-    if Cache.dir t.cache <> None then emit "cache_disk_hits" s.Cache.disk_hits
+    emit "cache_entries" s.Cache.entries
 
 (* --- execution ----------------------------------------------------- *)
 
@@ -272,21 +261,11 @@ let env_jobs () =
     match int_of_string_opt s with Some j when j >= 1 -> Some j | _ -> None)
   | None -> None
 
-(* opt-in disk tier: persistence changes hit/miss counters between a
-   cold and a warm run, and the default service's counters flow into
-   traces — so it only turns on when the environment asks for it *)
-let env_cache_dir () =
-  match Sys.getenv_opt "ASCEND_CACHE_DIR" with
-  | Some d when d <> "" -> Some d
-  | _ -> None
-
 let default () =
   match !default_instance with
   | Some t -> t
   | None ->
-    let jobs = env_jobs () in
-    let dir = env_cache_dir () in
-    let t = create ?jobs ?dir () in
+    let t = create ?jobs:(env_jobs ()) () in
     default_instance := Some t;
     t
 

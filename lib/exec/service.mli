@@ -23,14 +23,11 @@
 
 type t
 
-val create : ?jobs:int -> ?capacity:int -> ?dir:string -> unit -> t
-(** [jobs] defaults to {!Ascend_util.Domain_pool.default_jobs};
-    [capacity] is the cache bound in entries (default 4096).  Worker
-    domains spawn lazily on first use; [jobs = 1] never spawns and runs
-    inline.  [dir] enables the cache's disk tier (see {!Cache}): compile
-    results load from and — on {!flush}, {!shutdown} or process exit —
-    persist to content-addressed files under it, so warm-cache results
-    survive across runs. *)
+val create : ?jobs:int -> unit -> t
+(** [jobs] defaults to {!Ascend_util.Domain_pool.default_jobs}; the
+    cache holds the {!Cache} default of 4096 entries.  Worker domains
+    spawn lazily on first use; [jobs = 1] never spawns and runs
+    inline. *)
 
 val jobs : t -> int
 
@@ -41,17 +38,13 @@ val map : t -> ('a -> 'b) -> 'a list -> 'b list
     [jobs]; does not touch the cache. *)
 
 val stats : t -> Cache.stats
-(** Hit/miss/eviction counters and current entry count; memory and disk
-    hits are distinguished. *)
+(** Hit/miss/eviction counters and current entry count. *)
 
 val clear : t -> unit
-
-val flush : t -> unit
-(** Persist entries added since the last flush to the disk tier; no-op
-    without one. *)
+(** Drop every cached result and reset the counters. *)
 
 val shutdown : t -> unit
-(** Flushes the disk tier, then stops the worker domains. *)
+(** Stop the worker domains. *)
 
 val key :
   ?options:Ascend_compiler.Codegen.options -> Ascend_arch.Config.t ->
@@ -95,19 +88,7 @@ val uninstall : unit -> unit
 val default : unit -> t
 (** The process-wide service (created on first use).  Worker count
     honours the [ASCEND_JOBS] environment variable when set to a
-    positive integer; setting [ASCEND_CACHE_DIR] to a non-empty path
-    (e.g. [_build/ascend-cache]) enables the persistent disk tier for
-    this service.  Persistence is opt-in because a warm disk changes
-    hit/miss counters between otherwise identical runs. *)
-
-val env_jobs : unit -> int option
-(** [ASCEND_JOBS] when set to a positive integer; [None] otherwise. *)
-
-val env_cache_dir : unit -> string option
-(** [ASCEND_CACHE_DIR] when set and non-empty; [None] otherwise.  Shared
-    by {!default} and by the serving cost oracle's private services, so
-    one environment variable opts the whole process into disk-tier
-    persistence. *)
+    positive integer. *)
 
 val install_default : unit -> unit
 (** [install (default ())] — done at link time by the [ascend] façade. *)

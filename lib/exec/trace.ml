@@ -11,15 +11,15 @@ type capture = {
   total_cycles : int;
 }
 
-let model ?(capacity = 262144) ?options core graph =
-  let collector = Obs.Collector.create ~capacity () in
+let model core graph =
+  let collector = Obs.Collector.create ~capacity:262144 () in
   let groups = Fusion.partition graph in
   let result =
     Obs.Hook.with_collector collector (fun () ->
         let rec go acc = function
           | [] -> Ok (List.rev acc)
           | (g : Fusion.t) :: rest -> (
-            match Engine.run_group ?options core g with
+            match Engine.run_group core g with
             | Ok lr -> go (lr :: acc) rest
             | Error e -> Error (g.Fusion.tag ^ ": " ^ e))
         in

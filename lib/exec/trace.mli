@@ -19,10 +19,7 @@ type capture = {
 }
 
 val model :
-  ?capacity:int ->
-  ?options:Ascend_compiler.Codegen.options ->
-  Ascend_arch.Config.t ->
-  Ascend_nn.Graph.t ->
-  (capture, string) result
-(** [capacity] bounds the collector (default 262144 events).  [Error]
-    when a group fails to compile or simulate on the given core. *)
+  Ascend_arch.Config.t -> Ascend_nn.Graph.t -> (capture, string) result
+(** Capture every group under the default codegen options, in a
+    collector bounded at 262144 events.  [Error] when a group fails to
+    compile or simulate on the given core. *)

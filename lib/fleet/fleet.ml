@@ -557,8 +557,7 @@ let to_json r =
           ] );
       ( "cost_cache",
         Cost.counters_json ~hits:r.cost_hits ~misses:r.cost_misses
-          ~interpolated:r.cost_interpolated ~fallbacks:r.cost_fallbacks
-          r.cost_stats );
+          ~interpolated:r.cost_interpolated ~fallbacks:r.cost_fallbacks );
     ]
 
 let mean_utilization (m : Metrics.t) =

@@ -23,10 +23,10 @@
       the fraction of each training step spent in gradient all-reduce
       is interconnect bandwidth inference page-ins no longer get, so
       page-ins on those nodes run proportionally slower;
-    - {b determinism}: one shared single-domain {!Ascend_serving.Cost}
-      oracle prices every batch, so a run — counters included — is a
-      pure function of specs + seeds: byte-identical {!to_json} across
-      runs and [ASCEND_JOBS] values;
+    - {b determinism}: one shared single-domain, in-memory
+      {!Ascend_serving.Cost} oracle prices every batch, so a run —
+      counters included — is a pure function of specs + seeds:
+      byte-identical {!to_json} across runs and [ASCEND_JOBS] values;
     - {b trace layout}: with a collector installed, the fleet's own
       process carries the router lane (route instants, per-node routed
       counters) and one page-in lane per node; each node is a process
@@ -155,7 +155,7 @@ type result = {
   cost_interpolated : int;  (** surrogate-answered lookups *)
   cost_fallbacks : int;     (** surrogate out-of-range, priced exactly *)
   cost_stats : Ascend_exec.Cache.stats;
-      (** the cost oracle's private service cache, disk tier included *)
+      (** the cost oracle's private service cache *)
 }
 
 val run :

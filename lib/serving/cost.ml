@@ -15,17 +15,14 @@ type costing = [ `Exact | `Surrogate ]
    fused-group level.  The service is private (not [Service.default])
    and single-domain so that a [Serve.run] is a pure function of its
    inputs — counters included — regardless of what else the process ran
-   before.  ([ASCEND_CACHE_DIR] is the one documented exception: it
-   opts the private service into the persistent disk tier, so a warm
-   directory trades some of that purity for cross-process reuse.) *)
+   before.  Only [price] touches it, so its cache counters are the
+   oracle's hit and miss counts. *)
 type t = {
   core : Ascend_arch.Config.t;
   service : Service.t;
   costing : costing;
   max_batch : int;
   fits : (string, Surrogate.t) Hashtbl.t;
-  mutable hits : int;
-  mutable misses : int;
   mutable interpolated : int;
   mutable fallbacks : int;
 }
@@ -34,12 +31,10 @@ let create ?(costing = `Exact) ?(max_batch = 8) ~core () =
   if max_batch < 1 then invalid_arg "Cost.create: max_batch < 1";
   {
     core;
-    service = Service.create ~jobs:1 ?dir:(Service.env_cache_dir ()) ();
+    service = Service.create ~jobs:1 ();
     costing;
     max_batch;
     fits = Hashtbl.create 8;
-    hits = 0;
-    misses = 0;
     interpolated = 0;
     fallbacks = 0;
   }
@@ -47,16 +42,9 @@ let create ?(costing = `Exact) ?(max_batch = 8) ~core () =
 let core t = t.core
 let costing t = t.costing
 
-(* Tier B: the exact compile+simulate path, with hit/miss deltas folded
-   into the oracle's own counters *)
+(* Tier B: the exact compile+simulate path *)
 let price t graph =
-  let before = Service.stats t.service in
-  let r = Ascend_cost.Calibration.price ~service:t.service ~core:t.core graph in
-  let after = Service.stats t.service in
-  t.hits <- t.hits + (after.Ascend_exec.Cache.hits - before.Ascend_exec.Cache.hits);
-  t.misses <-
-    t.misses + (after.Ascend_exec.Cache.misses - before.Ascend_exec.Cache.misses);
-  r
+  Ascend_cost.Calibration.price ~service:t.service ~core:t.core graph
 
 (* budget-driven refined fit (see {!Ascend_cost.Calibration}): prices
    every batch in 1..max_batch once through Tier B, then keeps the
@@ -96,18 +84,17 @@ let lookup t ~model ~build ~batch =
         t.fallbacks <- t.fallbacks + 1;
         price t (build ~batch)))
 
-let hits t = t.hits
-let misses t = t.misses
+let stats t = Service.stats t.service
+let hits t = (stats t).Ascend_exec.Cache.hits
+let misses t = (stats t).Ascend_exec.Cache.misses
 let interpolated t = t.interpolated
 let fallbacks t = t.fallbacks
-let stats t = Service.stats t.service
 
 exception Unpriced of string
 
 let costing_name = function `Exact -> "exact" | `Surrogate -> "surrogate"
 
-let counters_json ~hits ~misses ~interpolated ~fallbacks
-    (stats : Ascend_exec.Cache.stats) =
+let counters_json ~hits ~misses ~interpolated ~fallbacks =
   let module Json = Ascend_util.Json in
   Json.Obj
     [
@@ -115,7 +102,4 @@ let counters_json ~hits ~misses ~interpolated ~fallbacks
       ("misses", Json.Int misses);
       ("interpolated", Json.Int interpolated);
       ("fallbacks", Json.Int fallbacks);
-      ("disk_hits", Json.Int stats.Ascend_exec.Cache.disk_hits);
-      ("disk_writes", Json.Int stats.Ascend_exec.Cache.disk_writes);
-      ("disk_entries", Json.Int stats.Ascend_exec.Cache.disk_entries);
     ]

@@ -20,10 +20,8 @@
     Both tiers are deterministic: same inputs, same costing, same
     answers — counters included.  [`Exact] stays the default so the CI
     byte-identity gates are untouched; [`Surrogate] runs pin their own
-    outputs.  The private service is single-domain, keeping a
-    [Serve.run] a pure function of its inputs; the one documented
-    exception is [ASCEND_CACHE_DIR], which opts the private service into
-    the persistent disk tier ({!stats} exposes its counters). *)
+    outputs.  The private service is single-domain and in-memory, so a
+    [Serve.run] is a pure function of its inputs. *)
 
 type entry = Ascend_cost.Surrogate.entry = {
   cycles : int;        (** one batch on one core *)
@@ -53,15 +51,15 @@ val lookup :
 
 val price : t -> Ascend_nn.Graph.t -> (entry, string) result
 (** The exact tier alone: compile+simulate the graph through the
-    private service, whatever the costing, folding the service's hit and
-    miss deltas into {!hits} and {!misses}. *)
+    private service, whatever the costing. *)
 
 val hits : t -> int
 val misses : t -> int
-(** Fused-group-level cache counters of the exact tier: [misses] counts
-    actual compile+simulate runs, [hits] counts group results served
-    from the content-addressed cache.  Surrogate-mode calibration flows
-    through the same counters; interpolated lookups touch neither. *)
+(** The private service's fused-group cache counters ({!stats}):
+    [misses] counts actual compile+simulate runs, [hits] counts group
+    results served from the content-addressed cache.  Surrogate-mode
+    calibration flows through the same counters; interpolated lookups
+    touch neither. *)
 
 val interpolated : t -> int
 (** Lookups answered by the surrogate table (always 0 under [`Exact]). *)
@@ -71,7 +69,7 @@ val fallbacks : t -> int
     exact tier. *)
 
 val stats : t -> Ascend_exec.Cache.stats
-(** The private service's cache counters, disk tier included. *)
+(** The private service's cache counters. *)
 
 exception Unpriced of string
 (** Raised inside an event loop ({!Loop}, [Ascend_decode.Engine]) when a
@@ -83,6 +81,6 @@ val costing_name : [< `Exact | `Surrogate ] -> string
 
 val counters_json :
   hits:int -> misses:int -> interpolated:int -> fallbacks:int ->
-  Ascend_exec.Cache.stats -> Ascend_util.Json.t
-(** The [cost_cache] object of serve and fleet JSON: the four oracle
-    counters, then the disk tier's hits, writes and entries. *)
+  Ascend_util.Json.t
+(** The [cost_cache] object of serve, fleet and decode JSON: the four
+    oracle counters, in that order. *)

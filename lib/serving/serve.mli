@@ -15,7 +15,8 @@
     model queue is at the configured depth bound.
 
     Everything is deterministic: same specs + seeds => byte-identical
-    {!to_json} output. *)
+    {!to_json} output, cost counters included, since the oracle's cache
+    lives in memory and starts empty on every run. *)
 
 type workload = Loop.workload =
   | Open_loop of Load_gen.t
@@ -75,7 +76,7 @@ type result = {
   cost_interpolated : int;  (** surrogate-answered lookups *)
   cost_fallbacks : int;     (** surrogate out-of-range, priced exactly *)
   cost_stats : Ascend_exec.Cache.stats;
-      (** the cost oracle's private service cache, disk tier included *)
+      (** the cost oracle's private service cache *)
 }
 
 val run : config -> model_spec list -> (result, string) Stdlib.result
@@ -90,6 +91,8 @@ val scheduler_apps : result -> Ascend_runtime.Scheduler.app list
     order, carrying its QoS priority, one stream per batch. *)
 
 val to_json : result -> Ascend_util.Json.t
+(** Config, metrics, batches, then the [cost_cache] object of
+    {!Cost.counters_json}. *)
 
 val pp : Format.formatter -> result -> unit
 (** Metrics summary plus the offline-bound and cost-cache lines. *)

@@ -247,7 +247,13 @@ let test_engine_json_shape () =
     List.iter
       (fun k ->
         Alcotest.(check bool) ("has " ^ k) true (List.mem_assoc k fields))
-      [ "config"; "metrics"; "memory"; "steps"; "cost_cache" ]
+      [ "config"; "metrics"; "memory"; "steps"; "cost_cache" ];
+    Alcotest.(check (list string))
+      "cost_cache keys"
+      [ "hits"; "misses"; "interpolated"; "fallbacks" ]
+      (match List.assoc "cost_cache" fields with
+      | Json.Obj counters -> List.map fst counters
+      | _ -> [])
   | Ok _ -> Alcotest.fail "expected a JSON object"
 
 let () =

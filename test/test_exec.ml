@@ -29,10 +29,9 @@ let test_cache_hit_miss_counters () =
   Alcotest.(check int) "misses" 2 s.Cache.misses;
   Alcotest.(check int) "entries" 1 s.Cache.entries;
   Alcotest.(check int) "no evictions" 0 s.Cache.evictions;
-  (* the one-line render the serving summaries embed, disk tier included *)
+  (* the one-line render the serving summaries embed *)
   Alcotest.(check string) "pp_stats"
-    "1 memory hit(s), 0 disk hit(s), 2 miss(es), 0 eviction(s), 1 entr(ies) \
-     in memory; disk tier: 0 write(s), 0 file(s)"
+    "1 hit(s), 2 miss(es), 0 eviction(s), 1 entr(ies)"
     (Format.asprintf "%a" Cache.pp_stats s)
 
 let test_cache_lru_eviction () =
@@ -59,70 +58,6 @@ let test_cache_add_is_insert_if_absent () =
   Cache.add c "k" 2;
   Alcotest.(check bool) "first insert wins" true (Cache.find c "k" = Some 1);
   Alcotest.(check int) "one entry" 1 (Cache.stats c).Cache.entries
-
-(* ------------------------------------------------------------------ *)
-(* Cache: disk tier                                                    *)
-
-(* unique scratch directory without depending on Unix *)
-let temp_dir () =
-  let f = Filename.temp_file "ascend_cache" "" in
-  Sys.remove f;
-  f
-
-let rm_rf dir =
-  if Sys.file_exists dir then begin
-    Array.iter (fun n -> Sys.remove (Filename.concat dir n)) (Sys.readdir dir);
-    Sys.rmdir dir
-  end
-
-let test_cache_disk_roundtrip () =
-  let dir = temp_dir () in
-  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
-  let c1 = Cache.create ~dir () in
-  Cache.add c1 "k1" 41;
-  Cache.add c1 "k2" 42;
-  Alcotest.(check int) "nothing written before flush" 0
-    (Cache.stats c1).Cache.disk_writes;
-  Cache.flush c1;
-  let s1 = Cache.stats c1 in
-  Alcotest.(check int) "two files written" 2 s1.Cache.disk_writes;
-  Alcotest.(check int) "indexed" 2 s1.Cache.disk_entries;
-  Cache.flush c1;
-  Alcotest.(check int) "flush is idempotent" 2
-    (Cache.stats c1).Cache.disk_writes;
-  (* a fresh cache over the same directory starts warm *)
-  let c2 = Cache.create ~dir () in
-  Alcotest.(check int) "index scanned at create" 2
-    (Cache.stats c2).Cache.disk_entries;
-  Alcotest.(check bool) "value survives" true (Cache.find c2 "k1" = Some 41);
-  let s2 = Cache.stats c2 in
-  Alcotest.(check int) "counted as a disk hit" 1 s2.Cache.disk_hits;
-  Alcotest.(check int) "not as a memory hit" 0 s2.Cache.hits;
-  Alcotest.(check int) "not as a miss" 0 s2.Cache.misses;
-  (* the probe promoted the entry, so the next one hits memory *)
-  Alcotest.(check bool) "promoted" true (Cache.find c2 "k1" = Some 41);
-  let s3 = Cache.stats c2 in
-  Alcotest.(check int) "second probe hits memory" 1 s3.Cache.hits;
-  Alcotest.(check int) "disk tier untouched" 1 s3.Cache.disk_hits
-
-let test_cache_disk_corrupt_entry_is_a_miss () =
-  let dir = temp_dir () in
-  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
-  let c1 = Cache.create ~dir () in
-  Cache.add c1 "good" 7;
-  Cache.flush c1;
-  let oc = open_out_bin (Filename.concat dir "bad") in
-  output_string oc "not a marshaled value";
-  close_out oc;
-  let c2 = Cache.create ~dir () in
-  Alcotest.(check int) "both indexed" 2 (Cache.stats c2).Cache.disk_entries;
-  Alcotest.(check bool) "corrupt entry misses" true (Cache.find c2 "bad" = None);
-  let s = Cache.stats c2 in
-  Alcotest.(check int) "a plain miss" 1 s.Cache.misses;
-  Alcotest.(check int) "no disk hit" 0 s.Cache.disk_hits;
-  Alcotest.(check int) "dropped from the index" 1 s.Cache.disk_entries;
-  Alcotest.(check bool) "good entry still loads" true
-    (Cache.find c2 "good" = Some 7)
 
 (* ------------------------------------------------------------------ *)
 (* Keys: the content address covers what shapes the program            *)
@@ -155,8 +90,9 @@ let test_key_covers_options_and_config () =
 
 (* Every content address of the zoo — 10 models x 5 cores x 3 option
    sets, 4,230 keys — folded into one pinned MD5: the fold order, the
-   fields folded and the fused-group summaries must never drift, since a
-   drift orphans every disk-tier cache entry. *)
+   fields folded and the fused-group summaries change only in a diff
+   that re-records it, since a key that misses a field codegen reads
+   would serve one group's program for another. *)
 let test_key_zoo_digest_pinned () =
   let models =
     [
@@ -307,28 +243,6 @@ let test_service_dedups_within_batch () =
       "same cycles again" b.Engine.cube_cycles c.Engine.cube_cycles
   | _ -> Alcotest.fail "expected three Ok results"
 
-let test_service_disk_warm_start () =
-  (* a second service over the same cache directory compiles nothing *)
-  let dir = temp_dir () in
-  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
-  let g = Ascend.Nn.Gesture.build ~batch:1 () in
-  let groups = List.length (Fusion.partition g) in
-  let svc1 = Service.create ~jobs:1 ~dir () in
-  let r1 = ok (Service.run_inference svc1 Config.tiny g) in
-  Service.shutdown svc1;
-  (* shutdown flushes the disk tier *)
-  Alcotest.(check bool) "entries persisted" true
-    ((Service.stats svc1).Cache.disk_writes > 0);
-  let svc2 = Service.create ~jobs:1 ~dir () in
-  let r2 = ok (Service.run_inference svc2 Config.tiny g) in
-  let s2 = Service.stats svc2 in
-  Service.shutdown svc2;
-  Alcotest.(check int) "warm start: no recompilation" 0 s2.Cache.misses;
-  Alcotest.(check bool) "disk tier served" true (s2.Cache.disk_hits > 0);
-  Alcotest.(check int) "every group served from a tier" groups
-    (s2.Cache.disk_hits + s2.Cache.hits);
-  Alcotest.(check string) "byte-identical result" (render r1) (render r2)
-
 let test_service_error_propagates () =
   (* an unsupported dtype fails identically through the service *)
   let g = Ascend.Nn.Resnet.v1_5_18 ~dtype:Ascend.Arch.Precision.Int4 () in
@@ -345,21 +259,42 @@ let test_service_error_propagates () =
 (* ------------------------------------------------------------------ *)
 (* Cost oracle delegates to the service cache                          *)
 
+(* the oracle's hit and miss counts are its private service's *)
+let check_counts_are_stats what oracle =
+  let module Cost = Ascend.Serving.Cost in
+  let s = Cost.stats oracle in
+  Alcotest.(check (pair int int))
+    (what ^ ": hits, misses = service stats")
+    (s.Cache.hits, s.Cache.misses)
+    (Cost.hits oracle, Cost.misses oracle)
+
 let test_cost_counts_service_hits () =
-  let oracle = Ascend.Serving.Cost.create ~core:Config.standard () in
+  let module Cost = Ascend.Serving.Cost in
+  let oracle = Cost.create ~core:Config.standard () in
   let build ~batch = Ascend.Nn.Resnet.v1_5_18 ~batch () in
-  let e1 = ok (Ascend.Serving.Cost.lookup oracle ~model:"r18" ~build ~batch:1) in
-  let cold_misses = Ascend.Serving.Cost.misses oracle in
-  let e2 = ok (Ascend.Serving.Cost.lookup oracle ~model:"r18" ~build ~batch:1) in
+  let e1 = ok (Cost.lookup oracle ~model:"r18" ~build ~batch:1) in
+  let cold_misses = Cost.misses oracle in
+  check_counts_are_stats "cold exact lookup" oracle;
+  let e2 = ok (Cost.lookup oracle ~model:"r18" ~build ~batch:1) in
+  check_counts_are_stats "warm exact lookup" oracle;
   Alcotest.(check bool) "first call misses" true (cold_misses > 0);
-  Alcotest.(check int)
-    "repeat adds no misses" cold_misses
-    (Ascend.Serving.Cost.misses oracle);
+  Alcotest.(check int) "repeat adds no misses" cold_misses (Cost.misses oracle);
   Alcotest.(check bool)
     "repeat hits the cache" true
-    (Ascend.Serving.Cost.hits oracle >= cold_misses);
-  Alcotest.(check int) "same cycles" e1.Ascend.Serving.Cost.cycles
-    e2.Ascend.Serving.Cost.cycles
+    (Cost.hits oracle >= cold_misses);
+  Alcotest.(check int) "same cycles" e1.Cost.cycles e2.Cost.cycles;
+  (* a surrogate fit prices batches 1..max_batch through the same
+     service; a batch past the table falls back to it *)
+  let surrogate =
+    Cost.create ~costing:`Surrogate ~max_batch:2 ~core:Config.tiny ()
+  in
+  let build ~batch = Ascend.Nn.Gesture.build ~batch () in
+  ignore (ok (Cost.lookup surrogate ~model:"gesture" ~build ~batch:1));
+  Alcotest.(check bool) "the fit compiled" true (Cost.misses surrogate > 0);
+  check_counts_are_stats "surrogate fit" surrogate;
+  ignore (ok (Cost.lookup surrogate ~model:"gesture" ~build ~batch:3));
+  Alcotest.(check int) "one fallback" 1 (Cost.fallbacks surrogate);
+  check_counts_are_stats "surrogate fallback" surrogate
 
 let () =
   Alcotest.run "exec"
@@ -371,9 +306,6 @@ let () =
           Alcotest.test_case "lru eviction" `Quick test_cache_lru_eviction;
           Alcotest.test_case "insert if absent" `Quick
             test_cache_add_is_insert_if_absent;
-          Alcotest.test_case "disk roundtrip" `Quick test_cache_disk_roundtrip;
-          Alcotest.test_case "disk corruption" `Quick
-            test_cache_disk_corrupt_entry_is_a_miss;
         ] );
       ( "key",
         [
@@ -391,8 +323,6 @@ let () =
           Alcotest.test_case "jobs invariant" `Quick test_service_jobs_invariant;
           Alcotest.test_case "dedup within batch" `Quick
             test_service_dedups_within_batch;
-          Alcotest.test_case "disk warm start" `Quick
-            test_service_disk_warm_start;
           Alcotest.test_case "error propagation" `Quick
             test_service_error_propagates;
         ] );

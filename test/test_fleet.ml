@@ -194,8 +194,10 @@ let test_fleet_deterministic () =
 
 (* byte identity of whole runs under every router policy.  Each digest
    covers [Fleet.to_json] plus every request's (node, id, start, finish,
-   core); the digests were recorded before the pending arrivals moved
-   from a sorted list to a heap *)
+   core).  The digests were recorded before the pending arrivals moved
+   from a sorted list to a heap, and re-recorded once when the three
+   disk-tier keys left [cost_cache]: each is the earlier build's document
+   with those keys stripped *)
 let test_fleet_json_digests_pinned () =
   let with_workload workload spec = { spec with Fleet.workload } in
   let open_with process seed =
@@ -246,12 +248,12 @@ let test_fleet_json_digests_pinned () =
   Alcotest.(check (list (pair string string)))
     "fleet run digests"
     [
-      ("round-robin bursty", "8eaed0fb6821c630409fdf3466156b47");
-      ("least-loaded bursty", "676e9e72b56bb09626cb7a5a5fcca96d");
-      ("affinity bursty", "ce7843472c45e48ce62b254a5834b63c");
-      ("round-robin uniform ties", "5b3435eb89df2cdde8f68c98078ee894");
-      ("least-loaded closed think 0", "719025fb2ea711be659c480f3ea3d4eb");
-      ("round-robin closed think 1ms", "4d5844dc5e125b18981a1a041d5b07e1");
+      ("round-robin bursty", "21c9fcc9272c58b4307db81a145491ef");
+      ("least-loaded bursty", "754c5f5a3a88bba5c389394af7963b7a");
+      ("affinity bursty", "498f92e8ef494a614e28e4a7a4b225e9");
+      ("round-robin uniform ties", "55482c553d945785f475a67451a8db0a");
+      ("least-loaded closed think 0", "e65d5321feeea77d1cc2070e8446362f");
+      ("round-robin closed think 1ms", "050b3b4b6109a9ad8fc98630652e009a");
     ]
     (List.map digest configs)
 
@@ -476,7 +478,13 @@ let test_fleet_json_shape () =
       (fun k ->
         Alcotest.(check bool) ("has " ^ k) true (List.mem_assoc k fields))
       [ "config"; "placement"; "training"; "fleet"; "nodes"; "routing";
-        "batches"; "cost_cache" ]
+        "batches"; "cost_cache" ];
+    Alcotest.(check (list string))
+      "cost_cache keys"
+      [ "hits"; "misses"; "interpolated"; "fallbacks" ]
+      (match List.assoc "cost_cache" fields with
+      | Json.Obj counters -> List.map fst counters
+      | _ -> [])
   | Ok _ -> Alcotest.fail "expected a JSON object"
 
 let () =

@@ -499,7 +499,7 @@ let test_serve_closed_loop_deterministic () =
   Alcotest.(check bool) "clients kept the loop busy" true
     (s.Metrics.completed > 3);
   Alcotest.(check int) "closed loop never sheds" 0 s.Metrics.rejected;
-  (* the summary surfaces the cost service's cache, disk tier included *)
+  (* the summary surfaces the cost service's cache *)
   let rendered = Format.asprintf "%a" Serve.pp a in
   let contains hay needle =
     let nl = String.length needle and hl = String.length hay in
@@ -507,9 +507,7 @@ let test_serve_closed_loop_deterministic () =
     go 0
   in
   Alcotest.(check bool) "exec cache line" true
-    (contains rendered "exec cache:");
-  Alcotest.(check bool) "disk tier counters" true
-    (contains rendered "disk tier:")
+    (contains rendered "exec cache:")
 
 let test_serve_qos_under_overload () =
   (* one tiny core, two identical models, heavy load: the
@@ -555,8 +553,10 @@ let test_serve_offline_bound () =
 (* byte identity of whole runs across the arrival traffic shapes.  Each
    digest covers [Serve.to_json] plus every request's (id, start, finish,
    core), so it also sees which requests share a batch when arrivals of
-   one model tie; the digests were recorded before the pending arrivals
-   moved from a sorted list to a heap *)
+   one model tie.  The digests were recorded before the pending arrivals
+   moved from a sorted list to a heap, and re-recorded once when the
+   three disk-tier keys left [cost_cache]: each is the earlier build's
+   document with those keys stripped *)
 let test_serve_json_digests_pinned () =
   let open_with ?(rate = 400.) process name =
     { (open_spec name) with
@@ -604,12 +604,12 @@ let test_serve_json_digests_pinned () =
   Alcotest.(check (list (pair string string)))
     "serve run digests"
     [
-      ("open uniform", "c498dad8ba0365dae82e9952cd4c4416");
-      ("open poisson", "a3efabba489eac4d57b1a30369bf8473");
-      ("open bursty", "ff17821ad7a7f75e84fd402b3553af10");
-      ("open uniform ties", "1287d74872d1e78e31386b50c175a336");
-      ("closed think 0", "4018fb2617b5f0612ff6bc2f0e89fadf");
-      ("closed think 1ms", "6c71637617643722b40f49f5c5c32699");
+      ("open uniform", "18f90a42b28621b6264db5301fbda42a");
+      ("open poisson", "476612bd23b684079cd7f53a7549c3ef");
+      ("open bursty", "7cf56465fbd94b4f67cca7cb571c9828");
+      ("open uniform ties", "6cec6dd2755b45df43094aaf16bc1ae5");
+      ("closed think 0", "d0718509bace47780c4f93e15d0eba4b");
+      ("closed think 1ms", "b6a6c0f0f9f8d0bec0c9f9201361ceee");
     ]
     (List.map digest configs)
 
