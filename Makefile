@@ -36,7 +36,8 @@ sanitize:
 # significant digits; (c) statically predicted page-in counts equal
 # what the fleet run observes, under each routing policy; (d) serve
 # with K cores and a one-node fleet with K cores per node agree on
-# metrics, batch count, cost_cache and config
+# metrics, batch count, cost_cache and config; (e) serve, fleet, decode
+# and trace output is the same bytes across runs and ASCEND_JOBS
 differential:
 	dune exec bin/ascend_cli.exe -- lint --all --soc --json lint_soc.json
 	dune exec bin/ascend_cli.exe -- lint --all --soc --jobs 1 \
@@ -79,6 +80,8 @@ differential:
 	dune build bin/ascend_cli.exe
 	sh test/serve_fleet_differential.sh ./_build/default/bin/ascend_cli.exe
 	@echo "differential gate: serve and a one-node fleet agree"
+	sh test/determinism.sh ./_build/default/bin/ascend_cli.exe
+	@echo "differential gate: serve, fleet, decode and trace are deterministic"
 
 bench:
 	dune exec bench/main.exe

@@ -13,6 +13,7 @@ module Config = Ascend.Arch.Config
 module Precision = Ascend.Arch.Precision
 module Silicon = Ascend.Arch.Silicon
 module Engine = Ascend.Compiler.Engine
+module Service = Ascend.Exec.Service
 module Fusion = Ascend.Compiler.Fusion
 module Simulator = Ascend.Core_sim.Simulator
 module Table = Ascend.Util.Table
@@ -30,6 +31,14 @@ let section_header name description =
 let ok = function
   | Ok v -> v
   | Error e -> failwith e
+
+(* sections compile and simulate through the process-wide execution
+   service, as the SoC models do: one pool and one cache, so a graph a
+   section re-runs is compiled once *)
+let infer ?options config g =
+  Service.run_inference (Service.default ()) ?options config g
+
+let train config g = Service.run_training (Service.default ()) config g
 
 (* machine-readable companion to the human tables: each section run
    writes BENCH_<section>.json (scenario name, wall time, plus whatever
@@ -254,7 +263,7 @@ let fig4 () =
   section_header "fig4"
     "cube/vector ratio per layer, BERT-Large inference (cube 8192 FLOPS/cyc, \
      vector 256 B)";
-  let r = ok (Engine.run_inference Config.max (Ascend.Nn.Bert.large ~seq_len:128 ())) in
+  let r = ok (infer Config.max (Ascend.Nn.Bert.large ~seq_len:128 ())) in
   (* print the embedding stage and the first two encoder blocks; the other
      22 blocks repeat the same pattern *)
   let first_blocks = List.filteri (fun i _ -> i < 17) r.Engine.layers in
@@ -268,7 +277,7 @@ let fig4 () =
 let fig5 () =
   section_header "fig5" "cube/vector ratio per layer, BERT-Large training";
   let g = Ascend.Nn.Bert.large ~seq_len:128 () in
-  let r = ok (Engine.run_training Config.max g) in
+  let r = ok (train Config.max g) in
   let pairs = Engine.training_ratio_by_layer r in
   let t =
     Table.create ~title:"first two encoder blocks (fwd+bwd combined)"
@@ -294,7 +303,7 @@ let fig5 () =
 
 let fig6 () =
   section_header "fig6" "cube/vector ratio per layer, MobileNet inference";
-  let r = ok (Engine.run_inference Config.max (Ascend.Nn.Mobilenet.v2 ())) in
+  let r = ok (infer Config.max (Ascend.Nn.Mobilenet.v2 ())) in
   print_ratio_series "all layers" r.Engine.layers;
   Format.printf
     "paper: most MobileNet layers sit between 0 and 1 — hence the Lite \
@@ -302,7 +311,7 @@ let fig6 () =
 
 let fig7 () =
   section_header "fig7" "cube/vector ratio per layer, ResNet-50 inference";
-  let r = ok (Engine.run_inference Config.max (Ascend.Nn.Resnet.v1_5 ())) in
+  let r = ok (infer Config.max (Ascend.Nn.Resnet.v1_5 ())) in
   print_ratio_series ~limit:20 "first 20 layers" r.Engine.layers;
   let _, summary = ratio_summary r.Engine.layers in
   Format.printf "whole network: %s@." summary;
@@ -320,7 +329,7 @@ let fig8 () =
   section_header "fig8"
     "cube/vector ratio per layer, Gesture net on Ascend-Tiny (cube 1024 int8 \
      OPS/cyc, vector 32 B)";
-  let r = ok (Engine.run_inference Config.tiny (Ascend.Nn.Gesture.build ())) in
+  let r = ok (infer Config.tiny (Ascend.Nn.Gesture.build ())) in
   print_ratio_series "all layers" r.Engine.layers;
   Format.printf "paper: the ratio is greater than 1 for all layers@."
 
@@ -357,7 +366,7 @@ let fig9 () =
       ]
   in
   let bert = Ascend.Nn.Bert.large ~seq_len:128 () in
-  let tr = ok (Engine.run_training Config.max bert) in
+  let tr = ok (train Config.max bert) in
   let is_bwd (l : Engine.layer_result) =
     String.length l.Engine.group.Fusion.tag >= 4
     && String.sub l.Engine.group.Fusion.tag 0 4 = "bwd:"
@@ -366,9 +375,9 @@ let fig9 () =
   add "BERT forward" fwd;
   add "BERT backward" bwd;
   add "MobileNet inf."
-    (ok (Engine.run_inference Config.max (Ascend.Nn.Mobilenet.v2 ()))).Engine.layers;
+    (ok (infer Config.max (Ascend.Nn.Mobilenet.v2 ()))).Engine.layers;
   add "ResNet50 inf."
-    (ok (Engine.run_inference Config.max (Ascend.Nn.Resnet.v1_5 ()))).Engine.layers;
+    (ok (infer Config.max (Ascend.Nn.Resnet.v1_5 ()))).Engine.layers;
   Table.print t;
   Format.printf
     "paper bound: reads <= 4096 bits/cycle, writes <= 2048 bits/cycle; \
@@ -403,7 +412,7 @@ let lite_rebalance () =
   in
   List.iter
     (fun (name, config) ->
-      let r = ok (Engine.run_inference config g) in
+      let r = ok (infer config g) in
       let sub1 =
         List.length
           (List.filter
@@ -906,7 +915,7 @@ let precision () =
   List.iter
     (fun (name, dtype, snr_cell) ->
       let g = Ascend.Nn.Resnet.v1_5_18 ~dtype () in
-      match Engine.run_inference Config.standard g with
+      match infer Config.standard g with
       | Error e -> Format.printf "%s: %s@." name e
       | Ok r ->
         Table.add_row t
@@ -968,7 +977,7 @@ let related_work () =
         (100. *. Ascend.Baselines.Dataflow.utilization df ~layers ~batch:256);
       "no (paper §7.1)";
     ];
-  (match Engine.run_inference Config.max g with
+  (match infer Config.max g with
   | Ok r ->
     Table.add_row t
       [
@@ -1403,7 +1412,7 @@ let ablations () =
     "design-choice ablations: double buffering, auto-tiling, fp32 cube";
   let g18 = Ascend.Nn.Resnet.v1_5_18 () in
   let cyc options g config =
-    match Engine.run_inference ~options config g with
+    match infer ~options config g with
     | Ok r -> r.Engine.total_cycles
     | Error e -> failwith e
   in
@@ -1536,7 +1545,6 @@ let compile () =
   section_header "compile"
     "execution service: serial vs parallel vs warm-cache compile+simulate \
      over the zoo x Table-5 cores";
-  let module Service = Ascend.Exec.Service in
   let module Cache = Ascend.Exec.Cache in
   let workload =
     List.concat_map
@@ -1560,10 +1568,10 @@ let compile () =
       (fun acc (_, _, g) -> acc + List.length (Fusion.partition g))
       0 workload
   in
-  let run_all () =
+  let run_all run =
     List.map
       (fun (name, config, g) ->
-        match Engine.run_inference config g with
+        match run config g with
         | Ok r -> (name, config.Config.name, r.Engine.total_cycles)
         | Error e -> failwith e)
       workload
@@ -1573,20 +1581,20 @@ let compile () =
     let r = f () in
     (r, Unix.gettimeofday () -. t0)
   in
-  (* serial baseline: the engine's built-in path, no pool, no cache *)
-  Service.uninstall ();
-  let serial_results, serial_s = time run_all in
+  (* serial baseline: the engine's own loop, no pool, no cache *)
+  let serial_results, serial_s =
+    time (fun () -> run_all Engine.run_inference)
+  in
   (* parallel cold pass: fresh service, every group is a miss *)
   let jobs = Ascend.Util.Domain_pool.default_jobs () in
   let svc = Service.create ~jobs () in
-  Service.install svc;
-  let parallel_results, parallel_s = time run_all in
+  let through_svc () = run_all (Service.run_inference svc) in
+  let parallel_results, parallel_s = time through_svc in
   (* warm pass: same service, every group should hit the cache *)
   let warm_before = Service.stats svc in
-  let warm_results, warm_s = time run_all in
+  let warm_results, warm_s = time through_svc in
   let warm_after = Service.stats svc in
   Service.shutdown svc;
-  Service.install_default ();
   let identical =
     serial_results = parallel_results && serial_results = warm_results
   in
@@ -1697,7 +1705,6 @@ let lint_bench () =
   section_header "lint"
     "static lint + whole-SoC analysis + shadow-state sanitizer throughput, \
      serial vs execution-service fan-out";
-  let module Service = Ascend.Exec.Service in
   let module Verify = Ascend.Verify in
   let module Sanitizer = Ascend.Core_sim.Sanitizer in
   let module Soc_schedule = Ascend.Compiler.Soc_schedule in

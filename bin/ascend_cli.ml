@@ -15,6 +15,7 @@ module Config = Ascend.Arch.Config
 module Engine = Ascend.Compiler.Engine
 module Graph = Ascend.Nn.Graph
 module Json = Ascend.Util.Json
+module Service = Ascend.Exec.Service
 
 let models : (string * (batch:int -> Graph.t)) list =
   [
@@ -47,18 +48,6 @@ let cores =
     ("max", Config.max);
   ]
 
-let model_conv =
-  let parse s =
-    match List.assoc_opt s models with
-    | Some f -> Ok f
-    | None ->
-      Error
-        (`Msg
-          (Printf.sprintf "unknown model %s (try: %s)" s
-             (String.concat ", " (List.map fst models))))
-  in
-  Arg.conv (parse, fun ppf _ -> Format.pp_print_string ppf "<model>")
-
 let named_model_conv =
   let parse s =
     match List.assoc_opt s models with
@@ -85,7 +74,7 @@ let core_conv =
       Format.pp_print_string ppf c.Config.name)
 
 let model_arg =
-  Arg.(required & pos 0 (some model_conv) None & info [] ~docv:"MODEL")
+  Arg.(required & pos 0 (some named_model_conv) None & info [] ~docv:"MODEL")
 
 let core_arg =
   Arg.(value & opt core_conv Config.max & info [ "core" ] ~docv:"CORE"
@@ -96,11 +85,6 @@ let batch_arg =
 
 let training_arg =
   Arg.(value & flag & info [ "training" ] ~doc:"Simulate forward + backward.")
-
-let run_model build config ~batch ~training =
-  let graph = build ~batch in
-  let run = if training then Engine.run_training else Engine.run_inference in
-  run config graph
 
 (* one exit code per error class: 0 on success; 1 for one "error:"
    line on stderr, or for a check that failed (a sweep's error finding,
@@ -143,11 +127,23 @@ let check_core (core : Config.t) named_graphs =
       (Printf.sprintf "core %s does not support %s (%s)" core.Config.name name
          (Ascend.Arch.Precision.name (Graph.dtype g)))
 
+(* simulate, profile, disasm, streams and trace build their one model
+   and reject the core up front, as serve, fleet and decode do *)
+let checked_graph (name, build) config ~batch =
+  let graph = build ~batch in
+  let* () = check_core config [ (name, graph) ] in
+  Ok graph
+
+let run_model model config ~batch ~training =
+  let* graph = checked_graph model config ~batch in
+  let run = if training then Service.run_training else Service.run_inference in
+  run (Service.default ()) config graph
+
 (* --- simulate ----------------------------------------------------- *)
 
-let simulate build config batch training =
+let simulate model config batch training =
   exit_of
-    (match run_model build config ~batch ~training with
+    (match run_model model config ~batch ~training with
     | Error _ as e -> e
     | Ok r ->
       Format.printf
@@ -169,9 +165,9 @@ let simulate_cmd =
 
 (* --- profile ------------------------------------------------------ *)
 
-let profile build config batch training =
+let profile model config batch training =
   exit_of
-    (match run_model build config ~batch ~training with
+    (match run_model model config ~batch ~training with
     | Error _ as e -> e
     | Ok r ->
       Format.printf "%a@." Engine.pp_layer_table r;
@@ -188,9 +184,9 @@ let profile_cmd =
 let layer_arg =
   Arg.(value & opt int 0 & info [ "layer" ] ~docv:"I" ~doc:"Layer index.")
 
-let disasm build config batch layer =
+let disasm model config batch layer =
   exit_of
-    (match run_model build config ~batch ~training:false with
+    (match run_model model config ~batch ~training:false with
     | Error e -> Error e
     | Ok r -> (
       match List.nth_opt r.Engine.layers layer with
@@ -219,10 +215,11 @@ let disasm_cmd =
 let cores_arg =
   Arg.(value & opt int 2 & info [ "cores" ] ~docv:"N" ~doc:"SoC core count.")
 
-let streams build config batch cores =
+let streams model config batch cores =
   exit_of
     (match
-       Ascend.Compiler.Graph_engine.plan config (build ~batch)
+       let* graph = checked_graph model config ~batch in
+       Ascend.Compiler.Graph_engine.plan config graph
      with
     | Error _ as e -> e
     | Ok p ->
@@ -1037,12 +1034,12 @@ let select_combos ~what selected core_opt =
    prices through its pool and cache *)
 let with_service ~jobs f =
   let service =
-    Ascend.Exec.Service.create
+    Service.create
       ?jobs:(if jobs <= 0 then None else Some jobs)
       ()
   in
   let result = f service in
-  Ascend.Exec.Service.shutdown service;
+  Service.shutdown service;
   result
 
 (* every sweep ends here, in one order: the combinations' reports, then
@@ -1075,9 +1072,7 @@ let sweep_json ?(extra = []) combos =
 
 (* lint, lint --soc and sanitize *)
 let program_sweep ~what ~strict ~json_path ~jobs one combos =
-  let combos =
-    with_service ~jobs (fun s -> Ascend.Exec.Service.map s one combos)
-  in
+  let combos = with_service ~jobs (fun s -> Service.map s one combos) in
   let n = List.length combos in
   end_sweep ~strict combos ~docs:[ (json_path, sweep_json combos) ]
     ~summary:(fun findings ->
@@ -1154,9 +1149,7 @@ let lint_cluster_one ~verbose ~times (p : Coll_sched.point) =
 let lint_cluster ~verbose ~strict ~json_path ~times ~jobs =
   let results =
     with_service ~jobs (fun s ->
-        Ascend.Exec.Service.map s
-          (lint_cluster_one ~verbose ~times)
-          (Coll_sched.sweep ()))
+        Service.map s (lint_cluster_one ~verbose ~times) (Coll_sched.sweep ()))
   in
   let combos = List.map (fun (c, _, _) -> c) results in
   let n = List.length combos in
@@ -1456,14 +1449,15 @@ let trace_output_arg =
 
 let trace model_pos model_opt core batch output =
   exit_of
-    (let* name, build =
+    (let* ((name, _) as model) =
        match (model_pos, model_opt) with
        | Some m, None | None, Some m -> Ok m
        | Some _, Some _ ->
          Error "pass MODEL either positionally or via --model, not both"
        | None, None -> Error "pass a MODEL (positionally or via --model)"
      in
-     let* c = Exec_trace.model core (build ~batch) in
+     let* graph = checked_graph model core ~batch in
+     let* c = Exec_trace.model core graph in
      Json.write_file output c.Exec_trace.json;
      print_string (Obs.Summary.render c.Exec_trace.summary);
      Format.printf "%s on %s (batch %d): %d simulated cycles@." name

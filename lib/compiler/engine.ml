@@ -67,29 +67,15 @@ let of_layer_results config graph_name results =
   in
   go [] results
 
-type group_runner =
-  ?options:Codegen.options -> Config.t -> Fusion.t list ->
-  (layer_result, string) result list
-
-(* [Ascend_exec.Service.install] routes this through its domain pool and
-   content-addressed cache; kept as a ref so lib/compiler does not
-   depend upward on lib/exec *)
-let group_runner : group_runner option ref = ref None
-
 let run_groups ?options config graph_name groups =
-  match !group_runner with
-  | Some run -> of_layer_results config graph_name (run ?options config groups)
-  | None ->
-    let rec go acc = function
-      | [] -> Ok (List.rev acc)
-      | g :: rest -> (
-        match run_group ?options config g with
-        | Error _ as e -> e
-        | Ok r -> go (r :: acc) rest)
-    in
-    (match go [] groups with
-    | Error e -> Error e
-    | Ok layers -> Ok (collect config graph_name layers))
+  let rec go acc = function
+    | [] -> Ok (collect config graph_name (List.rev acc))
+    | g :: rest -> (
+      match run_group ?options config g with
+      | Error _ as e -> e
+      | Ok r -> go (r :: acc) rest)
+  in
+  go [] groups
 
 let run_inference ?options config graph =
   run_groups ?options config (Ascend_nn.Graph.name graph)

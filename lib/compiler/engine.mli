@@ -1,8 +1,12 @@
-(** End-to-end compile + simulate: the entry point the benchmarks and
-    examples use.  A network executes as its fused groups in topological
-    order on one core; per-group simulator reports provide the per-layer
-    cube/vector cycle ratios (Figures 4-8) and L1 bandwidth profile
-    (Figure 9). *)
+(** End-to-end compile + simulate.  A network executes as its fused
+    groups in topological order on one core; per-group simulator reports
+    provide the per-layer cube/vector cycle ratios (Figures 4-8) and L1
+    bandwidth profile (Figure 9).
+
+    Every run here is serial, uncached and a pure function of its
+    inputs: the reference path.  [Ascend_exec.Service.run_inference] /
+    [run_training] compute the same results through a domain pool and a
+    content-addressed cache; callers that re-run groups name a service. *)
 
 type layer_result = {
   group : Fusion.t;
@@ -48,18 +52,6 @@ val of_layer_results :
 (** Assemble per-group results (in submission order) into a network
     result; the first [Error] in the list wins, matching a serial
     short-circuiting run. *)
-
-type group_runner =
-  ?options:Codegen.options -> Ascend_arch.Config.t -> Fusion.t list ->
-  (layer_result, string) result list
-
-val group_runner : group_runner option ref
-(** Execution hook: when set, [run_inference]/[run_training]/[run_groups]
-    delegate the per-group compile+simulate fan-out to it instead of the
-    built-in serial loop.  [Ascend_exec.Service.install] points it at a
-    domain pool with a content-addressed result cache; results must be
-    returned in submission order.  Kept as a ref so [lib/compiler] does
-    not depend on [lib/exec]. *)
 
 val seconds : network_result -> float
 val average_power_w : network_result -> float

@@ -64,32 +64,29 @@ let streams graph groups =
     groups
 
 let plan config graph =
-  let groups = Fusion.partition graph in
-  let assigned = Array.of_list (streams graph groups) in
-  (* simulate each group for its cycle cost *)
-  let rec sim acc gi = function
-    | [] -> Ok (List.rev acc)
-    | (g : Fusion.t) :: rest -> (
-      match Engine.run_group config g with
-      | Error _ as e -> e
-      | Ok r ->
-        let deps, stream = assigned.(gi) in
-        (* cross-stream deps become explicit events *)
-        let cross =
-          List.filter (fun dep -> snd assigned.(dep) <> stream) deps
-        in
-        let cycles = r.Engine.report.Ascend_core_sim.Simulator.total_cycles in
-        sim
-          ({ id = gi; tag = g.Fusion.tag; cycles; stream; deps = cross } :: acc)
-          (gi + 1) rest)
-  in
   Result.map
-    (fun tasks ->
+    (fun (r : Engine.network_result) ->
+      let assigned =
+        Array.of_list
+          (streams graph (List.map (fun l -> l.Engine.group) r.Engine.layers))
+      in
+      let tasks =
+        List.mapi
+          (fun gi (l : Engine.layer_result) ->
+            let deps, stream = assigned.(gi) in
+            (* cross-stream deps become explicit events *)
+            let cross =
+              List.filter (fun dep -> snd assigned.(dep) <> stream) deps
+            in
+            let cycles = l.report.Ascend_core_sim.Simulator.total_cycles in
+            { id = gi; tag = l.group.Fusion.tag; cycles; stream; deps = cross })
+          r.Engine.layers
+      in
       let stream_count =
         Array.fold_left (fun n (_, s) -> max n (s + 1)) 0 assigned
       in
       { stream_count; tasks })
-    (sim [] 0 groups)
+    (Engine.run_inference config graph)
 
 let serial_cycles p = List.fold_left (fun acc t -> acc + t.cycles) 0 p.tasks
 

@@ -22,8 +22,8 @@
       planning, the compile-and-simulate engine;
     - {!Exec} — the compile/simulate execution service: a domain pool
       with deterministic ordered fan-out and a content-addressed cache
-      of compiled programs + simulator reports; linking this module
-      installs it behind [Engine.run_inference]/[run_training];
+      of compiled programs + simulator reports, named by the callers
+      that re-run groups ([Engine.run_inference] stays serial);
     - {!Tbe} — the TBE elementwise DSL and kernel lowering;
     - {!Noc} — mesh (flow and cycle level), ring, fat-tree;
     - {!Soc} — Ascend 910 / Kirin 990 / Ascend 610 integrations;
@@ -76,12 +76,3 @@ module Serving = Ascend_serving
 module Decode = Ascend_decode
 module Fleet = Ascend_fleet
 module Vector_core = Ascend_vector_core
-
-(* route every compile+simulate fan-out through the execution service's
-   domain pool and content-addressed cache ([ASCEND_JOBS] overrides the
-   worker count); outputs stay byte-identical to the serial path *)
-let () = Ascend_exec.Service.install_default ()
-
-(** Compile a graph and simulate inference on a named core version. *)
-let simulate ?(core = Arch.Config.Max) graph =
-  Compiler.Engine.run_inference (Arch.Config.of_version core) graph

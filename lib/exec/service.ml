@@ -245,13 +245,7 @@ let run_training t ?options config graph =
     (Ascend_nn.Graph.name graph ^ ":training")
     (run_groups t ?options config (Engine.training_groups graph))
 
-(* --- Engine hook --------------------------------------------------- *)
-
-let install t =
-  Engine.group_runner :=
-    Some (fun ?options config groups -> run_groups t ?options config groups)
-
-let uninstall () = Engine.group_runner := None
+(* --- the process-wide service ------------------------------------- *)
 
 let default_instance = ref None
 
@@ -268,5 +262,3 @@ let default () =
     let t = create ?jobs:(env_jobs ()) () in
     default_instance := Some t;
     t
-
-let install_default () = install (default ())

@@ -2,11 +2,12 @@
     with deterministic ordered fan-out plus a content-addressed cache of
     compiled programs and simulator reports.
 
-    Every sweep in this repository — Engine inference/training runs, the
-    serving cost oracle, the lint sweep, the bench sections — funnels
-    through the same serial compile→simulate path; this service makes
-    that path parallel and memoized while keeping every output
-    byte-identical to a serial run:
+    [Ascend_compiler.Engine.run_inference] runs a graph's groups through
+    the serial compile→simulate loop; this service runs the same
+    [Engine.run_group] step in parallel and memoized, and its callers
+    name it: the SoC models, the CLI's simulate/profile/disasm, the
+    serving and decode cost oracles, the lint sweep and the bench
+    sections.  Every output stays byte-identical to the serial run:
 
     - {b ordered fan-out}: groups are compiled and simulated on the
       pool's worker domains, but results are always reassembled in
@@ -76,19 +77,9 @@ val run_training :
   Ascend_nn.Graph.t ->
   (Ascend_compiler.Engine.network_result, string) result
 
-val install : t -> unit
-(** Point {!Ascend_compiler.Engine.group_runner} at this service: every
-    [Engine.run_inference]/[run_training] caller — SoC models, cluster
-    sweeps, bench sections, the CLI — transparently executes through the
-    pool and cache. *)
-
-val uninstall : unit -> unit
-(** Restore the engine's built-in serial path. *)
-
 val default : unit -> t
-(** The process-wide service (created on first use).  Worker count
-    honours the [ASCEND_JOBS] environment variable when set to a
+(** The process-wide service (created on first use), shared by the SoC
+    models, the CLI's simulate/profile/disasm and the bench sections so
+    that a graph re-run under another parameter hits the cache.  Worker
+    count honours the [ASCEND_JOBS] environment variable when set to a
     positive integer. *)
-
-val install_default : unit -> unit
-(** [install (default ())] — done at link time by the [ascend] façade. *)

@@ -1,14 +1,14 @@
 (** Deterministic whole-model trace capture: compile every fused group
-    of a graph and simulate it {e serially} with an {!Ascend_obs}
-    collector installed.
+    of a graph and simulate it with an {!Ascend_obs} collector
+    installed.
 
-    The serial path matters: this driver calls
-    [Ascend_compiler.Engine.run_group] directly — never the pooled
-    execution service — so the event stream is a pure function of
-    (graph, core, options).  Combined with virtual-time stamping and
-    the deterministic JSON printer, the emitted Chrome trace is
-    byte-identical across repeated runs and across [ASCEND_JOBS] /
-    [--jobs] settings (the worker pool is simply never involved). *)
+    The capture runs [Ascend_compiler.Engine.run_inference], which is
+    serial and uncached, so every group is simulated under the
+    collector and the event stream is a pure function of (graph, core).
+    Combined with virtual-time stamping and the deterministic JSON
+    printer, the emitted Chrome trace is byte-identical across repeated
+    runs and across [ASCEND_JOBS] / [--jobs] settings (the worker pool
+    is never involved). *)
 
 type capture = {
   json : Ascend_util.Json.t;  (** Chrome trace-event document *)

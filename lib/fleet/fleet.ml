@@ -230,8 +230,6 @@ let train_contention config tj =
         tr_interconnect_util = util;
       }
 
-let percentile_ms p lat = if lat = [] then 0. else Stats.percentile p lat
-
 let run ?train config specs_list =
   let loop_specs =
     List.map
@@ -401,37 +399,26 @@ let run ?train config specs_list =
           node_metrics = Loop.node_metrics r n;
         })
   in
+  (* a node's summaries follow the spec order, so [m] indexes [resident] *)
   let routes =
-    List.concat
-      (List.init nodes (fun n ->
-           let rs = Loop.node_records r n in
-           List.mapi
-             (fun m s ->
-               let mine =
-                 List.filter
-                   (fun r -> r.Request.request.Request.model = s.name)
-                   rs
-               in
-               let done_, rej =
-                 List.partition
-                   (fun r -> r.Request.outcome = Request.Completed)
-                   mine
-               in
-               let lat =
-                 List.map (fun r -> 1e3 *. Request.latency_s r) done_
-               in
-               {
-                 rc_node = n;
-                 rc_model = s.name;
-                 rc_routed = List.length mine;
-                 rc_completed = List.length done_;
-                 rc_rejected = List.length rej;
-                 rc_paged = resident.(n).(m) && not initially_resident.(n).(m);
-                 rc_p50_ms = percentile_ms 50. lat;
-                 rc_p95_ms = percentile_ms 95. lat;
-                 rc_p99_ms = percentile_ms 99. lat;
-               })
-             specs_list))
+    List.concat_map
+      (fun nr ->
+        let n = nr.node in
+        List.mapi
+          (fun m (s : Metrics.model_summary) ->
+            {
+              rc_node = n;
+              rc_model = s.Metrics.model;
+              rc_routed = s.Metrics.offered;
+              rc_completed = s.Metrics.completed;
+              rc_rejected = s.Metrics.rejected;
+              rc_paged = resident.(n).(m) && not initially_resident.(n).(m);
+              rc_p50_ms = s.Metrics.p50_ms;
+              rc_p95_ms = s.Metrics.p95_ms;
+              rc_p99_ms = s.Metrics.p99_ms;
+            })
+          nr.node_metrics.Metrics.summaries)
+      node_reports
   in
   let cost = r.Loop.cost in
   Ok

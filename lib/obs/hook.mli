@@ -1,8 +1,6 @@
-(** The link-time instrumentation hook — same idiom as
-    [Engine.group_runner]: lower layers
-    emit through this module without depending on who (if anyone)
-    collects, and a driver installs a {!Collector} for the duration of
-    a traced run.
+(** The instrumentation hook: lower layers emit through this module
+    without depending on who (if anyone) collects, and a driver installs
+    a {!Collector} for the duration of a traced run.
 
     With no collector installed every emit helper is a single [ref]
     read returning [unit] — no event is constructed, no argument list

@@ -1,5 +1,6 @@
 module Config = Ascend_arch.Config
 module Engine = Ascend_compiler.Engine
+module Service = Ascend_exec.Service
 module Simulator = Ascend_core_sim.Simulator
 module Buffer_id = Ascend_isa.Buffer_id
 module Mpam = Ascend_memory.Mpam
@@ -76,7 +77,7 @@ let run_service ?(with_mpam = true) t ~models ~background_demand =
     let rec sim acc = function
       | [] -> Ok (List.rev acc)
       | (name, graph, deadline) :: rest -> (
-        match Engine.run_inference t.core graph with
+        match Service.run_inference (Service.default ()) t.core graph with
         | Error e -> Error (Printf.sprintf "%s: %s" name e)
         | Ok r -> sim ((name, r, deadline) :: acc) rest)
     in

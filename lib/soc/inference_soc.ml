@@ -1,5 +1,6 @@
 module Config = Ascend_arch.Config
 module Engine = Ascend_compiler.Engine
+module Service = Ascend_exec.Service
 module Scheduler = Ascend_runtime.Scheduler
 
 type t = {
@@ -56,7 +57,7 @@ let scheduled_throughput t (r : Engine.network_result) =
   if round_s > 0. then float_of_int t.cores /. round_s else 0.
 
 let run t graph =
-  match Engine.run_inference t.core graph with
+  match Service.run_inference (Service.default ()) t.core graph with
   | Error _ as e -> e
   | Ok r ->
     let latency_s = Engine.seconds r in

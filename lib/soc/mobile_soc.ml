@@ -1,6 +1,7 @@
 module Config = Ascend_arch.Config
 module Precision = Ascend_arch.Precision
 module Engine = Ascend_compiler.Engine
+module Service = Ascend_exec.Service
 module Silicon = Ascend_arch.Silicon
 
 type dvfs_point = {
@@ -100,13 +101,13 @@ let run_big ?sparsity ?(point = "nominal") t graph =
         { Ascend_compiler.Codegen.default_options with weight_sparsity = Some ratio }
       | None -> Ascend_compiler.Codegen.default_options
     in
-    match Engine.run_inference ~options t.big graph with
+    match Service.run_inference (Service.default ()) ~options t.big graph with
     | Error _ as e -> e
     | Ok r -> Ok (finish t ~core:t.big ~point:p r))
 
 let run_little t graph =
   let p = nominal t in
-  match Engine.run_inference t.little graph with
+  match Service.run_inference (Service.default ()) t.little graph with
   | Error _ as e -> e
   | Ok r ->
     let latency_s = Engine.seconds r in

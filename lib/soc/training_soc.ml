@@ -1,6 +1,7 @@
 module Config = Ascend_arch.Config
 module Silicon = Ascend_arch.Silicon
 module Engine = Ascend_compiler.Engine
+module Service = Ascend_exec.Service
 module Simulator = Ascend_core_sim.Simulator
 module Buffer_id = Ascend_isa.Buffer_id
 
@@ -59,9 +60,9 @@ let run ?(training = false) t ~build ~batch =
   let per_core_batch = Ascend_util.Stats.divide_round_up batch cores_used in
   let graph = build ~batch:per_core_batch in
   let run_engine =
-    if training then Engine.run_training else Engine.run_inference
+    if training then Service.run_training else Service.run_inference
   in
-  match run_engine t.core graph with
+  match run_engine (Service.default ()) t.core graph with
   | Error e -> Error e
   | Ok per_core ->
     let core_seconds = Engine.seconds per_core in

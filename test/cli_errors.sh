@@ -1,8 +1,8 @@
 #!/bin/sh
 # Bad input to the two command-line tools: every case below must print
 # exactly one "error:" line on stderr and exit 1 (README.md has the
-# exit-code table).  Then two differentials whose sides must agree to
-# the byte.
+# exit-code table); a core that cannot run the model's dtype is named
+# as such.  Then two differentials whose sides must agree to the byte.
 #
 #   sh test/cli_errors.sh path/to/ascend_cli.exe path/to/bench/main.exe
 #
@@ -16,26 +16,31 @@ trap 'rm -rf "$work"' EXIT
 cd "$work" || exit 1
 fail=0
 
-# one case per line: the tool, then its arguments.  Output paths under
-# missing/ name a directory that does not exist.  A bench case must also
-# run no section: nothing on stdout, no BENCH_*.json written.
-while read -r tool args; do
-  case $tool in
-  cli) bin=$cli ;;
-  bench) bin=$bench ;;
-  esac
-  status=0
-  # $args splits into words on purpose
-  $bin $args < /dev/null > out 2> err || status=$?
-  if [ "$status" -ne 1 ] || [ "$(wc -l < err)" -ne 1 ] \
-    || ! grep -q '^error:' err \
-    || { [ "$tool" = bench ] && { [ -s out ] || ls BENCH_*.json > /dev/null 2>&1; }; }
-  then
-    echo "FAIL (exit $status): $tool $args"
-    cat err
-    fail=1
-  fi
-done <<'CASES'
+# one case per line on stdin: the tool, then its arguments.  Each must
+# exit 1 with one stderr line matching the pattern $1.  Output paths
+# under missing/ name a directory that does not exist.  A bench case
+# must also run no section: nothing on stdout, no BENCH_*.json written.
+check() {
+  while read -r tool args; do
+    case $tool in
+    cli) bin=$cli ;;
+    bench) bin=$bench ;;
+    esac
+    status=0
+    # $args splits into words on purpose
+    $bin $args < /dev/null > out 2> err || status=$?
+    if [ "$status" -ne 1 ] || [ "$(wc -l < err)" -ne 1 ] \
+      || ! grep -q "$1" err \
+      || { [ "$tool" = bench ] && { [ -s out ] || ls BENCH_*.json > /dev/null 2>&1; }; }
+    then
+      echo "FAIL (exit $status): $tool $args"
+      cat err
+      fail=1
+    fi
+  done
+}
+
+check '^error:' <<'CASES'
 cli serve gesture --core tiny --rate 0
 cli serve gesture --core tiny --duration 0
 cli serve gesture --core tiny --cores 0
@@ -56,18 +61,28 @@ cli lint
 cli sanitize
 cli calibrate
 cli lint --times closed
+cli lint --placement gesture --replicas 0,1 --nodes 2
+cli trace
+cli trace gesture --model gesture
+bench nosuch
+bench table2 nosuch
+CASES
+
+# every command rejects a core that cannot run the model before it
+# compiles anything
+check '^error: .*does not support' <<'CASES'
+cli simulate llm-decode --core tiny
+cli profile llm-decode --core tiny --training
+cli disasm llm-decode --core tiny
+cli streams llm-decode --core tiny
+cli trace llm-decode --core tiny -o x.json
 cli lint llm-decode --core tiny
 cli sanitize llm-decode --core tiny
 cli calibrate llm-decode --core tiny
 cli calibrate --decode --core tiny
-cli lint --placement gesture --replicas 0,1 --nodes 2
-cli trace
-cli trace gesture --model gesture
 cli serve llm-decode --core tiny --rate 1 --duration 0.001
 cli fleet llm-decode --core tiny --rate 1 --duration 0.001
 cli decode --core tiny --rate 1 --duration 0.01
-bench nosuch
-bench table2 nosuch
 CASES
 
 # differential sides that must agree to the byte

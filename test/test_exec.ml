@@ -182,12 +182,9 @@ let test_service_accounting () =
   Service.shutdown svc
 
 let test_service_matches_serial_engine () =
-  (* the façade installs the default service into Engine.run_groups at
-     link time; compare against the engine's built-in serial path *)
+  (* Engine.run_inference is the serial reference the service must match *)
   let g = resnet18 () in
-  Service.uninstall ();
   let serial = ok (Engine.run_inference Config.max g) in
-  Service.install_default ();
   let svc = Service.create ~jobs:4 () in
   let cold = ok (Service.run_inference svc Config.max g) in
   let warm = ok (Service.run_inference svc Config.max g) in
@@ -246,15 +243,42 @@ let test_service_dedups_within_batch () =
 let test_service_error_propagates () =
   (* an unsupported dtype fails identically through the service *)
   let g = Ascend.Nn.Resnet.v1_5_18 ~dtype:Ascend.Arch.Precision.Int4 () in
-  Service.uninstall ();
   let serial = Engine.run_inference Config.max g in
-  Service.install_default ();
   let svc = Service.create ~jobs:2 () in
   let through = Service.run_inference svc Config.max g in
   Service.shutdown svc;
   match (serial, through) with
   | Error a, Error b -> Alcotest.(check string) "same error" a b
   | _ -> Alcotest.fail "expected both paths to reject int4 on Max"
+
+(* probes of the process-wide service so far *)
+let default_probes () =
+  let s = Service.stats (Service.default ()) in
+  s.Cache.hits + s.Cache.misses
+
+let test_engine_leaves_default_service () =
+  (* Engine.run_inference runs its own serial loop: a pure function of
+     its inputs that never reaches the shared pool or cache *)
+  let before = default_probes () in
+  ignore (ok (Engine.run_inference Config.tiny (Ascend.Nn.Gesture.build ())));
+  Alcotest.(check int) "default service untouched" before (default_probes ())
+
+let test_soc_runs_through_default_service () =
+  (* the SoC models name the shared service, so a graph re-run under
+     another SoC parameter (the LLC-capacity sweep) hits its cache *)
+  let module Inference_soc = Ascend.Soc.Inference_soc in
+  let g = Ascend.Nn.Gesture.build () in
+  let groups = List.length (Fusion.partition g) in
+  let before = default_probes () in
+  ignore (ok (Inference_soc.run Inference_soc.ascend310 g));
+  Alcotest.(check int)
+    "one probe per group" groups
+    (default_probes () - before);
+  let hits = (Service.stats (Service.default ())).Cache.hits in
+  ignore (ok (Inference_soc.run Inference_soc.ascend310 g));
+  Alcotest.(check int)
+    "a re-run hits" groups
+    ((Service.stats (Service.default ())).Cache.hits - hits)
 
 (* ------------------------------------------------------------------ *)
 (* Cost oracle delegates to the service cache                          *)
@@ -325,6 +349,10 @@ let () =
             test_service_dedups_within_batch;
           Alcotest.test_case "error propagation" `Quick
             test_service_error_propagates;
+          Alcotest.test_case "engine leaves the default service" `Quick
+            test_engine_leaves_default_service;
+          Alcotest.test_case "soc runs through the default service" `Quick
+            test_soc_runs_through_default_service;
         ] );
       ( "cost",
         [
