@@ -1,5 +1,5 @@
 .PHONY: all build test lint lint-cluster sanitize differential bench trace \
-	fleet decode calibrate calibrate-decode check clean
+	fleet decode calibrate-decode check clean
 
 all: build
 
@@ -98,17 +98,11 @@ fleet:
 	dune exec bin/ascend_cli.exe -- fleet gesture,face-detect --core tiny \
 	  --nodes 4 --replicas 0,1 --train-nodes 2
 
-# score the batch-latency surrogate against the exact cycle-level oracle
-# for every model/core combination in the zoo (non-zero exit when any
-# model's max cycle error exceeds the 5% budget)
-calibrate:
-	dune exec bin/ascend_cli.exe -- calibrate --all --json calibrate.json
-
-# score the 2-D (batch x cache-length) decode-step surrogate against the
-# exact oracle on every fp16-capable core (non-zero exit past the 5% budget)
+# score the decode-step grid (exact in batch, interpolated in cache
+# length) against the exact oracle on every fp16-capable core (non-zero
+# exit past the 5% budget)
 calibrate-decode:
-	dune exec bin/ascend_cli.exe -- calibrate --decode \
-	  --json calibrate_decode.json
+	dune exec bin/ascend_cli.exe -- calibrate --json calibrate_decode.json
 
 # LLM decode serving under prefill pressure: continuous vs static
 # batching on the same seeded trace, with the goodput speedup reported

@@ -360,10 +360,13 @@ let costing_arg =
     & opt (enum [ ("exact", `Exact); ("surrogate", `Surrogate) ]) `Exact
     & info [ "costing" ] ~docv:"TIER"
         ~doc:
-          "Batch pricing tier: 'exact' prices every distinct (model, batch) \
-           through the cycle-level compile+simulate path; 'surrogate' \
-           interpolates a per-model piecewise-linear table calibrated on \
-           anchor batch sizes (validate with the 'calibrate' command).")
+          "Batch pricing tier: 'exact' prices every batch through the \
+           cycle-level compile+simulate path; 'surrogate' keeps a table of \
+           those exact prices, filled on each (model, batch)'s first \
+           lookup, and answers repeats from it with the same metrics. \
+           decode: 'surrogate' prices decode steps from a grid exact in \
+           batch and interpolated in cache length (validate with the \
+           'calibrate' command).")
 
 let serve_trace_arg =
   Arg.(
@@ -1038,9 +1041,8 @@ let with_service ~jobs f =
       ?jobs:(if jobs <= 0 then None else Some jobs)
       ()
   in
-  let result = f service in
-  Service.shutdown service;
-  result
+  Fun.protect ~finally:(fun () -> Service.shutdown service) (fun () ->
+      f service)
 
 (* every sweep ends here, in one order: the combinations' reports, then
    the requested documents, then the summary.  Exit 1 on an error
@@ -1481,7 +1483,6 @@ let trace_cmd =
 
 (* --- calibrate ---------------------------------------------------- *)
 
-module Calibration = Ascend.Cost.Calibration
 module Calibration2d = Ascend.Cost.Calibration2d
 
 (* the first [Error] in list order, or every [Ok] value *)
@@ -1493,58 +1494,47 @@ let all_ok results =
       Ok (x :: xs))
     results (Ok [])
 
-(* one path for both protocols: the 1-D batch protocol per (model,
-   core), or with --decode the 2-D (batch x cache-length) protocol of
-   the tiny LLM's decode step per selected core that runs it.  The sweep
-   fails when a combination's max cycle error exceeds --fail-above. *)
-let calibrate model_opt all core_opt max_batch max_len decode fail_above
-    verbose json_path jobs =
-  let what, unit, params =
-    if decode then
-      ( "calibrate --decode", "core(s)",
-        [ ("max_batch", Json.Int max_batch); ("max_len", Json.Int max_len) ] )
-    else ("calibrate", "combination(s)", [ ("max_batch", Json.Int max_batch) ])
-  in
-  (* a combination's report and entry, its max error, and the line
-     naming it when that error is over budget *)
-  let scored text json model core err =
-    ( { text; findings = []; json },
-      err,
-      Printf.sprintf "over budget: %s on %s (max |err| %.2f%%)\n" model core
-        err )
-  in
-  let score service (name, build, _, (config : Config.t)) =
-    if decode then
-      Calibration2d.run ~budget_pct:fail_above ~service ~core:config
-        ~model:name
-        ~build:(fun ~batch ~cache_len ->
-          Ascend.Nn.Llm.decode ~batch ~cache_len Ascend.Nn.Llm.tiny_config)
-        ~max_batch ~max_len ()
-      |> Result.map (fun (r : Calibration2d.report) ->
-             scored
-               (Format.asprintf "%a" (Calibration2d.pp ~verbose ()) r)
-               (Calibration2d.to_json r) r.Calibration2d.model
-               r.Calibration2d.core r.Calibration2d.max_abs_pct_error)
-      |> Result.map_error (fun e -> config.Config.name ^ ": " ^ e)
-    else
-      Calibration.run ~budget_pct:fail_above ~service ~core:config ~model:name
-        ~build ~max_batch ()
-      |> Result.map (fun (r : Calibration.report) ->
-             scored
-               (Format.asprintf "%a" (Calibration.pp ~verbose ()) r)
-               (Calibration.to_json r) r.Calibration.model r.Calibration.core
-               r.Calibration.max_abs_pct_error)
-      |> Result.map_error (fun e ->
-             name ^ " on " ^ config.Config.name ^ ": " ^ e)
+(* the 2-D (batch x cache-length) protocol of the tiny LLM's decode
+   step, per selected core that runs it.  The sweep fails when a core's
+   max cycle error exceeds --fail-above. *)
+let calibrate core_opt max_batch max_len fail_above verbose json_path jobs =
+  let llm = Ascend.Nn.Llm.tiny_config in
+  let score service (name, _, _, (config : Config.t)) =
+    Calibration2d.run ~budget_pct:fail_above ~service ~core:config
+      ~model:name
+      ~build:(fun ~batch ~cache_len ->
+        Ascend.Nn.Llm.decode ~batch ~cache_len llm)
+      ~max_batch ~max_len ()
+    |> Result.map (fun (r : Calibration2d.report) ->
+           let err = r.Calibration2d.max_abs_pct_error in
+           ( {
+               text = Format.asprintf "%a" (Calibration2d.pp ~verbose ()) r;
+               findings = [];
+               json = Calibration2d.to_json r;
+             },
+             err,
+             Printf.sprintf "over budget: %s on %s (max |err| %.2f%%)\n"
+               r.Calibration2d.model r.Calibration2d.core err ))
+    |> Result.map_error (fun e -> config.Config.name ^ ": " ^ e)
   in
   exit_code
-    (let* selected =
-       if decode then Ok [ ("llm-decode", List.assoc "llm-decode" models) ]
-       else select_models model_opt all
+    (let* () =
+       (* a decode step at cache length N appends token N + 1 *)
+       if max_len >= llm.Ascend.Nn.Llm.max_position then
+         Error
+           (Printf.sprintf
+              "--max-len %d: must be below the tiny LLM's max position (%d)"
+              max_len llm.Ascend.Nn.Llm.max_position)
+       else Ok ()
      in
-     let* combos = select_combos ~what:"calibrate" selected core_opt in
+     let* combos =
+       select_combos ~what:"calibrate"
+         [ ("llm-decode", List.assoc "llm-decode" models) ]
+         core_opt
+     in
      let* results =
-       all_ok (with_service ~jobs (fun s -> List.map (score s) combos))
+       catching_invalid (fun () ->
+           all_ok (with_service ~jobs (fun s -> List.map (score s) combos)))
      in
      let combos = List.map (fun (c, _, _) -> c) results in
      let worst =
@@ -1557,58 +1547,44 @@ let calibrate model_opt all core_opt max_batch max_len decode fail_above
             [
               ( json_path,
                 Json.Obj
-                  (params
-                  @ [
-                      ("fail_above_pct", Json.Float fail_above);
-                      ("worst_max_abs_pct_error", Json.Float worst);
-                      ("combos",
-                       Json.List (List.map (fun c -> c.json) combos));
-                    ]) );
+                  [
+                    ("max_batch", Json.Int max_batch);
+                    ("max_len", Json.Int max_len);
+                    ("fail_above_pct", Json.Float fail_above);
+                    ("worst_max_abs_pct_error", Json.Float worst);
+                    ("combos", Json.List (List.map (fun c -> c.json) combos));
+                  ] );
             ]
           ~summary:(fun _ ->
             Printf.sprintf
-              "%s: %d %s, worst max |err| %.2f%% (budget %.2f%%)\n" what
-              (List.length combos) unit worst fail_above
+              "calibrate: %d core(s), worst max |err| %.2f%% (budget %.2f%%)\n"
+              (List.length combos) worst fail_above
             ^ String.concat "" (List.map (fun (_, _, line) -> line) over))))
-
-let calibrate_all_arg =
-  Arg.(
-    value & flag
-    & info [ "all" ]
-        ~doc:"Calibrate every model in the zoo (default cores: all).")
 
 let calibrate_max_batch_arg =
   Arg.(
     value & opt int 8
     & info [ "max-batch" ] ~docv:"N"
         ~doc:
-          "Largest batch size: anchors span 1..N and every batch in \
-           between is scored against the oracle.")
+          "Largest decode batch: each row of the grid holds the exact price \
+           of every batch in 1..N.")
 
 let fail_above_arg =
   Arg.(
     value & opt float 5.
     & info [ "fail-above" ] ~docv:"PCT"
         ~doc:
-          "Exit non-zero when any combination's max absolute cycle error \
-           exceeds this percentage.")
-
-let decode_protocol_arg =
-  Arg.(
-    value & flag
-    & info [ "decode" ]
-        ~doc:
-          "Calibrate the 2-D (batch x cache-length) decode-step surrogate \
-           of the tiny LLM instead of the 1-D model zoo tables (fp16 cores \
-           only).")
+          "Cycle-error budget: the grid adds anchor cache lengths until \
+           every probe point is within it, and the command exits non-zero \
+           when a core's max absolute cycle error exceeds it.")
 
 let calibrate_max_len_arg =
   Arg.(
     value & opt int 32
     & info [ "max-len" ] ~docv:"TOK"
         ~doc:
-          "--decode: largest cache length; anchors and validation probes \
-           span 1..N.")
+          "Largest cache length, below the tiny LLM's max position; anchors \
+           and validation probes span 1..N.")
 
 let calibrate_json_arg =
   Arg.(
@@ -1616,22 +1592,22 @@ let calibrate_json_arg =
     & opt (some string) None
     & info [ "json" ] ~docv:"FILE"
         ~doc:
-          "Also write the per-batch error report as JSON ('-': stdout).")
+          "Also write the per-point error report as JSON ('-': stdout).")
 
 let calibrate_cmd =
   Cmd.v
     (Cmd.info "calibrate"
        ~doc:
-         "Fit the per-model piecewise-linear batch-cost surrogate on anchor \
-          batch sizes priced through the cycle-level simulator, then score \
-          every batch in 1..max-batch through both tiers and report the \
-          surrogate's cycle error (mean and max absolute percentage, per \
-          model/core). Non-zero exit when any model exceeds the error \
-          budget — the CI gate that keeps '--costing surrogate' honest.")
+         "Fit the tiny LLM's decode-step cost grid (exact prices of every \
+          batch at anchor cache lengths, interpolated in cache length) on \
+          each fp16-capable core, score every probe (cache length, batch) \
+          point against the cycle-level simulator, and report the grid's \
+          cycle error (mean and max absolute percentage, per core). \
+          Non-zero exit when a core exceeds the error budget.")
     Term.(
-      const calibrate $ lint_model_arg $ calibrate_all_arg $ lint_core_arg
-      $ calibrate_max_batch_arg $ calibrate_max_len_arg $ decode_protocol_arg
-      $ fail_above_arg $ lint_verbose_arg $ calibrate_json_arg $ lint_jobs_arg)
+      const calibrate $ lint_core_arg $ calibrate_max_batch_arg
+      $ calibrate_max_len_arg $ fail_above_arg $ lint_verbose_arg
+      $ calibrate_json_arg $ lint_jobs_arg)
 
 (* --- list --------------------------------------------------------- *)
 

@@ -30,15 +30,15 @@
     - {!Cluster} — servers, collectives, distributed training;
     - {!Baselines} — systolic array, SIMT GPU, CPU comparators;
     - {!Runtime} — the app/stream/task/block scheduler;
-    - {!Cost} — the two-tier batch-pricing layer: a per-model
-      piecewise-linear surrogate over anchor batch sizes
-      ({!Cost.Surrogate}) with the cycle-level path as its calibration
-      oracle and error reporter ({!Cost.Calibration});
+    - {!Cost} — batch pricing: the exact cycle-level oracle
+      ({!Cost.Calibration}) and the decode-step grid over it, exact in
+      batch and interpolated in cache length ({!Cost.Surrogate2d},
+      scored by {!Cost.Calibration2d});
     - {!Serving} — request-level serving: seeded load generation,
       dynamic batching, QoS admission control and SLO metrics over the
       multi-core scheduler;
     - {!Decode} — LLM decode serving: KV-cache-aware phase costing
-      (prefill vs decode over the 2-D batch x cache-length surrogate)
+      (prefill vs decode over the batch x cache-length grid)
       and a continuous batcher with per-token SLO metrics against a
       static-batching baseline;
     - {!Vector_core} — the §3.3 SLAM extensions (quaternion, sort,

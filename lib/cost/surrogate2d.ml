@@ -1,10 +1,7 @@
-module Json = Ascend_util.Json
-
 type t = {
-  model : string;
-  (* sorted by cache length, distinct; one batch surrogate per length;
+  (* sorted by cache length, distinct, every row of one width >= 1;
      invariant established by [fit] *)
-  rows : (int * Surrogate.t) array;
+  rows : (int * Calibration.entry array) array;
 }
 
 let anchor_lens ~max_len =
@@ -24,34 +21,27 @@ let probe_lens ~max_len =
   in
   List.sort_uniq compare (anchors @ mids anchors)
 
-let fit ~model ~rows =
+let fit ~rows =
   match rows with
-  | [] -> Error (model ^ ": no cache-length rows")
-  | _ when List.exists (fun (l, _) -> l < 1) rows ->
-    Error (model ^ ": cache length < 1")
-  | _ ->
+  | [] -> Error "Surrogate2d.fit: no cache-length rows"
+  | (_, first) :: _ ->
     let rows =
       Array.of_list (List.sort (fun (a, _) (b, _) -> compare a b) rows)
     in
+    let width = Array.length first in
     let dup = ref false in
     Array.iteri
       (fun i (l, _) -> if i > 0 && fst rows.(i - 1) = l then dup := true)
       rows;
-    if !dup then Error (model ^ ": duplicate cache length")
+    if Array.exists (fun (l, _) -> l < 1) rows then
+      Error "Surrogate2d.fit: cache length < 1"
+    else if !dup then Error "Surrogate2d.fit: duplicate cache length"
     else if
-      Array.exists (fun (_, s) -> Surrogate.model s <> model) rows
-    then Error (model ^ ": row fitted for a different model")
-    else Ok { model; rows }
+      width = 0 || Array.exists (fun (_, r) -> Array.length r <> width) rows
+    then Error "Surrogate2d.fit: empty or ragged rows"
+    else Ok { rows }
 
-let model t = t.model
 let lens t = Array.to_list (Array.map fst t.rows)
-let min_len t = fst t.rows.(0)
-let max_len t = fst t.rows.(Array.length t.rows - 1)
-
-let in_range t ~batch ~cache_len =
-  cache_len >= min_len t
-  && cache_len <= max_len t
-  && Array.for_all (fun (_, s) -> Surrogate.in_range s ~batch) t.rows
 
 (* largest index whose length is <= [cache_len]; caller checked range *)
 let bracket t cache_len =
@@ -65,42 +55,31 @@ let bracket t cache_len =
 let lookup t ~batch ~cache_len =
   if batch < 1 then invalid_arg "Surrogate2d.lookup: batch < 1";
   if cache_len < 1 then invalid_arg "Surrogate2d.lookup: cache_len < 1";
-  if cache_len < min_len t || cache_len > max_len t then None
+  let last = Array.length t.rows - 1 in
+  if
+    cache_len < fst t.rows.(0)
+    || cache_len > fst t.rows.(last)
+    || batch > Array.length (snd t.rows.(0))
+  then None
   else
     let i = bracket t cache_len in
-    let l0, s0 = t.rows.(i) in
-    if l0 = cache_len then Surrogate.lookup s0 ~batch
+    let l0, r0 = t.rows.(i) in
+    let e0 = r0.(batch - 1) in
+    if l0 = cache_len then Some e0
     else
-      let l1, s1 = t.rows.(i + 1) in
-      match (Surrogate.lookup s0 ~batch, Surrogate.lookup s1 ~batch) with
-      | Some e0, Some e1 ->
-        let w =
-          float_of_int (cache_len - l0) /. float_of_int (l1 - l0)
-        in
-        let lerp a b = a +. ((b -. a) *. w) in
-        Some
-          {
-            Surrogate.cycles =
-              (let c =
-                 lerp
-                   (float_of_int e0.Surrogate.cycles)
-                   (float_of_int e1.Surrogate.cycles)
-               in
-               max 1 (int_of_float (Float.round c)));
-            latency_s = lerp e0.Surrogate.latency_s e1.Surrogate.latency_s;
-            energy_j = lerp e0.Surrogate.energy_j e1.Surrogate.energy_j;
-          }
-      | _ -> None
-
-let to_json t =
-  Json.Obj
-    [
-      ("model", Json.String t.model);
-      ( "rows",
-        Json.List
-          (Array.to_list t.rows
-          |> List.map (fun (l, s) ->
-                 Json.Obj
-                   [ ("cache_len", Json.Int l); ("surrogate", Surrogate.to_json s) ])
-          ) );
-    ]
+      let l1, r1 = t.rows.(i + 1) in
+      let e1 = r1.(batch - 1) in
+      let w = float_of_int (cache_len - l0) /. float_of_int (l1 - l0) in
+      let lerp a b = a +. ((b -. a) *. w) in
+      Some
+        {
+          Calibration.cycles =
+            (let c =
+               lerp
+                 (float_of_int e0.Calibration.cycles)
+                 (float_of_int e1.Calibration.cycles)
+             in
+             max 1 (int_of_float (Float.round c)));
+          latency_s = lerp e0.Calibration.latency_s e1.Calibration.latency_s;
+          energy_j = lerp e0.Calibration.energy_j e1.Calibration.energy_j;
+        }

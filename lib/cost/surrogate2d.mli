@@ -1,14 +1,12 @@
-(** The {!Surrogate}'s second interpolation axis, for autoregressive
-    decode: latency is a function of (batch, KV-cache length), so the
-    table becomes a grid — one batch surrogate per anchor cache length,
-    bilinear between them.
+(** The decode-step cost grid.  Decode latency is a function of (batch,
+    KV-cache length); each row holds the exact price of every batch
+    [1 .. width] at one anchor cache length, so only the cache-length
+    axis is interpolated.
 
-    Each row is an independently calibrated {!Surrogate.t} (its batch
-    anchors may differ per length: tiling steps move), and a lookup
-    brackets the cache length, answers each bracketing row's batch
-    interpolation, and lerps the two.  As in 1-D, anchors reproduce
-    exactly and interpolation cannot overshoot its endpoints; fidelity
-    between anchors is {!Calibration2d}'s business. *)
+    A lookup at an anchor length answers from its row; any other length
+    inside the grid lerps the two bracketing rows' entries for the same
+    batch.  Linear interpolation cannot overshoot its endpoints;
+    fidelity between rows is {!Calibration2d}'s business. *)
 
 type t
 
@@ -21,26 +19,18 @@ val probe_lens : max_len:int -> int list
     the cache lengths the calibration prices through the exact oracle
     to measure (and bound) interpolation error. *)
 
-val fit : model:string -> rows:(int * Surrogate.t) list -> (t, string) result
-(** Build the grid from per-length batch surrogates.  [Error] on an
-    empty list, a length below 1, duplicate lengths, or a row fitted
-    for a different model. *)
-
-val model : t -> string
+val fit : rows:(int * Calibration.entry array) list -> (t, string) result
+(** Build the grid from exact rows [(cache_len, prices)], where
+    [prices.(b - 1)] is batch [b]'s entry.  [Error] on an empty list, a
+    length below 1, duplicate lengths, or rows that are empty or of
+    different widths; order is irrelevant. *)
 
 val lens : t -> int list
 (** Anchor cache lengths, sorted. *)
 
-val min_len : t -> int
-val max_len : t -> int
-
-val in_range : t -> batch:int -> cache_len:int -> bool
-(** Whether {!lookup} answers without extrapolating on either axis. *)
-
-val lookup : t -> batch:int -> cache_len:int -> Surrogate.entry option
-(** O(log lens + log anchors): batch interpolation within the bracketing
-    rows, linear in cache length between them; [None] outside the grid
-    on either axis.  Raises [Invalid_argument] on [batch < 1] or
+val lookup : t -> batch:int -> cache_len:int -> Calibration.entry option
+(** O(log lens): the row's entry at an anchor length, a lerp of cycles
+    (rounded), latency and energy between the bracketing rows
+    otherwise; [None] for a length outside the anchors or a batch past
+    the rows' width.  Raises [Invalid_argument] on [batch < 1] or
     [cache_len < 1]. *)
-
-val to_json : t -> Ascend_util.Json.t

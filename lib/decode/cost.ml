@@ -1,10 +1,9 @@
 module Oracle = Ascend_serving.Cost
-module Surrogate = Ascend_cost.Surrogate
 module Surrogate2d = Ascend_cost.Surrogate2d
 module Calibration2d = Ascend_cost.Calibration2d
 module Llm = Ascend_nn.Llm
 
-type entry = Surrogate.entry = {
+type entry = Ascend_cost.Calibration.entry = {
   cycles : int;
   latency_s : float;
   energy_j : float;
@@ -16,9 +15,10 @@ type costing = [ `Exact | `Surrogate ]
    through the serving oracle's [price] (private single-domain service,
    whose cache counters are the oracle's hits and misses).  Unlike serving,
    decode steps are a function of (batch, cache length), so the
-   surrogate tier is the 2-D grid of {!Ascend_cost.Surrogate2d}, and
-   prefill — once per request, never the volume term — stays on the
-   exact tier behind a (batch, prompt length) memo. *)
+   surrogate tier is the grid of {!Ascend_cost.Surrogate2d}, exact in
+   batch and interpolated in cache length, and prefill — once per
+   request, never the volume term — stays on the exact tier behind a
+   (batch, prompt length) memo. *)
 type t = {
   cfg : Llm.config;
   costing : costing;
@@ -51,10 +51,6 @@ let create ?(costing = `Exact) ?(max_batch = 8) ?(max_cache_len = 64) ~core cfg
     fallbacks = 0;
   }
 
-let core t = Oracle.core t.oracle
-let costing t = t.costing
-let llm t = t.cfg
-
 let prefill t ~batch ~prompt_len =
   if batch < 1 then invalid_arg "Decode.Cost.prefill: batch < 1";
   if prompt_len < 1 then invalid_arg "Decode.Cost.prefill: prompt_len < 1";
@@ -84,7 +80,7 @@ let grid t =
   | Some g -> Ok g
   | None -> (
     let r =
-      Calibration2d.fit ~model:"llm-decode"
+      Calibration2d.fit
         ~price:(fun ~batch ~cache_len -> exact_decode t ~batch ~cache_len)
         ~max_batch:t.max_batch ~max_len:t.max_cache_len ()
     in
@@ -103,11 +99,7 @@ let decode_step t ~batch ~cache_len =
     match grid t with
     | Error _ as e -> e
     | Ok g -> (
-      match
-        if Surrogate2d.in_range g ~batch ~cache_len then
-          Surrogate2d.lookup g ~batch ~cache_len
-        else None
-      with
+      match Surrogate2d.lookup g ~batch ~cache_len with
       | Some e ->
         t.interpolated <- t.interpolated + 1;
         Ok e

@@ -11,15 +11,16 @@
     their latency is a function of (batch, KV-cache length).  [`Exact]
     prices each distinct point through the oracle (memoised);
     [`Surrogate] fits the {!Ascend_cost.Surrogate2d} grid on first use
-    via {!Ascend_cost.Calibration2d.fit} (max cycle error within the 5%
-    budget by construction) and interpolates, falling back to the exact
-    tier outside the grid.
+    via {!Ascend_cost.Calibration2d.fit}: rows of exact prices for every
+    batch at a few anchor cache lengths, interpolated in cache length
+    only (max cycle error within the 5% budget by construction).  A
+    point off the grid is priced by the exact tier.
 
     Both tiers are deterministic, counters included; the service is
     private, single-domain and in-memory, so an engine run is a pure
     function of its inputs. *)
 
-type entry = Ascend_cost.Surrogate.entry = {
+type entry = Ascend_cost.Calibration.entry = {
   cycles : int;
   latency_s : float;
   energy_j : float;
@@ -42,10 +43,6 @@ val create :
     [Invalid_argument] on non-positive bounds or a [max_cache_len] at or
     past the model's max position (a decode step appends one token). *)
 
-val core : t -> Ascend_arch.Config.t
-val costing : t -> costing
-val llm : t -> Ascend_nn.Llm.config
-
 val prefill : t -> batch:int -> prompt_len:int -> (entry, string) result
 (** Exact-tier price of prefilling a [prompt_len]-token prompt at
     [batch].  Raises [Invalid_argument] on non-positive arguments. *)
@@ -61,7 +58,8 @@ val misses : t -> int
     [misses] counts actual compile+simulate runs. *)
 
 val interpolated : t -> int
-(** Decode steps answered by the surrogate grid (0 under [`Exact]). *)
+(** Decode steps answered from the surrogate grid (0 under [`Exact]). *)
 
 val fallbacks : t -> int
-(** Surrogate-mode decode steps outside the grid, answered exactly. *)
+(** Surrogate-mode decode steps off the grid, priced by the exact
+    tier. *)

@@ -70,9 +70,9 @@ type config = {
   policy : Router.policy;
   costing : Ascend_serving.Cost.costing;
       (** [`Exact] prices every batch through the cycle-level path;
-          [`Surrogate] interpolates per-model tables calibrated on
-          anchor batches up to [max_batch]
-          (see {!Ascend_serving.Cost}). *)
+          [`Surrogate] answers repeats from a (model, batch) table of
+          those exact prices (see {!Ascend_serving.Cost}); both give the
+          same metrics and batches. *)
   hbm_bytes_per_node : int option;
       (** when given, every node's resident footprint — each resident
           model's weights plus reserved KV cache — is checked against
@@ -152,8 +152,8 @@ type result = {
   total_page_ins : int;
   cost_hits : int;
   cost_misses : int;
-  cost_interpolated : int;  (** surrogate-answered lookups *)
-  cost_fallbacks : int;     (** surrogate out-of-range, priced exactly *)
+  cost_interpolated : int;  (** lookups answered from the surrogate table *)
+  cost_fallbacks : int;     (** surrogate first lookups, priced exactly *)
   cost_stats : Ascend_exec.Cache.stats;
       (** the cost oracle's private service cache *)
 }

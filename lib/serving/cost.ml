@@ -1,7 +1,6 @@
 module Service = Ascend_exec.Service
-module Surrogate = Ascend_cost.Surrogate
 
-type entry = Surrogate.entry = {
+type entry = Ascend_cost.Calibration.entry = {
   cycles : int;
   latency_s : float;
   energy_j : float;
@@ -21,68 +20,38 @@ type t = {
   core : Ascend_arch.Config.t;
   service : Service.t;
   costing : costing;
-  max_batch : int;
-  fits : (string, Surrogate.t) Hashtbl.t;
+  table : (string * int, entry) Hashtbl.t;
   mutable interpolated : int;
   mutable fallbacks : int;
 }
 
-let create ?(costing = `Exact) ?(max_batch = 8) ~core () =
-  if max_batch < 1 then invalid_arg "Cost.create: max_batch < 1";
+let create ?(costing = `Exact) ~core () =
   {
     core;
     service = Service.create ~jobs:1 ();
     costing;
-    max_batch;
-    fits = Hashtbl.create 8;
+    table = Hashtbl.create 16;
     interpolated = 0;
     fallbacks = 0;
   }
 
-let core t = t.core
-let costing t = t.costing
-
-(* Tier B: the exact compile+simulate path *)
 let price t graph =
   Ascend_cost.Calibration.price ~service:t.service ~core:t.core graph
-
-(* budget-driven refined fit (see {!Ascend_cost.Calibration}): prices
-   every batch in 1..max_batch once through Tier B, then keeps the
-   sparsest anchor set whose interpolation stays within the default 5%
-   cycle-error budget — the same table the [calibrate] CLI reports on *)
-let fit t ~model ~build =
-  match Hashtbl.find_opt t.fits model with
-  | Some f -> Ok f
-  | None -> (
-    let r =
-      Ascend_cost.Calibration.fit ~model
-        ~price:(fun ~batch -> price t (build ~batch))
-        ~max_batch:t.max_batch ()
-    in
-    match r with
-    | Ok f ->
-      Hashtbl.replace t.fits model f;
-      r
-    | Error _ -> r)
 
 let lookup t ~model ~build ~batch =
   if batch < 1 then invalid_arg "Cost.lookup: batch < 1";
   match t.costing with
   | `Exact -> price t (build ~batch)
   | `Surrogate -> (
-    match fit t ~model ~build with
-    | Error _ as e -> e
-    | Ok f -> (
-      match Surrogate.lookup f ~batch with
-      | Some e ->
-        t.interpolated <- t.interpolated + 1;
-        Ok e
-      | None ->
-        (* out of the surrogate's confidence range: extrapolating past
-           the largest anchor could be arbitrarily wrong, so fall back
-           to the oracle *)
-        t.fallbacks <- t.fallbacks + 1;
-        price t (build ~batch)))
+    match Hashtbl.find_opt t.table (model, batch) with
+    | Some e ->
+      t.interpolated <- t.interpolated + 1;
+      Ok e
+    | None ->
+      t.fallbacks <- t.fallbacks + 1;
+      let r = price t (build ~batch) in
+      Result.iter (Hashtbl.replace t.table (model, batch)) r;
+      r)
 
 let stats t = Service.stats t.service
 let hits t = (stats t).Ascend_exec.Cache.hits

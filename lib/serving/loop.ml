@@ -69,10 +69,7 @@ let run ?(route = fun _ ~queued:_ -> 0)
   let specs = Array.of_list specs in
   let n_models = Array.length specs in
   let nodes = config.nodes and cpn = config.cores_per_node in
-  let cost =
-    Cost.create ~costing:config.costing ~max_batch:config.max_batch
-      ~core:config.core ()
-  in
+  let cost = Cost.create ~costing:config.costing ~core:config.core () in
   let s_of_cycles c =
     Units.seconds_of_cycles ~cycles:c
       ~frequency_ghz:config.core.Ascend_arch.Config.frequency_ghz

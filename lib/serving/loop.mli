@@ -46,7 +46,7 @@ type config = {
   queue_depth : int;
   duration_s : float;  (** load window; queued work drains past it *)
   bucket_s : float;    (** occupancy-series bucket width *)
-  costing : Cost.costing;
+  costing : Cost.costing;  (** the oracle's tier; both give the same batches *)
 }
 
 type batch = {

@@ -191,6 +191,7 @@ let pp ppf r =
     r.cost_misses r.cost_hits;
   if r.served_config.costing = `Surrogate then
     Format.fprintf ppf
-      "surrogate: %d interpolated lookups, %d out-of-range fallbacks@."
+      "surrogate: %d lookups answered from the table, %d priced on first \
+       use@."
       r.cost_interpolated r.cost_fallbacks;
   Format.fprintf ppf "exec cache: %a@." Ascend_exec.Cache.pp_stats r.cost_stats

@@ -43,8 +43,9 @@ type config = {
   bucket_s : float;    (** occupancy-series bucket width *)
   costing : Cost.costing;
       (** [`Exact] prices every batch through the cycle-level path;
-          [`Surrogate] interpolates a per-model table calibrated on
-          anchor batches up to [max_batch] (see {!Cost}). *)
+          [`Surrogate] answers repeats from a (model, batch) table of
+          those exact prices (see {!Cost}); both give the same
+          metrics and batches. *)
 }
 
 val default_config : core:Ascend_arch.Config.t -> cores:int -> config
@@ -73,8 +74,8 @@ type result = {
   offline_utilization : float;
   cost_hits : int;
   cost_misses : int;
-  cost_interpolated : int;  (** surrogate-answered lookups *)
-  cost_fallbacks : int;     (** surrogate out-of-range, priced exactly *)
+  cost_interpolated : int;  (** lookups answered from the surrogate table *)
+  cost_fallbacks : int;     (** surrogate first lookups, priced exactly *)
   cost_stats : Ascend_exec.Cache.stats;
       (** the cost oracle's private service cache *)
 }

@@ -56,10 +56,15 @@ cli fleet gesture --core tiny --duration 0.05 --pagein-json missing/x.json
 cli decode --core lite --duration 0.02 --json missing/x.json
 cli trace gesture --core tiny -o missing/x.json
 cli lint gesture --core tiny --json missing/x.json
-cli calibrate gesture --core tiny --json missing/x.json
+cli calibrate --core lite --max-batch 1 --max-len 1 --json missing/x.json
 cli lint
 cli sanitize
-cli calibrate
+cli serve gesture --core tiny --batch-max 0 --duration 0.01
+cli fleet gesture --core tiny --batch-max 0 --duration 0.01
+cli calibrate --max-batch 0
+cli calibrate --max-len 0
+cli calibrate --max-len 100000 --core lite
+cli calibrate --fail-above=-1
 cli lint --times closed
 cli lint --placement gesture --replicas 0,1 --nodes 2
 cli trace
@@ -78,8 +83,7 @@ cli streams llm-decode --core tiny
 cli trace llm-decode --core tiny -o x.json
 cli lint llm-decode --core tiny
 cli sanitize llm-decode --core tiny
-cli calibrate llm-decode --core tiny
-cli calibrate --decode --core tiny
+cli calibrate --core tiny
 cli serve llm-decode --core tiny --rate 1 --duration 0.001
 cli fleet llm-decode --core tiny --rate 1 --duration 0.001
 cli decode --core tiny --rate 1 --duration 0.01

@@ -307,18 +307,21 @@ let test_cost_counts_service_hits () =
     "repeat hits the cache" true
     (Cost.hits oracle >= cold_misses);
   Alcotest.(check int) "same cycles" e1.Cost.cycles e2.Cost.cycles;
-  (* a surrogate fit prices batches 1..max_batch through the same
-     service; a batch past the table falls back to it *)
-  let surrogate =
-    Cost.create ~costing:`Surrogate ~max_batch:2 ~core:Config.tiny ()
-  in
+  (* the surrogate table prices a (model, batch) through the same
+     service on its first lookup and answers repeats without it *)
+  let surrogate = Cost.create ~costing:`Surrogate ~core:Config.tiny () in
   let build ~batch = Ascend.Nn.Gesture.build ~batch () in
-  ignore (ok (Cost.lookup surrogate ~model:"gesture" ~build ~batch:1));
-  Alcotest.(check bool) "the fit compiled" true (Cost.misses surrogate > 0);
-  check_counts_are_stats "surrogate fit" surrogate;
   ignore (ok (Cost.lookup surrogate ~model:"gesture" ~build ~batch:3));
+  Alcotest.(check bool) "the first lookup compiled" true
+    (Cost.misses surrogate > 0);
   Alcotest.(check int) "one fallback" 1 (Cost.fallbacks surrogate);
-  check_counts_are_stats "surrogate fallback" surrogate
+  check_counts_are_stats "surrogate fallback" surrogate;
+  let traffic = Cost.hits surrogate + Cost.misses surrogate in
+  ignore (ok (Cost.lookup surrogate ~model:"gesture" ~build ~batch:3));
+  Alcotest.(check int) "the repeat leaves the service alone" traffic
+    (Cost.hits surrogate + Cost.misses surrogate);
+  Alcotest.(check int) "one table answer" 1 (Cost.interpolated surrogate);
+  check_counts_are_stats "surrogate table answer" surrogate
 
 let () =
   Alcotest.run "exec"
