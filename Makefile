@@ -1,5 +1,5 @@
 .PHONY: all build test lint lint-cluster sanitize differential bench trace \
-	fleet decode calibrate-decode check clean
+	fleet decode check clean
 
 all: build
 
@@ -31,13 +31,14 @@ sanitize:
 # findings document, which is the same under --jobs 1 (lint) and
 # --jobs 4 (sanitize) as at the default pool size, and a verbose lint
 # prints the same at --jobs 1 and --jobs 4; (b) the cluster
-# sweep's findings document is the same across runs and worker counts,
-# and closed-form and schedule-derived collective times agree to three
-# significant digits; (c) statically predicted page-in counts equal
-# what the fleet run observes, under each routing policy; (d) serve
-# with K cores and a one-node fleet with K cores per node agree on
-# metrics, batch count, cost_cache and config; (e) serve, fleet, decode
-# and trace output is the same bytes across runs and ASCEND_JOBS
+# sweep's findings document is the same across runs and worker counts
+# (the sweep itself fails when a schedule-derived collective time is
+# more than 1e-6 relative from its closed form); (c) statically
+# predicted page-in counts equal what the fleet run observes, under
+# each routing policy; (d) serve with K cores and a one-node fleet
+# with K cores per node agree on metrics, batch count, cost_cache and
+# config; (e) serve, fleet, decode and trace output is the same bytes
+# across runs and ASCEND_JOBS
 differential:
 	dune exec bin/ascend_cli.exe -- lint --all --soc --json lint_soc.json
 	dune exec bin/ascend_cli.exe -- lint --all --soc --jobs 1 \
@@ -61,12 +62,6 @@ differential:
 	  --json cluster_jobs.json
 	cmp cluster_a.json cluster_jobs.json
 	@echo "differential gate: the cluster sweep agrees across runs and --jobs"
-	dune exec bin/ascend_cli.exe -- lint --cluster --times closed \
-	  --json times_closed.json
-	dune exec bin/ascend_cli.exe -- lint --cluster --times schedule \
-	  --json times_schedule.json
-	cmp times_closed.json times_schedule.json
-	@echo "differential gate: closed-form and schedule-derived times agree"
 	set -e; for policy in round-robin affinity; do \
 	  dune exec bin/ascend_cli.exe -- lint --placement gesture,face-detect \
 	    --replicas 0,1 --nodes 3 --policy $$policy \
@@ -98,12 +93,6 @@ fleet:
 	dune exec bin/ascend_cli.exe -- fleet gesture,face-detect --core tiny \
 	  --nodes 4 --replicas 0,1 --train-nodes 2
 
-# score the decode-step grid (exact in batch, interpolated in cache
-# length) against the exact oracle on every fp16-capable core (non-zero
-# exit past the 5% budget)
-calibrate-decode:
-	dune exec bin/ascend_cli.exe -- calibrate --json calibrate_decode.json
-
 # LLM decode serving under prefill pressure: continuous vs static
 # batching on the same seeded trace, with the goodput speedup reported
 # (deterministic to the byte across runs and ASCEND_JOBS)
@@ -111,7 +100,7 @@ decode:
 	dune exec bin/ascend_cli.exe -- decode --core lite --rate 2000 \
 	  --duration 0.05 --mode compare
 
-check: build test lint lint-cluster sanitize decode calibrate-decode
+check: build test lint lint-cluster sanitize decode
 
 clean:
 	dune clean

@@ -364,9 +364,9 @@ let costing_arg =
            cycle-level compile+simulate path; 'surrogate' keeps a table of \
            those exact prices, filled on each (model, batch)'s first \
            lookup, and answers repeats from it with the same metrics. \
-           decode: 'surrogate' prices decode steps from a grid exact in \
-           batch and interpolated in cache length (validate with the \
-           'calibrate' command).")
+           decode: 'surrogate' prices decode steps from a grid of exact \
+           prices of every batch at a schedule of cache lengths, and \
+           interpolates only between priced lengths.")
 
 let serve_trace_arg =
   Arg.(
@@ -564,8 +564,10 @@ let max_cache_len_arg =
   Arg.(
     value & opt int 64
     & info [ "max-cache-len" ] ~docv:"TOK"
-        ~doc:"Surrogate grid bound on the cache-length axis (decode steps \
-              beyond it fall back to the exact tier).")
+        ~doc:"Surrogate grid bound on the cache-length axis: the grid \
+              prices 1, the powers of two up to $(docv), $(docv) itself \
+              and each bracket's midpoint; decode steps beyond it fall \
+              back to the exact tier.")
 
 let decode_mode_arg =
   Arg.(
@@ -1007,7 +1009,7 @@ let select_models model_opt all =
   | None, true -> Ok models
   | None, false -> Error "pass a MODEL or --all"
 
-(* the (model, core) pairs lint, sanitize and calibrate cover, in zoo
+(* the (model, core) pairs lint and sanitize cover, in zoo
    order, each with the model's batch-1 graph: the same selection is
    what makes the lint --soc and sanitize documents comparable *)
 let select_combos ~what selected core_opt =
@@ -1033,8 +1035,7 @@ let select_combos ~what selected core_opt =
   | combos -> Ok combos
 
 (* one execution service per sweep: lint and sanitize fan combinations
-   out over its worker pool (results in submission order), calibrate
-   prices through its pool and cache *)
+   out over its worker pool (results in submission order) *)
 let with_service ~jobs f =
   let service =
     Service.create
@@ -1046,8 +1047,7 @@ let with_service ~jobs f =
 
 (* every sweep ends here, in one order: the combinations' reports, then
    the requested documents, then the summary.  Exit 1 on an error
-   finding or a failure (a failed gate or calibration budget), and under
-   --strict on any finding. *)
+   finding or a failed gate, and under --strict on any finding. *)
 let end_sweep ?(strict = false) ?(failures = 0) combos ~docs ~summary =
   List.iter (fun c -> print_string c.text) combos;
   write_docs docs;
@@ -1094,11 +1094,8 @@ let cluster_gate_rel = 1e-6
 
 (* one collective schedule: the verifier's findings plus the
    differential gate, which holds the schedule-derived time within 1e-6
-   relative of the closed form.  With --times it also gives its row of
-   the times document: both sides print the same rows with the chosen
-   side's seconds rounded to %.3e, so when the gate holds the two files
-   are byte-identical and CI can `cmp` them. *)
-let lint_cluster_one ~verbose ~times (p : Coll_sched.point) =
+   relative of the closed form *)
+let lint_cluster_one ~verbose (p : Coll_sched.point) =
   let sched = p.Coll_sched.build () in
   let name = sched.Vcluster.sched_name in
   let closed = p.Coll_sched.closed_form_s in
@@ -1135,41 +1132,23 @@ let lint_cluster_one ~verbose ~times (p : Coll_sched.point) =
           None
         end)
   in
-  let row which =
-    Json.Obj
-      [
-        ("schedule", Json.String name);
-        ("bytes", Json.String (Printf.sprintf "%.1e" p.Coll_sched.bytes));
-        ("seconds",
-         Json.String
-           (Printf.sprintf "%.3e"
-              (match which with `Closed -> closed | `Schedule -> derived)));
-      ]
-  in
-  (combo, gate_ok, Option.map row times)
+  (combo, gate_ok)
 
-let lint_cluster ~verbose ~strict ~json_path ~times ~jobs =
+let lint_cluster ~verbose ~strict ~json_path ~jobs =
   let results =
     with_service ~jobs (fun s ->
-        Service.map s (lint_cluster_one ~verbose ~times) (Coll_sched.sweep ()))
+        Service.map s (lint_cluster_one ~verbose) (Coll_sched.sweep ()))
   in
-  let combos = List.map (fun (c, _, _) -> c) results in
+  let combos = List.map fst results in
   let n = List.length combos in
-  let failures =
-    List.length (List.filter (fun (_, ok, _) -> not ok) results)
-  in
-  let doc =
-    match times with
-    | Some _ ->
-      let rows = List.filter_map (fun (_, _, row) -> row) results in
-      ( Some (Option.value json_path ~default:"-"),
-        Json.Obj
-          [ ("times", Json.List rows); ("combinations", Json.Int n) ] )
-    | None ->
-      ( json_path,
-        sweep_json ~extra:[ ("gate_failures", Json.Int failures) ] combos )
-  in
-  end_sweep ~strict ~failures combos ~docs:[ doc ] ~summary:(fun findings ->
+  let failures = List.length (List.filter (fun (_, ok) -> not ok) results) in
+  end_sweep ~strict ~failures combos
+    ~docs:
+      [
+        ( json_path,
+          sweep_json ~extra:[ ("gate_failures", Json.Int failures) ] combos );
+      ]
+    ~summary:(fun findings ->
       if findings = [] && failures = 0 then
         Printf.sprintf
           "lint --cluster: %d combination(s) clean, closed-form and \
@@ -1248,7 +1227,7 @@ let lint_placement models ~nodes ~policy ~replicas ~hbm_gb ~pagein_path
            (Array.fold_left ( + ) 0 predicted)
            (if findings = [] then "plan clean" else findings_phrase findings)))
 
-let lint model_opt all core_opt soc soc_cores llc_mb hbm_mb cluster times
+let lint model_opt all core_opt soc soc_cores llc_mb hbm_mb cluster
     placement_models nodes policy replicas hbm_gb pagein_path verbose strict
     json_path jobs =
   exit_code
@@ -1257,8 +1236,7 @@ let lint model_opt all core_opt soc soc_cores llc_mb hbm_mb cluster times
       lint_placement models ~nodes ~policy ~replicas ~hbm_gb ~pagein_path
         ~strict ~json_path
     | None when cluster ->
-      Ok (lint_cluster ~verbose ~strict ~json_path ~times ~jobs)
-    | None when times <> None -> Error "--times requires --cluster"
+      Ok (lint_cluster ~verbose ~strict ~json_path ~jobs)
     | None ->
       let* selected = select_models model_opt all in
       let* combos = select_combos ~what:"lint" selected core_opt in
@@ -1332,21 +1310,11 @@ let lint_cluster_arg =
                  hierarchical all-reduce into explicit per-chip step \
                  schedules over the real HCCS/PCI-E/NIC links at several \
                  node counts and message sizes, check matching, deadlock \
-                 freedom, link-capacity overcommit and reduction \
-                 completeness, and hold the schedule-derived time within \
+                 freedom, link-capacity overcommit, races between steps \
+                 no dependency orders and reduction completeness, and \
+                 hold the schedule-derived time within \
                  1e-6 relative of the closed-form cost model (the \
                  differential gate).")
-
-let lint_times_arg =
-  Arg.(value
-       & opt (some (enum [ ("closed", `Closed); ("schedule", `Schedule) ]))
-           None
-       & info [ "times" ] ~docv:"SIDE"
-           ~doc:"With --cluster: emit the per-combo times of one side of \
-                 the differential gate ($(docv) is 'closed' or 'schedule') \
-                 as the --json document, seconds rounded to three \
-                 significant digits — the two sides compare byte-equal \
-                 when the gate holds, so CI can cmp them.")
 
 let lint_placement_arg =
   Arg.(value
@@ -1398,14 +1366,15 @@ let lint_cmd =
           analysis to the whole-SoC fused-group schedule (cross-core races, \
           schedule deadlock cycles, LLC/HBM capacity overcommit); --cluster \
           to collective schedules over the server/fat-tree links \
-          (unmatched transfers, deadlock, link overcommit, reduction \
-          completeness, plus the closed-form differential gate); \
+          (unmatched transfers, deadlock, link overcommit, unordered \
+          steps racing on a chunk, reduction completeness, plus the \
+          closed-form differential gate); \
           --placement lints a fleet placement plan (HBM overcommit, \
           predicted page-ins). Exits non-zero on errors (--strict: on any \
           finding).")
     Term.(const lint $ lint_model_arg $ lint_all_arg $ lint_core_arg
           $ lint_soc_arg $ lint_soc_cores_arg $ lint_llc_arg $ lint_hbm_arg
-          $ lint_cluster_arg $ lint_times_arg $ lint_placement_arg
+          $ lint_cluster_arg $ lint_placement_arg
           $ nodes_arg $ policy_arg $ replicas_arg $ lint_hbm_gb_arg
           $ pagein_json_arg $ lint_verbose_arg $ strict_arg
           $ findings_json_arg $ lint_jobs_arg)
@@ -1481,134 +1450,6 @@ let trace_cmd =
       const trace $ trace_model_pos $ trace_model_opt $ core_arg $ batch_arg
       $ trace_output_arg)
 
-(* --- calibrate ---------------------------------------------------- *)
-
-module Calibration2d = Ascend.Cost.Calibration2d
-
-(* the first [Error] in list order, or every [Ok] value *)
-let all_ok results =
-  List.fold_right
-    (fun r acc ->
-      let* x = r in
-      let* xs = acc in
-      Ok (x :: xs))
-    results (Ok [])
-
-(* the 2-D (batch x cache-length) protocol of the tiny LLM's decode
-   step, per selected core that runs it.  The sweep fails when a core's
-   max cycle error exceeds --fail-above. *)
-let calibrate core_opt max_batch max_len fail_above verbose json_path jobs =
-  let llm = Ascend.Nn.Llm.tiny_config in
-  let score service (name, _, _, (config : Config.t)) =
-    Calibration2d.run ~budget_pct:fail_above ~service ~core:config
-      ~model:name
-      ~build:(fun ~batch ~cache_len ->
-        Ascend.Nn.Llm.decode ~batch ~cache_len llm)
-      ~max_batch ~max_len ()
-    |> Result.map (fun (r : Calibration2d.report) ->
-           let err = r.Calibration2d.max_abs_pct_error in
-           ( {
-               text = Format.asprintf "%a" (Calibration2d.pp ~verbose ()) r;
-               findings = [];
-               json = Calibration2d.to_json r;
-             },
-             err,
-             Printf.sprintf "over budget: %s on %s (max |err| %.2f%%)\n"
-               r.Calibration2d.model r.Calibration2d.core err ))
-    |> Result.map_error (fun e -> config.Config.name ^ ": " ^ e)
-  in
-  exit_code
-    (let* () =
-       (* a decode step at cache length N appends token N + 1 *)
-       if max_len >= llm.Ascend.Nn.Llm.max_position then
-         Error
-           (Printf.sprintf
-              "--max-len %d: must be below the tiny LLM's max position (%d)"
-              max_len llm.Ascend.Nn.Llm.max_position)
-       else Ok ()
-     in
-     let* combos =
-       select_combos ~what:"calibrate"
-         [ ("llm-decode", List.assoc "llm-decode" models) ]
-         core_opt
-     in
-     let* results =
-       catching_invalid (fun () ->
-           all_ok (with_service ~jobs (fun s -> List.map (score s) combos)))
-     in
-     let combos = List.map (fun (c, _, _) -> c) results in
-     let worst =
-       List.fold_left (fun acc (_, e, _) -> Float.max acc e) 0. results
-     in
-     let over = List.filter (fun (_, e, _) -> e > fail_above) results in
-     Ok
-       (end_sweep ~failures:(List.length over) combos
-          ~docs:
-            [
-              ( json_path,
-                Json.Obj
-                  [
-                    ("max_batch", Json.Int max_batch);
-                    ("max_len", Json.Int max_len);
-                    ("fail_above_pct", Json.Float fail_above);
-                    ("worst_max_abs_pct_error", Json.Float worst);
-                    ("combos", Json.List (List.map (fun c -> c.json) combos));
-                  ] );
-            ]
-          ~summary:(fun _ ->
-            Printf.sprintf
-              "calibrate: %d core(s), worst max |err| %.2f%% (budget %.2f%%)\n"
-              (List.length combos) worst fail_above
-            ^ String.concat "" (List.map (fun (_, _, line) -> line) over))))
-
-let calibrate_max_batch_arg =
-  Arg.(
-    value & opt int 8
-    & info [ "max-batch" ] ~docv:"N"
-        ~doc:
-          "Largest decode batch: each row of the grid holds the exact price \
-           of every batch in 1..N.")
-
-let fail_above_arg =
-  Arg.(
-    value & opt float 5.
-    & info [ "fail-above" ] ~docv:"PCT"
-        ~doc:
-          "Cycle-error budget: the grid adds anchor cache lengths until \
-           every probe point is within it, and the command exits non-zero \
-           when a core's max absolute cycle error exceeds it.")
-
-let calibrate_max_len_arg =
-  Arg.(
-    value & opt int 32
-    & info [ "max-len" ] ~docv:"TOK"
-        ~doc:
-          "Largest cache length, below the tiny LLM's max position; anchors \
-           and validation probes span 1..N.")
-
-let calibrate_json_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "json" ] ~docv:"FILE"
-        ~doc:
-          "Also write the per-point error report as JSON ('-': stdout).")
-
-let calibrate_cmd =
-  Cmd.v
-    (Cmd.info "calibrate"
-       ~doc:
-         "Fit the tiny LLM's decode-step cost grid (exact prices of every \
-          batch at anchor cache lengths, interpolated in cache length) on \
-          each fp16-capable core, score every probe (cache length, batch) \
-          point against the cycle-level simulator, and report the grid's \
-          cycle error (mean and max absolute percentage, per core). \
-          Non-zero exit when a core exceeds the error budget.")
-    Term.(
-      const calibrate $ lint_core_arg $ calibrate_max_batch_arg
-      $ calibrate_max_len_arg $ fail_above_arg $ lint_verbose_arg
-      $ calibrate_json_arg $ lint_jobs_arg)
-
 (* --- list --------------------------------------------------------- *)
 
 let list_all () =
@@ -1664,8 +1505,7 @@ let () =
             ~doc:
               "on an error, reported as one $(b,error:) line on standard \
                error, or when a check fails: an error finding (any finding \
-               with $(b,--strict)), a failed differential gate or an \
-               over-budget calibration.";
+               with $(b,--strict)) or a failed differential gate.";
           Cmd.Exit.info Cmd.Exit.cli_error
             ~doc:"when the command line does not parse.";
           Cmd.Exit.info Cmd.Exit.internal_error ~doc:"on an internal error.";
@@ -1676,8 +1516,7 @@ let () =
       ~default:Term.(ret (const (`Help (`Plain, None))))
       info
       [ simulate_cmd; profile_cmd; disasm_cmd; streams_cmd; serve_cmd;
-        decode_cmd; fleet_cmd; lint_cmd; sanitize_cmd; calibrate_cmd;
-        list_cmd; trace_cmd ]
+        decode_cmd; fleet_cmd; lint_cmd; sanitize_cmd; list_cmd; trace_cmd ]
   in
   (* an output file that cannot be written (--json, --trace, -o or
      --pagein-json in a missing directory) is a user error: one line,

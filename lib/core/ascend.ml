@@ -30,15 +30,13 @@
     - {!Cluster} — servers, collectives, distributed training;
     - {!Baselines} — systolic array, SIMT GPU, CPU comparators;
     - {!Runtime} — the app/stream/task/block scheduler;
-    - {!Cost} — batch pricing: the exact cycle-level oracle
-      ({!Cost.Calibration}) and the decode-step grid over it, exact in
-      batch and interpolated in cache length ({!Cost.Surrogate2d},
-      scored by {!Cost.Calibration2d});
     - {!Serving} — request-level serving: seeded load generation,
       dynamic batching, QoS admission control and SLO metrics over the
-      multi-core scheduler;
+      multi-core scheduler, priced by the exact cycle-level oracle
+      ({!Serving.Cost.price}) every costing tier rests on;
     - {!Decode} — LLM decode serving: KV-cache-aware phase costing
-      (prefill vs decode over the batch x cache-length grid)
+      (prefill vs decode, the surrogate a {!Decode.Grid} of exact rows
+      over the batch x cache-length plane)
       and a continuous batcher with per-token SLO metrics against a
       static-batching baseline;
     - {!Vector_core} — the §3.3 SLAM extensions (quaternion, sort,
@@ -71,7 +69,6 @@ module Soc = Ascend_soc
 module Cluster = Ascend_cluster
 module Baselines = Ascend_baselines
 module Runtime = Ascend_runtime
-module Cost = Ascend_cost
 module Serving = Ascend_serving
 module Decode = Ascend_decode
 module Fleet = Ascend_fleet

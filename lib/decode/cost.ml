@@ -1,9 +1,7 @@
 module Oracle = Ascend_serving.Cost
-module Surrogate2d = Ascend_cost.Surrogate2d
-module Calibration2d = Ascend_cost.Calibration2d
 module Llm = Ascend_nn.Llm
 
-type entry = Ascend_cost.Calibration.entry = {
+type entry = Oracle.entry = {
   cycles : int;
   latency_s : float;
   energy_j : float;
@@ -15,8 +13,8 @@ type costing = [ `Exact | `Surrogate ]
    through the serving oracle's [price] (private single-domain service,
    whose cache counters are the oracle's hits and misses).  Unlike serving,
    decode steps are a function of (batch, cache length), so the
-   surrogate tier is the grid of {!Ascend_cost.Surrogate2d}, exact in
-   batch and interpolated in cache length, and prefill — once per
+   surrogate tier is a {!Grid} of exact rows, interpolated in cache
+   length between priced lengths only, and prefill — once per
    request, never the volume term — stays on the exact tier behind a
    (batch, prompt length) memo. *)
 type t = {
@@ -25,7 +23,7 @@ type t = {
   max_batch : int;
   max_cache_len : int;
   oracle : Oracle.t;
-  mutable grid : Surrogate2d.t option;
+  mutable grid : Grid.t option;
   prefill_memo : (int * int, entry) Hashtbl.t;
   decode_memo : (int * int, entry) Hashtbl.t;
   mutable interpolated : int;
@@ -78,17 +76,13 @@ let exact_decode t ~batch ~cache_len =
 let grid t =
   match t.grid with
   | Some g -> Ok g
-  | None -> (
+  | None ->
     let r =
-      Calibration2d.fit
-        ~price:(fun ~batch ~cache_len -> exact_decode t ~batch ~cache_len)
-        ~max_batch:t.max_batch ~max_len:t.max_cache_len ()
+      Grid.build ~price:(exact_decode t) ~max_batch:t.max_batch
+        ~max_len:t.max_cache_len
     in
-    match r with
-    | Ok g ->
-      t.grid <- Some g;
-      r
-    | Error _ -> r)
+    Result.iter (fun g -> t.grid <- Some g) r;
+    r
 
 let decode_step t ~batch ~cache_len =
   if batch < 1 then invalid_arg "Decode.Cost.decode_step: batch < 1";
@@ -99,13 +93,13 @@ let decode_step t ~batch ~cache_len =
     match grid t with
     | Error _ as e -> e
     | Ok g -> (
-      match Surrogate2d.lookup g ~batch ~cache_len with
+      match Grid.lookup g ~batch ~cache_len with
       | Some e ->
         t.interpolated <- t.interpolated + 1;
         Ok e
       | None ->
-        (* past the grid on either axis: extrapolation is outside the
-           calibrated budget, so answer exactly instead *)
+        (* past the grid on either axis: no priced row brackets the
+           point, so answer exactly instead of extrapolating *)
         t.fallbacks <- t.fallbacks + 1;
         exact_decode t ~batch ~cache_len))
 

@@ -10,17 +10,17 @@
     {b Decode steps} are the volume term — one per generated token — and
     their latency is a function of (batch, KV-cache length).  [`Exact]
     prices each distinct point through the oracle (memoised);
-    [`Surrogate] fits the {!Ascend_cost.Surrogate2d} grid on first use
-    via {!Ascend_cost.Calibration2d.fit}: rows of exact prices for every
-    batch at a few anchor cache lengths, interpolated in cache length
-    only (max cycle error within the 5% budget by construction).  A
-    point off the grid is priced by the exact tier.
+    [`Surrogate] builds a {!Grid} on first use ({!Grid.build}): one row
+    of exact prices for every batch at each cache length of its
+    schedule, so a lookup is exact at a priced length and lerps between
+    the two priced lengths around any other.  A point off the grid is
+    priced by the exact tier.
 
     Both tiers are deterministic, counters included; the service is
     private, single-domain and in-memory, so an engine run is a pure
     function of its inputs. *)
 
-type entry = Ascend_cost.Calibration.entry = {
+type entry = Ascend_serving.Cost.entry = {
   cycles : int;
   latency_s : float;
   energy_j : float;
@@ -54,8 +54,8 @@ val decode_step : t -> batch:int -> cache_len:int -> (entry, string) result
 
 val hits : t -> int
 val misses : t -> int
-(** Fused-group cache counters of the exact tier, calibration included;
-    [misses] counts actual compile+simulate runs. *)
+(** Fused-group cache counters of the exact tier, the grid's rows
+    included; [misses] counts actual compile+simulate runs. *)
 
 val interpolated : t -> int
 (** Decode steps answered from the surrogate grid (0 under [`Exact]). *)

@@ -1,10 +1,7 @@
+module Engine = Ascend_compiler.Engine
 module Service = Ascend_exec.Service
 
-type entry = Ascend_cost.Calibration.entry = {
-  cycles : int;
-  latency_s : float;
-  energy_j : float;
-}
+type entry = { cycles : int; latency_s : float; energy_j : float }
 
 type costing = [ `Exact | `Surrogate ]
 
@@ -36,7 +33,15 @@ let create ?(costing = `Exact) ~core () =
   }
 
 let price t graph =
-  Ascend_cost.Calibration.price ~service:t.service ~core:t.core graph
+  match Service.run_inference t.service t.core graph with
+  | Error _ as e -> e
+  | Ok nr ->
+    Ok
+      {
+        cycles = nr.Engine.total_cycles;
+        latency_s = Engine.seconds nr;
+        energy_j = nr.Engine.total_energy_j;
+      }
 
 let lookup t ~model ~build ~batch =
   if batch < 1 then invalid_arg "Cost.lookup: batch < 1";

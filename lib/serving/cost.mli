@@ -15,7 +15,7 @@
     answers — counters included.  The private service is single-domain
     and in-memory, so a [Serve.run] is a pure function of its inputs. *)
 
-type entry = Ascend_cost.Calibration.entry = {
+type entry = {
   cycles : int;        (** one batch on one core *)
   latency_s : float;
   energy_j : float;
@@ -37,8 +37,10 @@ val lookup :
     [batch < 1]. *)
 
 val price : t -> Ascend_nn.Graph.t -> (entry, string) result
-(** The exact tier alone: compile+simulate the graph through the
-    private service, whatever the costing. *)
+(** The exact oracle every costing tier rests on, whatever the costing:
+    compile and simulate the graph on the cycle-level core model through
+    the private service, so repeated group shapes resolve in its
+    cache. *)
 
 val hits : t -> int
 val misses : t -> int

@@ -16,10 +16,15 @@
       decides with no lanes;
     - {b link overcommit}: within one step, the bandwidth claims of all
       transfers sharing a link must not exceed its capacity;
+    - {b races}: two steps that no dependency path orders must not
+      touch one (chip, chunk) cell when either writes it (a send reads
+      the sender's cell and writes the receiver's), or the result
+      depends on which runs first;
     - {b reduction completeness}: simulating chunk-contribution flow
       over the schedule, steps in that pass's topological order, every
       chip's contribution to every chunk must reach every chip — the
-      all-reduce correctness invariant.
+      all-reduce correctness invariant.  With no race, every
+      topological order gives the same result.
 
     The schedule representation is deliberately neutral — plain ints,
     strings and floats — so this library needs no dependency on
@@ -256,7 +261,8 @@ let bs_union ~into src =
   done
 
 (* steps run in the dependency graph's topological order; the caller
-   guarantees the graph is acyclic and closed *)
+   guarantees the graph is acyclic and closed and has no race, so any
+   other order gives the same result *)
 let completeness_findings (s : schedule) (g : step Hb.t) =
   let know = Array.init s.chips (fun _ -> Array.init s.chunks (fun _ -> bs_create s.chips)) in
   for c = 0 to s.chips - 1 do
@@ -322,15 +328,74 @@ let completeness_findings (s : schedule) (g : step Hb.t) =
     ]
 
 (* ------------------------------------------------------------------ *)
+(* Races.  A send reads chunks of its sender's partials and writes the
+   receiver's (a recv mirrors it).  Two steps that no dependency path
+   orders may run in either order, so a (chip, chunk) cell one writes
+   and the other touches is a race.  Each pair is named lower step id
+   first, so the findings do not depend on the listing order.  Every
+   step is on its own lane of the graph, so [Hb.hb] decides order. *)
+
+(* a step's (reads, writes) as sorted, distinct (chip, chunk) cells *)
+let cells (st : step) =
+  let r, w =
+    List.fold_left
+      (fun (r, w) (o : op) ->
+        match o.op_kind with
+        | Recv -> (r, w)
+        | Send ->
+          let on chip =
+            List.init (o.chunk_hi - o.chunk_lo) (fun d ->
+                (chip, o.chunk_lo + d))
+          in
+          (on o.chip @ r, on o.peer @ w))
+      ([], []) st.ops
+  in
+  (List.sort_uniq compare r, List.sort_uniq compare w)
+
+let race_findings (g : step Hb.t) =
+  let n = Array.length g.nodes in
+  let touched = Array.map cells g.nodes in
+  let findings = ref [] in
+  for i = 0 to n - 1 do
+    for j = i + 1 to n - 1 do
+      if not (Hb.hb g i j || Hb.hb g j i) then begin
+        let i, j =
+          if g.nodes.(i).step_id < g.nodes.(j).step_id then (i, j) else (j, i)
+        in
+        let a = g.nodes.(i) and b = g.nodes.(j) in
+        let (ra, wa), (rb, wb) = (touched.(i), touched.(j)) in
+        List.iter
+          (fun (dep, xs, ys) ->
+            match List.filter (fun c -> List.mem c ys) xs with
+            | [] -> ()
+            | (chip, chunk) :: _ as common ->
+              findings :=
+                Finding.make ~index:b.step_id (Finding.Coll_race { dep })
+                  (Printf.sprintf
+                     "%s race between steps %d and %d on %d (chip, chunk) \
+                      cell(s), e.g. chip %d's chunk %d: no dependency orders \
+                      them"
+                     dep a.step_id b.step_id (List.length common) chip chunk)
+                :: !findings)
+          [ ("RAW", wa, rb); ("WAR", ra, wb); ("WAW", wa, wb) ]
+      end
+    done
+  done;
+  List.sort Finding.compare !findings
+
+(* ------------------------------------------------------------------ *)
 
 let analyze (s : schedule) =
   let structural = structural_findings s in
   if structural <> [] then structural
   else
     (* deadlock: a cycle (or an edge to a missing step) means some step
-       can never start *)
+       can never start.  Step ids are distinct here. *)
+    let lane = Hashtbl.create (List.length s.steps) in
+    List.iteri (fun i st -> Hashtbl.replace lane st.step_id i) s.steps;
     let g =
-      Hb.of_deps
+      Hb.of_deps ~lanes:(List.length s.steps)
+        ~lane:(fun st -> Hashtbl.find lane st.step_id)
         ~id:(fun st -> st.step_id)
         ~deps:(fun st -> st.deps)
         ~missing:(fun st d ->
@@ -350,13 +415,17 @@ let analyze (s : schedule) =
     in
     let unmatched = match_findings s in
     let overcommit = overcommit_findings s in
+    (* order is only meaningful on a deadlock-free graph *)
+    let races = if g.findings = [] then race_findings g else [] in
     (* completeness simulation only makes sense on a schedule whose
-       transfers all run: gate it on the other checks *)
+       transfers all run, in an order the dependencies fix: gate it on
+       the other checks *)
     let incomplete =
-      if g.findings = [] && unmatched = [] then completeness_findings s g
+      if g.findings = [] && unmatched = [] && races = [] then
+        completeness_findings s g
       else []
     in
-    g.findings @ unmatched @ overcommit @ incomplete
+    g.findings @ unmatched @ overcommit @ races @ incomplete
 
 let schedule_seconds (s : schedule) =
   let time = Array.make (max 1 s.chips) 0. in

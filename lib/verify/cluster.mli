@@ -62,13 +62,18 @@ val analyze : schedule -> Finding.t list
     dangling step dependencies, [Coll_unmatched] for a send with no
     mirroring same-step recv (or vice versa), [Coll_overcommit
     {resource="link"}] when one step's claims on a link exceed its
-    capacity, and — only when the dependency and matching checks are
-    clean, so every transfer actually runs — [Coll_incomplete] when the
-    simulated contribution flow leaves some chip without some chip's
-    contribution to some chunk.  The simulation runs the steps in
-    {!Hb.of_deps}'s topological order.  An empty result means the
-    schedule is a realizable, deadlock-free, capacity-respecting
-    all-reduce. *)
+    capacity; on a deadlock-free schedule, [Coll_race] for two steps
+    that no dependency path orders ({!Hb.hb}) when one writes a (chip,
+    chunk) cell the other reads or writes (a send reads the sender's
+    cell and writes the receiver's); and — only when the dependency,
+    matching and race checks are clean, so every transfer runs and
+    every topological order gives the same result — [Coll_incomplete]
+    when the simulated contribution flow leaves some chip without some
+    chip's contribution to some chunk.  The simulation runs the steps
+    in {!Hb.of_deps}'s topological order.  The findings do not depend
+    on the order the steps are listed in, up to sorting.  An empty
+    result means the schedule is a realizable, deadlock-free, race-free,
+    capacity-respecting all-reduce. *)
 
 val schedule_seconds : schedule -> float
 (** Schedule-derived completion time: per chip, each step costs the

@@ -50,6 +50,10 @@ type kind =
   | Coll_incomplete
       (** all-reduce correctness violated: some chip's contribution to
           some chunk never reaches some other chip *)
+  | Coll_race of { dep : string }
+      (** two collective steps that no dependency path orders touch one
+          (chip, chunk) cell and at least one writes it; [dep] is "RAW",
+          "WAR" or "WAW" *)
 
 type t = {
   kind : kind;
@@ -79,6 +83,7 @@ let kind_name = function
   | Coll_deadlock -> "coll-deadlock"
   | Coll_overcommit { resource } -> "coll-overcommit/" ^ resource
   | Coll_incomplete -> "coll-incomplete"
+  | Coll_race { dep } -> "coll-race/" ^ dep
 
 let severity_name = function Error -> "error" | Warning -> "warning"
 

@@ -66,6 +66,12 @@ type kind =
   | Coll_incomplete
       (** all-reduce correctness violated: some chip's contribution to
           some chunk never reaches some other chip *)
+  | Coll_race of { dep : string }
+      (** two collective-schedule steps that no dependency path orders
+          touch one (chip, chunk) cell — a send reads the sender's cell
+          and writes the receiver's — and at least one of them writes
+          it, so the result depends on which runs first; [dep] is
+          "RAW", "WAR" or "WAW", named from the lower step id *)
 
 type t = {
   kind : kind;

@@ -16,8 +16,9 @@
       never be satisfied: the pass pins it with a phantom in-degree.  A
       cycle through flag edges is a cross-pipe deadlock.
     - {!of_deps}, nodes that name the nodes they wait for by id: SoC
-      tasks, whose lanes are cores ({!Soc}), and cluster steps, which
-      have no lanes ({!Cluster}).
+      tasks, whose lanes are cores ({!Soc}), and cluster steps, each on
+      a lane of its own, so that {!hb} orders any two of them
+      ({!Cluster}).
 
     {b Contract.} Construction never raises when [of_deps]'s lanes are
     in range.  The graph is sound for reachability queries ({!hb}) only
@@ -32,8 +33,8 @@
 type 'a t = {
   nodes : 'a array;  (** in listing order *)
   lanes : int;
-      (** [Pipe.count] for programs, cores for SoC plans, 0 for cluster
-          steps *)
+      (** [Pipe.count] for programs, cores for SoC plans, the step
+          count for cluster schedules *)
   lane : int array;
       (** lane of each node; negative for none or, for a barrier,
           every lane.  A program graph's is its decode's array, which

@@ -2,7 +2,7 @@
 # Bad input to the two command-line tools: every case below must print
 # exactly one "error:" line on stderr and exit 1 (README.md has the
 # exit-code table); a core that cannot run the model's dtype is named
-# as such.  Then two differentials whose sides must agree to the byte.
+# as such.  Then a differential whose sides must agree to the byte.
 #
 #   sh test/cli_errors.sh path/to/ascend_cli.exe path/to/bench/main.exe
 #
@@ -50,22 +50,18 @@ cli fleet gesture --core tiny --duration 0
 cli fleet gesture --core tiny --nodes 0
 cli decode --core lite --rate 0
 cli decode --core lite --duration 0
+cli decode --core lite --duration 0.01 --max-cache-len 0
+cli decode --core lite --duration 0.01 --max-cache-len 512
 cli serve gesture --core tiny --duration 0.05 --json missing/x.json
 cli serve gesture --core tiny --duration 0.05 --trace missing/x.json
 cli fleet gesture --core tiny --duration 0.05 --pagein-json missing/x.json
 cli decode --core lite --duration 0.02 --json missing/x.json
 cli trace gesture --core tiny -o missing/x.json
 cli lint gesture --core tiny --json missing/x.json
-cli calibrate --core lite --max-batch 1 --max-len 1 --json missing/x.json
 cli lint
 cli sanitize
 cli serve gesture --core tiny --batch-max 0 --duration 0.01
 cli fleet gesture --core tiny --batch-max 0 --duration 0.01
-cli calibrate --max-batch 0
-cli calibrate --max-len 0
-cli calibrate --max-len 100000 --core lite
-cli calibrate --fail-above=-1
-cli lint --times closed
 cli lint --placement gesture --replicas 0,1 --nodes 2
 cli trace
 cli trace gesture --model gesture
@@ -83,7 +79,6 @@ cli streams llm-decode --core tiny
 cli trace llm-decode --core tiny -o x.json
 cli lint llm-decode --core tiny
 cli sanitize llm-decode --core tiny
-cli calibrate --core tiny
 cli serve llm-decode --core tiny --rate 1 --duration 0.001
 cli fleet llm-decode --core tiny --rate 1 --duration 0.001
 cli decode --core tiny --rate 1 --duration 0.01
@@ -98,9 +93,5 @@ run "$cli" lint resnet18 --soc --json lint_soc.json
 run "$cli" sanitize resnet18 --json sanitize.json
 same "lint resnet18 --soc --json and sanitize resnet18 --json" \
   lint_soc.json sanitize.json
-run "$cli" lint --cluster --times closed --json closed.json
-run "$cli" lint --cluster --times schedule --json schedule.json
-same "lint --cluster --times closed and --times schedule" \
-  closed.json schedule.json
 
 exit $fail

@@ -99,7 +99,7 @@ let test_cost_oracle_surrogate () =
     Cost.create ~costing:`Surrogate ~max_batch:2 ~max_cache_len:8
       ~core:Config.lite llm ()
   in
-  (* in-grid: answered by bilinear interpolation over the fitted grid *)
+  (* in-grid, between the priced lengths 4 and 6: answered by the grid *)
   (match Cost.decode_step t ~batch:2 ~cache_len:5 with
   | Ok e -> Alcotest.(check bool) "surrogate price positive" true (e.Cost.cycles > 0)
   | Error e -> Alcotest.fail e);
@@ -111,22 +111,25 @@ let test_cost_oracle_surrogate () =
   | Error e -> Alcotest.fail e);
   Alcotest.(check int) "fallback counted" 1 (Cost.fallbacks t);
   Alcotest.(check int) "interpolation count unchanged" 1 (Cost.interpolated t);
-  (* the surrogate stays within the calibration budget at grid anchors:
-     compare against a fresh exact oracle *)
+  (* every length the grid priced answers its exact entry: compare
+     against a fresh exact oracle *)
   let exact = Cost.create ~core:Config.lite llm () in
-  let cycles = function
-    | Ok (e : Cost.entry) -> float_of_int e.Cost.cycles
-    | Error e -> Alcotest.fail e
-  in
+  let entry = function Ok (e : Cost.entry) -> e | Error e -> Alcotest.fail e in
   List.iter
-    (fun (batch, cache_len) ->
-      let s = cycles (Cost.decode_step t ~batch ~cache_len) in
-      let x = cycles (Cost.decode_step exact ~batch ~cache_len) in
-      Alcotest.(check bool)
-        (Printf.sprintf "within 5%% at batch %d cache %d" batch cache_len)
-        true
-        (Float.abs (s -. x) /. x <= 0.05))
-    [ (1, 1); (2, 8); (1, 4) ]
+    (fun cache_len ->
+      for batch = 1 to 2 do
+        let s = entry (Cost.decode_step t ~batch ~cache_len) in
+        let x = entry (Cost.decode_step exact ~batch ~cache_len) in
+        let at what =
+          Printf.sprintf "%s at batch %d cache %d" what batch cache_len
+        in
+        Alcotest.(check int) (at "cycles") x.Cost.cycles s.Cost.cycles;
+        Alcotest.(check (float 0.)) (at "latency") x.Cost.latency_s
+          s.Cost.latency_s;
+        Alcotest.(check (float 0.)) (at "energy") x.Cost.energy_j
+          s.Cost.energy_j
+      done)
+    [ 1; 2; 3; 4; 6; 8 ]
 
 let test_cost_oracle_bounds () =
   Alcotest.check_raises "grid past max_position rejected"
@@ -239,6 +242,21 @@ let test_continuous_beats_static () =
     (continuous.Engine.metrics.Metrics.mean_decode_batch
     >= static.Engine.metrics.Metrics.mean_decode_batch)
 
+(* the surrogate grid prices the same (length, batch) points in the
+   same order whatever it interpolates, so a small run's oracle counters
+   are pinned *)
+let test_engine_surrogate_counters_pinned () =
+  let r =
+    run_ok
+      { (config ~max_batch:2 ()) with
+        Engine.costing = `Surrogate; max_cache_len = 8 }
+      [ request 0 0. 6 5; request 1 0.0001 4 5 ]
+  in
+  Alcotest.(check int) "hits" 154 r.Engine.cost_hits;
+  Alcotest.(check int) "misses" 86 r.Engine.cost_misses;
+  Alcotest.(check bool) "the grid and the fallback both answer" true
+    (r.Engine.cost_interpolated > 0 && r.Engine.cost_fallbacks > 0)
+
 let test_engine_json_shape () =
   let r = run_ok (config ()) [ request 0 0. 4 2 ] in
   match Json.of_string (Json.to_string (Engine.to_json r)) with
@@ -280,5 +298,7 @@ let () =
           Alcotest.test_case "continuous vs static" `Quick
             test_continuous_beats_static;
           Alcotest.test_case "json shape" `Quick test_engine_json_shape;
+          Alcotest.test_case "surrogate counters pinned" `Quick
+            test_engine_surrogate_counters_pinned;
         ] );
     ]

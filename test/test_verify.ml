@@ -27,7 +27,8 @@ let classes findings =
          | Finding.Coll_unmatched -> "coll-unmatched"
          | Finding.Coll_deadlock -> "coll-deadlock"
          | Finding.Coll_overcommit { resource } -> "coll-overcommit/" ^ resource
-         | Finding.Coll_incomplete -> "coll-incomplete")
+         | Finding.Coll_incomplete -> "coll-incomplete"
+         | Finding.Coll_race { dep } -> "coll-race/" ^ dep)
        findings)
 
 let report findings = Format.asprintf "%a" Verify.pp_report findings

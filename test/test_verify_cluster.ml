@@ -127,6 +127,44 @@ let test_structural_malformed () =
   Alcotest.(check bool) "out-of-range chip is malformed" true
     (has (function Finding.Malformed -> true | _ -> false) fs)
 
+(* Steps no dependency orders that touch one (chip, chunk) cell race:
+   A waits on D and has no ops, B reduces chip 0 into chip 1, C (after
+   B) copies chip 0 over chip 1, D copies chip 1 over chip 0.  B and C
+   each race D, so every listing gets the same verdict. *)
+let test_unordered_steps_race () =
+  let op chip op_kind peer reduce =
+    { V.chip; op_kind; peer; link = "l"; op_bytes = 1.;
+      claim_bytes_per_s = 1.; chunk_lo = 0; chunk_hi = 1; reduce }
+  in
+  let transfer src dst reduce =
+    [ op src V.Send dst reduce; op dst V.Recv src reduce ]
+  in
+  let step step_id deps ops = { V.step_id; deps; latency_s = 0.; ops } in
+  let a = step 0 [ 3 ] []
+  and b = step 1 [] (transfer 0 1 true)
+  and c = step 2 [ 1 ] (transfer 0 1 false)
+  and d = step 3 [] (transfer 1 0 false) in
+  let verdict steps =
+    List.sort Finding.compare
+      (V.analyze
+         { V.sched_name = "probe"; chips = 2; chunks = 1;
+           links = [ { V.link_id = "l"; capacity_bytes_per_s = 1. } ];
+           steps })
+  in
+  let reference = verdict [ a; b; c; d ] in
+  List.iter
+    (fun steps ->
+      Alcotest.(check (list string)) "same findings in every listing"
+        (List.map Finding.to_string reference)
+        (List.map Finding.to_string (verdict steps)))
+    [ [ b; c; d; a ]; [ a; d; b; c ]; [ d; b; c; a ] ];
+  Alcotest.(check (list string)) "B and C each race D"
+    [ "coll-race/RAW"; "coll-race/RAW"; "coll-race/WAR"; "coll-race/WAR" ]
+    (List.map (fun (f : Finding.t) -> Finding.kind_name f.Finding.kind)
+       reference);
+  Alcotest.(check bool) "no completeness verdict over a race" false
+    (has is_incomplete reference)
+
 (* ------------------------------------------------------------------ *)
 (* The differential gate: schedule-derived time = closed form          *)
 
@@ -297,6 +335,8 @@ let () =
           Alcotest.test_case "copy instead of reduce" `Quick
             test_copy_instead_of_reduce_incomplete;
           Alcotest.test_case "malformed" `Quick test_structural_malformed;
+          Alcotest.test_case "unordered steps race" `Quick
+            test_unordered_steps_race;
         ] );
       ( "differential",
         [
