@@ -1535,28 +1535,21 @@ let streams () =
 (* ------------------------------------------------------------------ *)
 (* Execution service: serial vs parallel vs warm-cache compile         *)
 
+(* the compile and lint sections' workload: the zoo's compile-and-verify
+   corpus on every core that supports each graph's dtype *)
+let zoo_pairs () =
+  List.concat_map
+    (fun (name, build) ->
+      let g = build () in
+      List.map (fun config -> (name, config, g)) (Ascend.Zoo.supporting g))
+    Ascend.Zoo.corpus
+
 let compile () =
   section_header "compile"
     "execution service: serial vs parallel vs warm-cache compile+simulate \
      over the zoo x Table-5 cores";
   let module Cache = Ascend.Exec.Cache in
-  let workload =
-    List.concat_map
-      (fun (name, g) ->
-        List.filter_map
-          (fun config ->
-            if Config.supports config (Ascend.Nn.Graph.dtype g) then
-              Some (name, config, g)
-            else None)
-          Config.all)
-      [
-        ("gesture", Ascend.Nn.Gesture.build ());
-        ("resnet18", Ascend.Nn.Resnet.v1_5_18 ());
-        ("resnet50", Ascend.Nn.Resnet.v1_5 ());
-        ("mobilenet", Ascend.Nn.Mobilenet.v2 ());
-        ("bert-base-s32", Ascend.Nn.Bert.base ~seq_len:32 ());
-      ]
-  in
+  let workload = zoo_pairs () in
   let programs =
     List.fold_left
       (fun acc (_, _, g) -> acc + List.length (Fusion.partition g))
@@ -1703,23 +1696,7 @@ let lint_bench () =
   let module Sanitizer = Ascend.Core_sim.Sanitizer in
   let module Soc_schedule = Ascend.Compiler.Soc_schedule in
   let module Codegen = Ascend.Compiler.Codegen in
-  let workload =
-    List.concat_map
-      (fun (name, g) ->
-        List.filter_map
-          (fun config ->
-            if Config.supports config (Ascend.Nn.Graph.dtype g) then
-              Some (name, config, g)
-            else None)
-          Config.all)
-      [
-        ("gesture", Ascend.Nn.Gesture.build ());
-        ("resnet18", Ascend.Nn.Resnet.v1_5_18 ());
-        ("resnet50", Ascend.Nn.Resnet.v1_5 ());
-        ("mobilenet", Ascend.Nn.Mobilenet.v2 ());
-        ("bert-base-s32", Ascend.Nn.Bert.base ~seq_len:32 ());
-      ]
-  in
+  let workload = zoo_pairs () in
   let compiled =
     List.concat_map
       (fun (_, config, g) ->

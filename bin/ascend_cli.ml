@@ -16,59 +16,29 @@ module Engine = Ascend.Compiler.Engine
 module Graph = Ascend.Nn.Graph
 module Json = Ascend.Util.Json
 module Service = Ascend.Exec.Service
-
-let models : (string * (batch:int -> Graph.t)) list =
-  [
-    ("resnet50", fun ~batch -> Ascend.Nn.Resnet.v1_5 ~batch ());
-    ("resnet18", fun ~batch -> Ascend.Nn.Resnet.v1_5_18 ~batch ());
-    ("mobilenet", fun ~batch -> Ascend.Nn.Mobilenet.v2 ~batch ());
-    ("vgg16", fun ~batch -> Ascend.Nn.Vgg.v16 ~batch ());
-    ("bert-base", fun ~batch -> Ascend.Nn.Bert.base ~batch ~seq_len:128 ());
-    ("bert-large", fun ~batch -> Ascend.Nn.Bert.large ~batch ~seq_len:128 ());
-    ("gesture", fun ~batch -> Ascend.Nn.Gesture.build ~batch ());
-    ("siamese", fun ~batch -> Ascend.Nn.Siamese.build ~batch ());
-    ("wide-deep", fun ~batch -> Ascend.Nn.Wide_deep.default ~batch ());
-    ("pointnet", fun ~batch -> Ascend.Nn.Pointnet.build ~batch ());
-    ("face-detect", fun ~batch -> Ascend.Nn.Face_detect.build ~batch ());
-    ("fpn-detector", fun ~batch -> Ascend.Nn.Fpn_detector.build ~batch ());
-    ( "llm-prefill",
-      fun ~batch ->
-        Ascend.Nn.Llm.prefill ~batch ~seq_len:64 Ascend.Nn.Llm.tiny_config );
-    ( "llm-decode",
-      fun ~batch ->
-        Ascend.Nn.Llm.decode ~batch ~cache_len:128 Ascend.Nn.Llm.tiny_config );
-  ]
-
-let cores =
-  [
-    ("tiny", Config.tiny);
-    ("lite", Config.lite);
-    ("mini", Config.mini);
-    ("standard", Config.standard);
-    ("max", Config.max);
-  ]
+module Zoo = Ascend.Zoo
 
 let named_model_conv =
   let parse s =
-    match List.assoc_opt s models with
+    match List.assoc_opt s Zoo.models with
     | Some f -> Ok (s, f)
     | None ->
       Error
         (`Msg
           (Printf.sprintf "unknown model %s (try: %s)" s
-             (String.concat ", " (List.map fst models))))
+             (String.concat ", " (List.map fst Zoo.models))))
   in
   Arg.conv (parse, fun ppf (name, _) -> Format.pp_print_string ppf name)
 
 let core_conv =
   let parse s =
-    match List.assoc_opt s cores with
+    match List.assoc_opt s Zoo.cores with
     | Some c -> Ok c
     | None ->
       Error
         (`Msg
           (Printf.sprintf "unknown core %s (try: %s)" s
-             (String.concat ", " (List.map fst cores))))
+             (String.concat ", " (List.map fst Zoo.cores))))
   in
   Arg.conv (parse, fun ppf (c : Config.t) ->
       Format.pp_print_string ppf c.Config.name)
@@ -114,13 +84,10 @@ let write_docs docs =
       | None, _ -> ())
     docs
 
-(* the rule every sweep and run shares: a core runs a model only if it
-   supports the model's dtype.  The sweeps skip other (model, core)
-   pairs; serve, fleet and decode reject the core before the run. *)
-let supports config graph = Config.supports config (Graph.dtype graph)
-
+(* [core] is one of [Zoo.cores], so membership is physical *)
 let check_core (core : Config.t) named_graphs =
-  match List.find_opt (fun (_, g) -> not (supports core g)) named_graphs with
+  let runs (_, g) = List.memq core (Zoo.supporting g) in
+  match List.find_opt (fun m -> not (runs m)) named_graphs with
   | None -> Ok ()
   | Some (name, g) ->
     Error
@@ -609,16 +576,25 @@ let decode core rate duration seed process prompt_mean prompt_max
     output_mean output_max fixed_prompt fixed_output batch_max hbm_mb
     max_cache_len mode small_llm costing json_path trace_path =
   exit_of
-    (let* requests =
+    (let llm_name, llm =
+       if small_llm then ("small", Ascend.Nn.Llm.small_config)
+       else ("tiny", Ascend.Nn.Llm.tiny_config)
+     in
+     (* Decode.Cost's bounds, checked first so the error names the flag *)
+     let limit = llm.Ascend.Nn.Llm.max_position - 1 in
+     let* () =
+       if max_cache_len >= 1 && max_cache_len <= limit then Ok ()
+       else
+         Error
+           (Printf.sprintf "--max-cache-len %d is outside 1..%d for the %s LLM"
+              max_cache_len limit llm_name)
+     in
+     let* requests =
        catching_invalid (fun () ->
            Ok
              (decode_requests ~rate ~duration ~seed ~process ~prompt_mean
                 ~prompt_max ~output_mean ~output_max ~fixed_prompt
                 ~fixed_output))
-     in
-     let llm =
-       if small_llm then Ascend.Nn.Llm.small_config
-       else Ascend.Nn.Llm.tiny_config
      in
      let* () =
        check_core core
@@ -859,21 +835,6 @@ module Verify = Ascend.Verify
 module Finding = Ascend.Verify.Finding
 module Sanitizer = Ascend.Core_sim.Sanitizer
 
-(* every codegen option combination: sync mode x double-buffering x
-   weight sparsity — the axes of paper Figure 3's ablations *)
-let lint_option_combos =
-  List.concat_map
-    (fun sync_mode ->
-      List.concat_map
-        (fun double_buffer ->
-          List.map
-            (fun weight_sparsity ->
-              { Codegen.default_options with
-                sync_mode; double_buffer; weight_sparsity })
-            [ None; Some 0.5 ])
-        [ true; false ])
-    [ Codegen.Flags; Codegen.Coarse_barriers ]
-
 let describe_options (o : Codegen.options) =
   Printf.sprintf "%s,db=%b,sparsity=%s"
     (match o.Codegen.sync_mode with
@@ -1006,25 +967,23 @@ let sanitize_one ~verbose ((_, _, graph, config) as combo) =
 let select_models model_opt all =
   match (model_opt, all) with
   | Some m, _ -> Ok [ m ]
-  | None, true -> Ok models
+  | None, true -> Ok Zoo.models
   | None, false -> Error "pass a MODEL or --all"
 
 (* the (model, core) pairs lint and sanitize cover, in zoo
    order, each with the model's batch-1 graph: the same selection is
    what makes the lint --soc and sanitize documents comparable *)
 let select_combos ~what selected core_opt =
-  let selected_cores =
-    match core_opt with Some c -> [ c ] | None -> List.map snd cores
-  in
   match
     List.concat_map
       (fun (name, build) ->
         let graph = build ~batch:1 in
         List.filter_map
           (fun config ->
-            if supports config graph then Some (name, build, graph, config)
-            else None)
-          selected_cores)
+            match core_opt with
+            | Some c when c != config -> None
+            | _ -> Some (name, build, graph, config))
+          (Zoo.supporting graph))
       selected
   with
   | [] ->
@@ -1253,7 +1212,7 @@ let lint model_opt all core_opt soc soc_cores llc_mb hbm_mb cluster
          else
            sweep (lint_one ~verbose)
              (List.concat_map
-                (fun c -> List.map (fun o -> (c, o)) lint_option_combos)
+                (fun c -> List.map (fun o -> (c, o)) Zoo.option_combos)
                 combos)))
 
 let sanitize model_opt all core_opt verbose strict json_path jobs =
@@ -1402,32 +1361,15 @@ let sanitize_cmd =
 
 module Exec_trace = Ascend.Exec.Trace
 
-let trace_model_pos =
-  Arg.(value & pos 0 (some named_model_conv) None & info [] ~docv:"MODEL")
-
-let trace_model_opt =
-  Arg.(
-    value
-    & opt (some named_model_conv) None
-    & info [ "model" ] ~docv:"MODEL"
-        ~doc:"Model to trace (alternative to the positional argument).")
-
 let trace_output_arg =
   Arg.(
     value & opt string "trace.json"
     & info [ "o"; "output" ] ~docv:"FILE"
         ~doc:"Chrome trace-event JSON output path.")
 
-let trace model_pos model_opt core batch output =
+let trace ((name, _) as model) core batch output =
   exit_of
-    (let* ((name, _) as model) =
-       match (model_pos, model_opt) with
-       | Some m, None | None, Some m -> Ok m
-       | Some _, Some _ ->
-         Error "pass MODEL either positionally or via --model, not both"
-       | None, None -> Error "pass a MODEL (positionally or via --model)"
-     in
-     let* graph = checked_graph model core ~batch in
+    (let* graph = checked_graph model core ~batch in
      let* c = Exec_trace.model core graph in
      Json.write_file output c.Exec_trace.json;
      print_string (Obs.Summary.render c.Exec_trace.summary);
@@ -1447,14 +1389,13 @@ let trace_cmd =
           bytes on every run and under any --jobs/ASCEND_JOBS setting. Also \
           prints a per-category self-time summary.")
     Term.(
-      const trace $ trace_model_pos $ trace_model_opt $ core_arg $ batch_arg
-      $ trace_output_arg)
+      const trace $ model_arg $ core_arg $ batch_arg $ trace_output_arg)
 
 (* --- list --------------------------------------------------------- *)
 
 let list_all () =
   Format.printf "models:@.";
-  List.iter (fun (name, _) -> Format.printf "  %s@." name) models;
+  List.iter (fun (name, _) -> Format.printf "  %s@." name) Zoo.models;
   Format.printf "@.core versions (paper Table 5):@.";
   let module Table = Ascend.Util.Table in
   let module Precision = Ascend.Arch.Precision in
@@ -1484,7 +1425,7 @@ let list_all () =
           String.concat "/"
             (List.map Precision.name c.Config.supported_precisions);
         ])
-    cores;
+    Zoo.cores;
   Table.print t;
   0
 

@@ -45,14 +45,13 @@ let () =
   (* compile + simulate on every core version that supports fp16 *)
   List.iter
     (fun config ->
-      if Config.supports config (Graph.dtype g) then
-        match Engine.run_inference config g with
-        | Error e -> Format.printf "%s: ERROR %s@." config.Config.name e
-        | Ok r ->
-          Format.printf "%s: %a / inference, %.2f W average@."
-            config.Config.name Ascend.Util.Units.pp_seconds (Engine.seconds r)
-            (Engine.average_power_w r))
-    Config.all;
+      match Engine.run_inference config g with
+      | Error e -> Format.printf "%s: ERROR %s@." config.Config.name e
+      | Ok r ->
+        Format.printf "%s: %a / inference, %.2f W average@."
+          config.Config.name Ascend.Util.Units.pp_seconds (Engine.seconds r)
+          (Engine.average_power_w r))
+    (Ascend.Zoo.supporting g);
   Format.printf "@.";
 
   (* the per-layer cube/vector profile on Ascend-Mini (the paper's §2.4

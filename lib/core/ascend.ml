@@ -42,6 +42,9 @@
     - {!Vector_core} — the §3.3 SLAM extensions (quaternion, sort,
       stereo, clustering, linear programming).
 
+    Beside the aliases, {!Zoo} holds the model registry, the Table-5
+    cores and the option combinations every sweep enumerates.
+
     Quickstart:
     {[
       let graph = Ascend.Nn.Resnet.v1_5 ~batch:1 () in
@@ -73,3 +76,4 @@ module Serving = Ascend_serving
 module Decode = Ascend_decode
 module Fleet = Ascend_fleet
 module Vector_core = Ascend_vector_core
+module Zoo = Zoo

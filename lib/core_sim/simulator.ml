@@ -82,8 +82,10 @@ let account_energy st instr =
       in
       side src src_bytes +. side dst (float_of_int bytes)
     | Instruction.Scalar_op { cycles } -> 5. *. float_of_int cycles
-    | Instruction.Set_flag _ | Instruction.Wait_flag _ -> 1.
-    | Instruction.Barrier -> 0.
+    | Instruction.Set_flag _ -> 1.
+    (* neither reaches [issue]: a wait issues through [Dispatch]'s [take]
+       and a barrier through [arrive], so both are free *)
+    | Instruction.Wait_flag _ | Instruction.Barrier -> 0.
   in
   st.energy_pj <- st.energy_pj +. pj
 

@@ -30,9 +30,6 @@ val map : t -> ('a -> 'b) -> 'a list -> 'b list
     worker (nested fan-out) run inline to avoid deadlock.  Not
     reentrant from multiple client domains at once. *)
 
-val in_worker : t -> bool
-(** Whether the calling domain is one of this pool's workers. *)
-
 val shutdown : t -> unit
 (** Join all workers.  The pool can be reused afterwards (workers
     respawn lazily). *)

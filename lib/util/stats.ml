@@ -54,19 +54,6 @@ let ratio num den =
 
 let clamp ~lo ~hi x = Float.max lo (Float.min hi x)
 
-let abs_pct_error ~reference ~estimate =
-  100. *. ratio (Float.abs (estimate -. reference)) (Float.abs reference)
-
-let abs_pct_errors pairs =
-  List.map (fun (reference, estimate) -> abs_pct_error ~reference ~estimate)
-    pairs
-
-let mean_abs_pct_error pairs = mean (abs_pct_errors pairs)
-
-let max_abs_pct_error = function
-  | [] -> 0.
-  | pairs -> maximum (abs_pct_errors pairs)
-
 let divide_round_up a b =
   if b <= 0 then invalid_arg "Stats.divide_round_up: non-positive divisor";
   if a < 0 then invalid_arg "Stats.divide_round_up: negative dividend";

@@ -38,20 +38,6 @@ val ratio : float -> float -> float
 (** [ratio num den] is [num /. den], infinity when [den = 0] and [num > 0],
     and 0 when both are 0. *)
 
-val abs_pct_error : reference:float -> estimate:float -> float
-(** [100 *. |estimate - reference| / |reference|].  A zero reference
-    gives 0 when the estimate is also zero and infinity otherwise
-    (the {!ratio} convention), so a surrogate that nails a degenerate
-    point is not penalised and one that invents work is. *)
-
-val mean_abs_pct_error : (float * float) list -> float
-(** Mean of {!abs_pct_error} over [(reference, estimate)] pairs; 0 on
-    the empty list. *)
-
-val max_abs_pct_error : (float * float) list -> float
-(** Maximum of {!abs_pct_error} over [(reference, estimate)] pairs; 0 on
-    the empty list. *)
-
 val clamp : lo:float -> hi:float -> float -> float
 
 val sum : float list -> float

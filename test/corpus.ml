@@ -5,21 +5,7 @@
    the checkers' failure paths. *)
 
 open Ascend.Isa
-module Config = Ascend.Arch.Config
 module Codegen = Ascend.Compiler.Codegen
-
-let lint_option_combos =
-  List.concat_map
-    (fun sync_mode ->
-      List.concat_map
-        (fun double_buffer ->
-          List.map
-            (fun weight_sparsity ->
-              { Codegen.default_options with
-                Codegen.sync_mode; double_buffer; weight_sparsity })
-            [ None; Some 0.5 ])
-        [ true; false ])
-    [ Codegen.Flags; Codegen.Coarse_barriers ]
 
 let drop_nth n instrs = List.filteri (fun i _ -> i <> n) instrs
 
@@ -98,24 +84,27 @@ let graphs () =
 (* [iter f] calls [f ~core ~combo config programs] once per (graph,
    supporting core, option combination), in that nesting order; [core]
    and [combo] are the positions of [config] among the graph's cores
-   and of the options in [lint_option_combos] *)
+   and of the options in [Zoo.option_combos] *)
 let iter f =
   List.iter
     (fun g ->
-      let cores =
-        List.filter
-          (fun c -> Config.supports c (Ascend.Nn.Graph.dtype g))
-          Config.all
-      in
       List.iteri
         (fun core config ->
           List.iteri
             (fun combo options ->
               f ~core ~combo config
                 (List.map snd (Codegen.graph_programs ~options config g)))
-            lint_option_combos)
-        cores)
+            Ascend.Zoo.option_combos)
+        (Ascend.Zoo.supporting g))
     (graphs ())
+
+(* the compile-and-verify corpus less resnet50, whose compiles would
+   slow every test run *)
+let zoo () =
+  List.filter_map
+    (fun (name, build) ->
+      if name = "resnet50" then None else Some (name, build ()))
+    Ascend.Zoo.corpus
 
 let contains needle s =
   let n = String.length needle in

@@ -90,48 +90,39 @@ let as_quad (t : Tiling.t) =
 let test_tiling_choose_matches_reference_on_zoo () =
   (* every GEMM of every fusion group of the zoo, on every supporting
      core: the hoisted search picks exactly what the reference picks *)
-  let zoo =
-    [
-      ("gesture", Ascend.Nn.Gesture.build ());
-      ("resnet18", Ascend.Nn.Resnet.v1_5_18 ());
-      ("mobilenet", Ascend.Nn.Mobilenet.v2 ());
-      ("bert-base-s32", Ascend.Nn.Bert.base ~seq_len:32 ());
-    ]
-  in
   let checked = ref 0 in
   List.iter
     (fun (name, g) ->
       List.iter
         (fun config ->
-          if Config.supports config (Graph.dtype g) then
-            List.iter
-              (fun (grp : Fusion.t) ->
-                List.iter
-                  (fun (gemm : Ascend.Nn.Workload.gemm) ->
-                    let precision = grp.Fusion.precision in
-                    let img2col_expansion = grp.Fusion.img2col_expansion in
-                    let m = gemm.Ascend.Nn.Workload.m
-                    and k = gemm.Ascend.Nn.Workload.k
-                    and n = gemm.Ascend.Nn.Workload.n in
-                    incr checked;
-                    let chosen =
-                      Tiling.choose config ~precision ~img2col_expansion ~m ~k
-                        ~n ()
-                    in
-                    let expected =
-                      reference_choose config ~precision ~img2col_expansion ~m
-                        ~k ~n ()
-                    in
-                    Alcotest.check quad
-                      (Printf.sprintf "%s/%s/%s %dx%dx%d" name
-                         config.Config.name grp.Fusion.tag m k n)
-                      (let emt, ekt, ent, ec = expected in
-                       ((emt, ekt), (ent, ec)))
-                      (as_quad chosen))
-                  grp.Fusion.gemms)
-              (Fusion.partition g))
-        Config.all)
-    zoo;
+          List.iter
+            (fun (grp : Fusion.t) ->
+              List.iter
+                (fun (gemm : Ascend.Nn.Workload.gemm) ->
+                  let precision = grp.Fusion.precision in
+                  let img2col_expansion = grp.Fusion.img2col_expansion in
+                  let m = gemm.Ascend.Nn.Workload.m
+                  and k = gemm.Ascend.Nn.Workload.k
+                  and n = gemm.Ascend.Nn.Workload.n in
+                  incr checked;
+                  let chosen =
+                    Tiling.choose config ~precision ~img2col_expansion ~m ~k
+                      ~n ()
+                  in
+                  let expected =
+                    reference_choose config ~precision ~img2col_expansion ~m
+                      ~k ~n ()
+                  in
+                  Alcotest.check quad
+                    (Printf.sprintf "%s/%s/%s %dx%dx%d" name
+                       config.Config.name grp.Fusion.tag m k n)
+                    (let emt, ekt, ent, ec = expected in
+                     ((emt, ekt), (ent, ec)))
+                    (as_quad chosen))
+                grp.Fusion.gemms)
+            (Fusion.partition g))
+        (Ascend.Zoo.supporting g))
+    (Corpus.zoo ());
   Alcotest.(check bool) "covered a real population" true (!checked > 200)
 
 let tiling_choose_matches_reference_prop =
@@ -276,34 +267,26 @@ let test_fusion_matches_reference_on_zoo () =
 (* ------------------------------------------------------------------ *)
 (* Codegen: generated programs are valid and deadlock-free            *)
 
-let all_zoo () =
-  [
-    ("resnet18", Ascend.Nn.Resnet.v1_5_18 ());
-    ("mobilenet", Ascend.Nn.Mobilenet.v2 ());
-    ("bert-base-s32", Ascend.Nn.Bert.base ~seq_len:32 ());
-  ]
-
 let test_codegen_validates_everywhere () =
   List.iter
     (fun (name, g) ->
       List.iter
         (fun config ->
-          if Config.supports config (Graph.dtype g) then
-            List.iter
-              (fun (grp, p) ->
-                let fail e =
-                  Alcotest.failf "%s / %s / %s: %s" name config.Config.name
-                    grp.Fusion.tag e
-                in
-                match Program.validate config p with
-                | Error e -> fail e
-                | Ok _ -> (
-                  match Ascend.Verify.(errors (analyze config p)) with
-                  | [] -> ()
-                  | f :: _ -> fail (Ascend.Verify.Finding.to_string f)))
-              (Codegen.graph_programs config g))
-        Config.all)
-    (("gesture", Ascend.Nn.Gesture.build ()) :: all_zoo ())
+          List.iter
+            (fun (grp, p) ->
+              let fail e =
+                Alcotest.failf "%s / %s / %s: %s" name config.Config.name
+                  grp.Fusion.tag e
+              in
+              match Program.validate config p with
+              | Error e -> fail e
+              | Ok _ -> (
+                match Ascend.Verify.(errors (analyze config p)) with
+                | [] -> ()
+                | f :: _ -> fail (Ascend.Verify.Finding.to_string f)))
+            (Codegen.graph_programs config g))
+        (Ascend.Zoo.supporting g))
+    (Corpus.zoo ())
 
 let test_codegen_simulates_without_deadlock () =
   List.iter
@@ -311,7 +294,7 @@ let test_codegen_simulates_without_deadlock () =
       match Engine.run_inference Config.max g with
       | Ok _ -> ()
       | Error e -> Alcotest.failf "%s: %s" name e)
-    (all_zoo ())
+    (Corpus.zoo ())
 
 let test_codegen_double_buffer_helps () =
   let g = Ascend.Nn.Resnet.v1_5_18 () in
@@ -495,7 +478,7 @@ let test_planner_valid_on_zoo () =
         Alcotest.(check bool) (name ^ " positive peak") true
           (plan.Memory_planner.peak_bytes > 0)
       | Error e -> Alcotest.failf "%s: %s" name e)
-    (all_zoo ())
+    (Corpus.zoo ())
 
 let test_planner_reuses_memory () =
   (* a deep chain must reuse buffers: peak far below the sum *)
@@ -697,6 +680,57 @@ let graph_engine_makespan_props =
         m <= Graph_engine.serial_cycles p
         && m >= Graph_engine.serial_cycles p / max 1 cores)
 
+(* ------------------------------------------------------------------ *)
+(* Zoo: the registry every sweep enumerates                           *)
+
+module Zoo = Ascend.Zoo
+
+let test_zoo_models_build () =
+  List.iter
+    (fun (name, build) ->
+      List.iter
+        (fun batch ->
+          let g = build ~batch in
+          match (Graph.validate g, Zoo.supporting g) with
+          | Ok (), _ :: _ -> ()
+          | Error e, _ -> Alcotest.failf "%s at batch %d: %s" name batch e
+          | Ok (), [] -> Alcotest.failf "%s: no core supports it" name)
+        [ 1; 2 ])
+    Zoo.models
+
+(* eight distinct triples, so eight pairwise-distinct combinations *)
+let test_zoo_option_combos_in_lint_order () =
+  let axes (o : Codegen.options) =
+    (o.Codegen.sync_mode = Codegen.Flags, o.Codegen.double_buffer,
+     o.Codegen.weight_sparsity)
+  in
+  Alcotest.(check (list (triple bool bool (option (float 0.)))))
+    "flags first, then double buffering, then sparsity"
+    [
+      (true, true, None); (true, true, Some 0.5);
+      (true, false, None); (true, false, Some 0.5);
+      (false, true, None); (false, true, Some 0.5);
+      (false, false, None); (false, false, Some 0.5);
+    ]
+    (List.map axes Zoo.option_combos)
+
+(* the sweep sizes, so a registry edit that moves a sweep fails here:
+   `sanitize --all` and `lint --all --soc` cover 58 (model, core) pairs,
+   `lint --all` 464 combinations, bench/main.exe's compile and lint
+   sections 21 pairs *)
+let test_zoo_sweep_sizes () =
+  let pairs graphs =
+    List.fold_left (fun n g -> n + List.length (Zoo.supporting g)) 0 graphs
+  in
+  let registry =
+    pairs (List.map (fun (_, build) -> build ~batch:1) Zoo.models)
+  in
+  Alcotest.(check int) "registry x supporting" 58 registry;
+  Alcotest.(check int) "x option combos" 464
+    (registry * List.length Zoo.option_combos);
+  Alcotest.(check int) "corpus x supporting" 21
+    (pairs (List.map (fun (_, build) -> build ()) Zoo.corpus))
+
 let () =
   let q = QCheck_alcotest.to_alcotest in
   Alcotest.run "compiler"
@@ -777,5 +811,13 @@ let () =
           Alcotest.test_case "join cross event" `Quick
             test_graph_engine_join_has_cross_event;
           q graph_engine_makespan_props;
+        ] );
+      ( "zoo",
+        [
+          Alcotest.test_case "every model builds at batch 1 and 2" `Quick
+            test_zoo_models_build;
+          Alcotest.test_case "option combos in lint order" `Quick
+            test_zoo_option_combos_in_lint_order;
+          Alcotest.test_case "sweep sizes" `Quick test_zoo_sweep_sizes;
         ] );
     ]

@@ -193,6 +193,15 @@ let test_energy_positive_and_scales () =
   Alcotest.(check int) "mac count" (256 * 256 * 256)
     big.Simulator.cube_macs_executed
 
+(* a set costs 1 pJ and a wait nothing, so one matched pair adds
+   exactly the set's energy *)
+let test_energy_set_wait_pair () =
+  let pj instrs = (run_ok instrs).Simulator.energy_j *. 1e12 in
+  let pair = [ set Pipe.Cube Pipe.Vector 0; wait Pipe.Cube Pipe.Vector 0 ] in
+  let paired = (cube 16 16 16 :: pair) @ [ vec 256 ] in
+  Alcotest.(check (float 1e-9)) "pJ added" 1.
+    (pj paired -. pj [ cube 16 16 16; vec 256 ])
+
 let test_trace () =
   match
     Simulator.run ~trace:true Config.max
@@ -652,6 +661,8 @@ let () =
           Alcotest.test_case "int4 traffic ceiling" `Quick
             test_int4_traffic_ceiling;
           Alcotest.test_case "energy" `Quick test_energy_positive_and_scales;
+          Alcotest.test_case "energy of a set/wait pair" `Quick
+            test_energy_set_wait_pair;
           Alcotest.test_case "trace" `Quick test_trace;
           Alcotest.test_case "timeline" `Quick test_timeline;
           Alcotest.test_case "timeline degenerate" `Quick

@@ -122,26 +122,6 @@ let percentile_of_sorted_prop =
       Stats.percentile_of_sorted p (Stats.sorted_of_list xs)
       = Stats.percentile p xs)
 
-let test_pct_error () =
-  (* 10% overestimate and 10% underestimate of 100 *)
-  check_float "over" 10. (Stats.abs_pct_error ~reference:100. ~estimate:110.);
-  check_float "under" 10. (Stats.abs_pct_error ~reference:100. ~estimate:90.);
-  check_float "exact" 0. (Stats.abs_pct_error ~reference:42. ~estimate:42.);
-  (* zero reference follows the ratio convention *)
-  check_float "zero-zero" 0. (Stats.abs_pct_error ~reference:0. ~estimate:0.);
-  Alcotest.(check bool)
-    "zero reference, nonzero estimate" true
-    (Stats.abs_pct_error ~reference:0. ~estimate:1. = infinity);
-  (* negative references are scored on magnitude *)
-  check_float "negative reference" 10.
-    (Stats.abs_pct_error ~reference:(-100.) ~estimate:(-110.));
-  check_float "mean" 15.
-    (Stats.mean_abs_pct_error [ (100., 110.); (100., 80.) ]);
-  check_float "max" 20.
-    (Stats.max_abs_pct_error [ (100., 110.); (100., 80.) ]);
-  check_float "mean empty" 0. (Stats.mean_abs_pct_error []);
-  check_float "max empty" 0. (Stats.max_abs_pct_error [])
-
 let div_up_prop =
   QCheck.Test.make ~count:500 ~name:"divide_round_up is a ceiling"
     QCheck.(pair (int_range 0 100000) (int_range 1 1000))
@@ -492,7 +472,6 @@ let () =
           Alcotest.test_case "descriptive" `Quick test_stats;
           Alcotest.test_case "percentile nearest-rank" `Quick
             test_percentile_nearest_rank;
-          Alcotest.test_case "abs pct error" `Quick test_pct_error;
           q percentile_member_prop;
           q percentile_of_sorted_prop;
           q div_up_prop;

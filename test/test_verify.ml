@@ -36,33 +36,24 @@ let report findings = Format.asprintf "%a" Verify.pp_report findings
 (* ------------------------------------------------------------------ *)
 (* The model zoo is clean under every option combination               *)
 
-let zoo () =
-  [
-    ("resnet18", Ascend.Nn.Resnet.v1_5_18 ());
-    ("mobilenet", Ascend.Nn.Mobilenet.v2 ());
-    ("bert-base-s32", Ascend.Nn.Bert.base ~seq_len:32 ());
-    ("gesture", Ascend.Nn.Gesture.build ());
-  ]
-
 let test_zoo_clean_all_options () =
   List.iter
     (fun (name, g) ->
       List.iter
         (fun config ->
-          if Config.supports config (Ascend.Nn.Graph.dtype g) then
-            List.iter
-              (fun options ->
-                List.iter
-                  (fun (grp, p) ->
-                    match Verify.analyze config p with
-                    | [] -> ()
-                    | fs ->
-                      Alcotest.failf "%s / %s / %s: %s" name config.Config.name
-                        grp.Ascend.Compiler.Fusion.tag (report fs))
-                  (Codegen.graph_programs ~options config g))
-              Corpus.lint_option_combos)
-        Config.all)
-    (zoo ())
+          List.iter
+            (fun options ->
+              List.iter
+                (fun (grp, p) ->
+                  match Verify.analyze config p with
+                  | [] -> ()
+                  | fs ->
+                    Alcotest.failf "%s / %s / %s: %s" name config.Config.name
+                      grp.Ascend.Compiler.Fusion.tag (report fs))
+                (Codegen.graph_programs ~options config g))
+            Ascend.Zoo.option_combos)
+        (Ascend.Zoo.supporting g))
+    (Corpus.zoo ())
 
 (* ------------------------------------------------------------------ *)
 (* Deadlock detection is happens-before reachability, not counting     *)
@@ -308,14 +299,13 @@ let test_soc_zoo_plans_race_free () =
     (fun (name, g) ->
       List.iter
         (fun config ->
-          if Config.supports config (Ascend.Nn.Graph.dtype g) then
-            let p, _ = Soc_schedule.build config g in
-            match Soc.analyze p with
-            | [] -> ()
-            | fs ->
-              Alcotest.failf "%s / %s: %s" name config.Config.name (report fs))
-        Config.all)
-    (zoo ())
+          let p, _ = Soc_schedule.build config g in
+          match Soc.analyze p with
+          | [] -> ()
+          | fs ->
+            Alcotest.failf "%s / %s: %s" name config.Config.name (report fs))
+        (Ascend.Zoo.supporting g))
+    (Corpus.zoo ())
 
 let test_soc_cross_core_races () =
   let w = task 0 0 "w" ~writes:[ ("a", region 0 100) ] in
@@ -1063,12 +1053,9 @@ let test_soc_cluster_findings_pinned () =
   let plans =
     List.concat_map
       (fun g ->
-        List.filter_map
-          (fun config ->
-            if Config.supports config (Ascend.Nn.Graph.dtype g) then
-              Some (fst (Soc_schedule.build config g))
-            else None)
-          Config.all)
+        List.map
+          (fun config -> fst (Soc_schedule.build config g))
+          (Ascend.Zoo.supporting g))
       (Corpus.graphs ())
     @ List.map
         (fun g -> fst (Soc_schedule.build Config.max g))
