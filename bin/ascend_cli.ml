@@ -330,10 +330,7 @@ let costing_arg =
           "Batch pricing tier: 'exact' prices every batch through the \
            cycle-level compile+simulate path; 'surrogate' keeps a table of \
            those exact prices, filled on each (model, batch)'s first \
-           lookup, and answers repeats from it with the same metrics. \
-           decode: 'surrogate' prices decode steps from a grid of exact \
-           prices of every batch at a schedule of cache lengths, and \
-           interpolates only between priced lengths.")
+           lookup, and answers repeats from it with the same metrics.")
 
 let serve_trace_arg =
   Arg.(
@@ -527,15 +524,6 @@ let hbm_mb_arg =
         ~doc:"HBM budget for weights + live KV caches; requests whose cache \
               could never fit are shed.")
 
-let max_cache_len_arg =
-  Arg.(
-    value & opt int 64
-    & info [ "max-cache-len" ] ~docv:"TOK"
-        ~doc:"Surrogate grid bound on the cache-length axis: the grid \
-              prices 1, the powers of two up to $(docv), $(docv) itself \
-              and each bracket's midpoint; decode steps beyond it fall \
-              back to the exact tier.")
-
 let decode_mode_arg =
   Arg.(
     value
@@ -574,20 +562,11 @@ let decode_requests ~rate ~duration ~seed ~process ~prompt_mean ~prompt_max
 
 let decode core rate duration seed process prompt_mean prompt_max
     output_mean output_max fixed_prompt fixed_output batch_max hbm_mb
-    max_cache_len mode small_llm costing json_path trace_path =
+    mode small_llm json_path trace_path =
   exit_of
-    (let llm_name, llm =
-       if small_llm then ("small", Ascend.Nn.Llm.small_config)
-       else ("tiny", Ascend.Nn.Llm.tiny_config)
-     in
-     (* Decode.Cost's bounds, checked first so the error names the flag *)
-     let limit = llm.Ascend.Nn.Llm.max_position - 1 in
-     let* () =
-       if max_cache_len >= 1 && max_cache_len <= limit then Ok ()
-       else
-         Error
-           (Printf.sprintf "--max-cache-len %d is outside 1..%d for the %s LLM"
-              max_cache_len limit llm_name)
+    (let llm =
+       if small_llm then Ascend.Nn.Llm.small_config
+       else Ascend.Nn.Llm.tiny_config
      in
      let* requests =
        catching_invalid (fun () ->
@@ -605,10 +584,8 @@ let decode core rate duration seed process prompt_mean prompt_max
          (Decode_engine.default_config ~core ()) with
          Decode_engine.llm;
          mode;
-         costing;
          max_batch = batch_max;
          hbm_bytes = hbm_mb * Ascend.Util.Units.mib;
-         max_cache_len;
        }
      in
      run_reported ~trace_path (fun () ->
@@ -655,9 +632,8 @@ let decode_cmd =
       const decode $ core_arg $ decode_rate_arg $ duration_arg $ seed_arg
       $ process_term $ prompt_mean_arg
       $ prompt_max_arg $ output_mean_arg $ output_max_arg $ fixed_prompt_arg
-      $ fixed_output_arg $ batch_max_arg $ hbm_mb_arg $ max_cache_len_arg
-      $ decode_mode_arg $ small_llm_arg $ costing_arg $ json_arg
-      $ serve_trace_arg)
+      $ fixed_output_arg $ batch_max_arg $ hbm_mb_arg $ decode_mode_arg
+      $ small_llm_arg $ json_arg $ serve_trace_arg)
 
 (* --- fleet -------------------------------------------------------- *)
 

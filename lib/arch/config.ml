@@ -137,20 +137,6 @@ let hpc_prototype =
 
 let all = [ tiny; lite; mini; standard; max ]
 
-let of_version = function
-  | Tiny -> tiny
-  | Lite -> lite
-  | Mini -> mini
-  | Standard -> standard
-  | Max -> max
-
-let version_name = function
-  | Tiny -> "Ascend-Tiny"
-  | Lite -> "Ascend-Lite"
-  | Mini -> "Ascend-Mini"
-  | Standard -> "Ascend"
-  | Max -> "Ascend-Max"
-
 let cube_macs t = t.cube.m * t.cube.k * t.cube.n
 
 let supports t precision =
@@ -172,13 +158,6 @@ let flops_per_cycle t ~precision =
 
 let peak_flops t ~precision =
   float_of_int (flops_per_cycle t ~precision) *. t.frequency_ghz *. Ascend_util.Units.giga
-
-let vector_lanes t ~precision =
-  int_of_float (float_of_int t.vector_width_bytes /. Precision.size_bytes precision)
-
-let vector_peak_flops t ~precision =
-  float_of_int (2 * vector_lanes t ~precision)
-  *. t.frequency_ghz *. Ascend_util.Units.giga
 
 let cube_dims_at t ~precision =
   if not (supports t precision) then

@@ -58,8 +58,6 @@ val hpc_prototype : t
 
 (** The five shipped design points (Table 5). *)
 val all : t list
-val of_version : version -> t
-val version_name : version -> string
 
 val cube_macs : t -> int
 (** m*k*n at native precision. *)
@@ -70,11 +68,6 @@ val flops_per_cycle : t -> precision:Precision.t -> int
 
 val peak_flops : t -> precision:Precision.t -> float
 (** flops_per_cycle x frequency. *)
-
-val vector_lanes : t -> precision:Precision.t -> int
-(** Elements the vector unit processes per cycle. *)
-
-val vector_peak_flops : t -> precision:Precision.t -> float
 
 val supports : t -> Precision.t -> bool
 

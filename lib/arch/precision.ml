@@ -27,7 +27,6 @@ let compare (a : t) b = Stdlib.compare a b
 let all = [ Fp32; Fp16; Int32; Int8; Int4 ]
 
 let is_integer = function Int32 | Int8 | Int4 -> true | Fp32 | Fp16 -> false
-let is_float t = not (is_integer t)
 
 let accumulator = function
   | Fp16 -> Fp32

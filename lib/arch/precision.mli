@@ -20,7 +20,6 @@ val compare : t -> t -> int
 val all : t list
 
 val is_integer : t -> bool
-val is_float : t -> bool
 
 val accumulator : t -> t
 (** The accumulation precision the cube uses for a given source precision:

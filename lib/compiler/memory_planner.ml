@@ -124,23 +124,3 @@ let plan_hbm g ~hbm_bytes =
           activations %d) but HBM holds %d B"
          (Graph.name g) resident p.weight_bytes kv p.peak_bytes hbm_bytes)
   else Ok p
-
-let working_set_by_node g =
-  List.map
-    (fun (n : Graph.node) ->
-      let input_bytes =
-        List.fold_left
-          (fun acc i ->
-            acc + Shape.bytes (Graph.find g i).out_shape ~dtype:n.dtype)
-          0 n.inputs
-      in
-      let weight =
-        match n.inputs with
-        | [ x ] -> (
-          match Op.weight_shape n.op ~input:(Graph.find g x).out_shape with
-          | Some ws -> Shape.bytes ws ~dtype:n.dtype
-          | None -> 0)
-        | _ -> 0
-      in
-      (n.id, input_bytes + weight + Shape.bytes n.out_shape ~dtype:n.dtype))
-    (Graph.nodes g)

@@ -42,7 +42,3 @@ val plan_hbm :
 val total_activation_bytes : Ascend_nn.Graph.t -> int
 (** Sum of every node's output footprint — what a training pass keeps
     resident for the backward computation (no rematerialisation). *)
-
-val working_set_by_node : Ascend_nn.Graph.t -> (int * int) list
-(** Per node: bytes that must be resident while it runs (inputs + output
-    + its weights) — the per-layer LLC working set. *)

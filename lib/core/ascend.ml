@@ -35,10 +35,9 @@
       multi-core scheduler, priced by the exact cycle-level oracle
       ({!Serving.Cost.price}) every costing tier rests on;
     - {!Decode} — LLM decode serving: KV-cache-aware phase costing
-      (prefill vs decode, the surrogate a {!Decode.Grid} of exact rows
-      over the batch x cache-length plane)
-      and a continuous batcher with per-token SLO metrics against a
-      static-batching baseline;
+      (prefill vs decode, each exact price memoised per (batch, length)
+      point) and a continuous batcher with per-token SLO metrics
+      against a static-batching baseline;
     - {!Vector_core} — the §3.3 SLAM extensions (quaternion, sort,
       stereo, clustering, linear programming).
 

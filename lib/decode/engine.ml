@@ -13,10 +13,8 @@ type config = {
   core : Ascend_arch.Config.t;
   llm : Llm.config;
   mode : mode;
-  costing : Cost.costing;
   max_batch : int;
   hbm_bytes : int;
-  max_cache_len : int;
 }
 
 let default_config ~core () =
@@ -24,10 +22,8 @@ let default_config ~core () =
     core;
     llm = Llm.tiny_config;
     mode = Continuous;
-    costing = `Exact;
     max_batch = 8;
     hbm_bytes = 1 lsl 30;
-    max_cache_len = 64;
   }
 
 type result = {
@@ -39,8 +35,6 @@ type result = {
   kv_peak_bytes : int;
   cost_hits : int;
   cost_misses : int;
-  cost_interpolated : int;
-  cost_fallbacks : int;
 }
 
 (* one sequence in flight: created at prefill, mutated once per decode
@@ -60,9 +54,7 @@ type slot = {
 
 let validate config =
   if config.max_batch < 1 then invalid_arg "Decode.Engine.run: max_batch < 1";
-  if config.hbm_bytes < 1 then invalid_arg "Decode.Engine.run: hbm_bytes < 1";
-  if config.max_cache_len < 1 then
-    invalid_arg "Decode.Engine.run: max_cache_len < 1"
+  if config.hbm_bytes < 1 then invalid_arg "Decode.Engine.run: hbm_bytes < 1"
 
 let run config requests =
   validate config;
@@ -73,10 +65,7 @@ let run config requests =
         compare (a.arrival_s, a.id) (b.arrival_s, b.id))
       requests
   in
-  let cost =
-    Cost.create ~costing:config.costing ~max_batch:config.max_batch
-      ~max_cache_len:config.max_cache_len ~core:config.core config.llm ()
-  in
+  let cost = Cost.create ~core:config.core config.llm in
   let weight_bytes =
     (Memory_planner.plan (Llm.decode ~batch:1 ~cache_len:1 config.llm))
       .Memory_planner.weight_bytes
@@ -345,8 +334,6 @@ let run config requests =
         kv_peak_bytes = !kv_peak;
         cost_hits = Cost.hits cost;
         cost_misses = Cost.misses cost;
-        cost_interpolated = Cost.interpolated cost;
-        cost_fallbacks = Cost.fallbacks cost;
       }
   | exception Serving.Cost.Unpriced e -> Error e
 
@@ -363,10 +350,8 @@ let to_json r =
           [
             ("core", Json.String c.core.Ascend_arch.Config.name);
             ("mode", Json.String (mode_name c.mode));
-            ("costing", Json.String (Serving.Cost.costing_name c.costing));
             ("max_batch", Json.Int c.max_batch);
             ("hbm_bytes", Json.Int c.hbm_bytes);
-            ("max_cache_len", Json.Int c.max_cache_len);
             ( "llm",
               Json.Obj
                 [
@@ -385,15 +370,17 @@ let to_json r =
           ] );
       ("steps", Json.Int (List.length r.steps));
       ( "cost_cache",
-        Serving.Cost.counters_json ~hits:r.cost_hits ~misses:r.cost_misses
-          ~interpolated:r.cost_interpolated ~fallbacks:r.cost_fallbacks );
+        Json.Obj
+          [
+            ("hits", Json.Int r.cost_hits);
+            ("misses", Json.Int r.cost_misses);
+          ] );
     ]
 
 let pp ppf r =
-  Format.fprintf ppf "%s batching on %s (%s costing):@."
+  Format.fprintf ppf "%s batching on %s:@."
     (mode_name r.run_config.mode)
-    r.run_config.core.Ascend_arch.Config.name
-    (Serving.Cost.costing_name r.run_config.costing);
+    r.run_config.core.Ascend_arch.Config.name;
   Format.fprintf ppf "%a" Metrics.pp r.metrics;
   Format.fprintf ppf "memory: %a weights + %a KV peak of %a HBM; %d steps@."
     Ascend_util.Units.pp_bytes r.weight_bytes Ascend_util.Units.pp_bytes
@@ -401,8 +388,4 @@ let pp ppf r =
     (List.length r.steps);
   Format.fprintf ppf
     "latency cache: %d compile+simulate runs, %d cached lookups@."
-    r.cost_misses r.cost_hits;
-  if r.run_config.costing = `Surrogate then
-    Format.fprintf ppf
-      "surrogate: %d interpolated steps, %d out-of-grid fallbacks@."
-      r.cost_interpolated r.cost_fallbacks
+    r.cost_misses r.cost_hits

@@ -32,15 +32,12 @@ type config = {
   core : Ascend_arch.Config.t;
   llm : Ascend_nn.Llm.config;
   mode : mode;
-  costing : Cost.costing;
   max_batch : int;        (** batch slots (sequences in flight) *)
   hbm_bytes : int;        (** budget for weights + every live KV cache *)
-  max_cache_len : int;    (** surrogate grid bound ({!Cost.create}) *)
 }
 
 val default_config : core:Ascend_arch.Config.t -> unit -> config
-(** Continuous, exact costing, tiny LLM, batch 8, 1 GiB HBM, grid to
-    cache length 64. *)
+(** Continuous, tiny LLM, batch 8, 1 GiB HBM. *)
 
 type result = {
   run_config : config;
@@ -51,8 +48,6 @@ type result = {
   kv_peak_bytes : int;            (** high-water mark of live KV state *)
   cost_hits : int;
   cost_misses : int;
-  cost_interpolated : int;
-  cost_fallbacks : int;
 }
 
 val run : config -> Request.t list -> (result, string) Stdlib.result

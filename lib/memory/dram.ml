@@ -22,13 +22,5 @@ let total_bandwidth t = float_of_int t.channels *. t.bandwidth_per_channel
 let share t ~demands =
   Ascend_util.Fairness.max_min_fair ~capacity:(total_bandwidth t) ~demands
 
-let transfer_seconds t ~bytes ~requestors =
-  if bytes <= 0. then 0.
-  else
-    let per =
-      total_bandwidth t /. float_of_int (max 1 requestors)
-    in
-    bytes /. per
-
 let loaded_latency_ns t ~utilization =
   t.base_latency_ns *. Mpam.latency_factor ~utilization

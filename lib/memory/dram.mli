@@ -25,8 +25,4 @@ val share :
   t -> demands:float array -> float array
 (** Max-min fair allocation of the total bandwidth. *)
 
-val transfer_seconds : t -> bytes:float -> requestors:int -> float
-(** Time for one requestor among [requestors] equal competitors to move
-    [bytes]. *)
-
 val loaded_latency_ns : t -> utilization:float -> float

@@ -70,7 +70,3 @@ let partition ~total_bandwidth specs =
 let latency_factor ~utilization =
   let u = Ascend_util.Stats.clamp ~lo:0. ~hi:0.999 utilization in
   Float.min 50. (1. +. (u /. (2. *. (1. -. u))))
-
-let effective_latency_ns ~base_ns ~demand ~granted =
-  if granted <= 0. then base_ns *. 50.
-  else base_ns *. latency_factor ~utilization:(Float.min 1. (demand /. granted))

@@ -33,9 +33,3 @@ val latency_factor : utilization:float -> float
 (** Queueing delay multiplier versus an idle memory system: an M/D/1-like
     [1 + u/(2(1-u))] curve, clamped at 50x when saturated.  Used to
     translate granted-vs-demand into access-latency inflation. *)
-
-val effective_latency_ns :
-  base_ns:float -> demand:float -> granted:float -> float
-(** Latency once the class's utilisation of its own grant is accounted:
-    demand <= granted keeps latency near base; demand above the grant
-    saturates the class's partition. *)

@@ -6,9 +6,6 @@ type params = (string, Tensor.t) Hashtbl.t
 
 let find_param p name = Hashtbl.find_opt p name
 
-let params_bytes p =
-  Hashtbl.fold (fun _ t acc -> acc + Tensor.bytes t) p 0
-
 let random_params ?(seed = 7) g =
   let rng = Ascend_util.Prng.create ~seed in
   let params : params = Hashtbl.create 64 in

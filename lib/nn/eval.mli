@@ -11,8 +11,6 @@ type params
 val random_params : ?seed:int -> Graph.t -> params
 (** He/Glorot-style initialisation appropriate to each op. *)
 
-val params_bytes : params -> int
-
 val find_param : params -> string -> Ascend_tensor.Tensor.t option
 
 val run :

@@ -26,5 +26,3 @@ let latency_us t ~src ~dst =
   if src = dst then 0.
   else if src / t.servers_per_leaf = dst / t.servers_per_leaf then 1.0
   else 3.0
-
-let all_to_all_per_server_bandwidth t = server_bandwidth t

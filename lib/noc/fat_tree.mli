@@ -26,7 +26,3 @@ val bisection_bandwidth : t -> float
 val latency_us : t -> src:int -> dst:int -> float
 (** ~1 us within a leaf, ~3 us across the spine (switch + serialisation
     at cluster scale). *)
-
-val all_to_all_per_server_bandwidth : t -> float
-(** Sustained per-server bandwidth under an all-to-all pattern (full
-    bisection keeps it at the NIC rate). *)

@@ -50,12 +50,12 @@ val misses : t -> int
     from the surrogate table touch neither. *)
 
 val interpolated : t -> int
-(** Lookups answered from the surrogate table (always 0 under
-    [`Exact]). *)
+(** Serve and fleet lookups answered from the surrogate table (always 0
+    under [`Exact]). *)
 
 val fallbacks : t -> int
-(** Surrogate-mode lookups the table had to price through the exact
-    tier: the first lookup of each (model, batch). *)
+(** Serve and fleet surrogate-mode lookups the table had to price
+    through the exact tier: the first lookup of each (model, batch). *)
 
 val stats : t -> Ascend_exec.Cache.stats
 (** The private service's cache counters. *)
@@ -65,11 +65,12 @@ exception Unpriced of string
     batch fails to price, to abandon the run; the loop's [run] returns
     the message as [Error]. *)
 
-val costing_name : [< `Exact | `Surrogate ] -> string
-(** ["exact"] or ["surrogate"], as every engine's JSON config names it. *)
+val costing_name : costing -> string
+(** ["exact"] or ["surrogate"], as serve's and fleet's JSON config name
+    it. *)
 
 val counters_json :
   hits:int -> misses:int -> interpolated:int -> fallbacks:int ->
   Ascend_util.Json.t
-(** The [cost_cache] object of serve, fleet and decode JSON: the four
-    oracle counters, in that order. *)
+(** The [cost_cache] object of serve and fleet JSON: the four oracle
+    counters, in that order. *)

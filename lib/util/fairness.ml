@@ -50,7 +50,3 @@ let max_min_fair ~capacity ~demands =
   let weights = Array.make (Array.length demands) 1. in
   if Array.length demands = 0 then [||]
   else weighted_max_min_fair ~capacity ~demands ~weights
-
-let bottleneck_throughput ~link_capacity ~flows_on_link =
-  if flows_on_link <= 0 then link_capacity
-  else link_capacity /. float_of_int flows_on_link

@@ -11,7 +11,3 @@ val max_min_fair : capacity:float -> demands:float array -> float array
 val weighted_max_min_fair :
   capacity:float -> demands:float array -> weights:float array -> float array
 (** Same, with shares proportional to positive weights. *)
-
-val bottleneck_throughput :
-  link_capacity:float -> flows_on_link:int -> float
-(** Per-flow rate on a saturated link under equal sharing. *)

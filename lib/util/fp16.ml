@@ -1,14 +1,10 @@
 type t = int
 
 let bits h = h land 0xffff
-let of_bits b = b land 0xffff
 
-let positive_infinity = 0x7c00
-let negative_infinity = 0xfc00
 let zero = 0x0000
 let one = 0x3c00
 
-let max_value = 65504.
 let min_positive_subnormal = 5.9604644775390625e-08 (* 2^-24 *)
 let min_positive_normal = 6.103515625e-05 (* 2^-14 *)
 let epsilon = 0.0009765625 (* 2^-10 *)

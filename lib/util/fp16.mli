@@ -25,13 +25,8 @@ val is_subnormal : t -> bool
 
 val neg : t -> t
 
-val positive_infinity : t
-val negative_infinity : t
 val zero : t
 val one : t
-
-val max_value : float
-(** Largest finite fp16 value, 65504. *)
 
 val min_positive_subnormal : float
 val min_positive_normal : float
@@ -41,5 +36,3 @@ val epsilon : float
 
 val bits : t -> int
 (** Raw bit pattern, masked to 16 bits. *)
-
-val of_bits : int -> t

@@ -84,5 +84,4 @@ let cell_float ?(decimals = 2) v =
   else if a <> 0. && (a >= 1e9 || a < 1e-4) then Printf.sprintf "%.3g" v
   else Printf.sprintf "%.*f" decimals v
 
-let cell_int = string_of_int
 let cell_ratio v = Printf.sprintf "%.2fx" v

@@ -28,6 +28,5 @@ val cell_float : ?decimals:int -> float -> string
 (** Format a float cell; defaults to 2 decimals, switching to scientific
     notation for very large or small magnitudes. *)
 
-val cell_int : int -> string
 val cell_ratio : float -> string
 (** Format as a multiplier, e.g. "1.71x". *)

@@ -1,6 +1,5 @@
 let kib = 1024
 let mib = 1024 * 1024
-let gib = 1024 * 1024 * 1024
 
 let kb = 1_000
 let mb = 1_000_000
@@ -9,13 +8,9 @@ let tb = 1_000_000_000_000
 
 let giga = 1e9
 let tera = 1e12
-let peta = 1e15
 
 let bytes_per_cycle_of_gbps ~bandwidth_gb_s ~frequency_ghz =
   bandwidth_gb_s /. frequency_ghz
-
-let gbps_of_bytes_per_cycle ~bytes_per_cycle ~frequency_ghz =
-  bytes_per_cycle *. frequency_ghz
 
 let seconds_of_cycles ~cycles ~frequency_ghz =
   float_of_int cycles /. (frequency_ghz *. giga)

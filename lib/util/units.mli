@@ -3,7 +3,6 @@
 
 val kib : int
 val mib : int
-val gib : int
 
 val kb : int
 (** 10^3 bytes — the paper quotes bandwidths in decimal units. *)
@@ -14,13 +13,10 @@ val tb : int
 
 val giga : float
 val tera : float
-val peta : float
 
 val bytes_per_cycle_of_gbps : bandwidth_gb_s:float -> frequency_ghz:float -> float
 (** Convert a bandwidth in GB/s into bytes per clock cycle at a core
     frequency in GHz.  E.g. 4 TB/s at 1 GHz is 4096 B/cycle. *)
-
-val gbps_of_bytes_per_cycle : bytes_per_cycle:float -> frequency_ghz:float -> float
 
 val seconds_of_cycles : cycles:int -> frequency_ghz:float -> float
 

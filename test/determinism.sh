@@ -40,9 +40,6 @@ cmp det_decode_a.json det_decode_b.json
 ASCEND_JOBS=7 "$cli" $decode --mode compare --json det_decode_jobs.json \
   > /dev/null
 cmp det_decode_a.json det_decode_jobs.json
-json det_decode_surr_a.json $decode --costing surrogate
-json det_decode_surr_b.json $decode --costing surrogate
-cmp det_decode_surr_a.json det_decode_surr_b.json
 echo "determinism: decode, across runs and jobs"
 
 trace="trace gesture --core tiny"

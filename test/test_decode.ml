@@ -70,7 +70,7 @@ let test_plan_hbm_rejects_kv_overflow () =
 (* Phase-aware cost oracle                                             *)
 
 let test_cost_oracle_memo () =
-  let t = Cost.create ~max_batch:2 ~max_cache_len:8 ~core:Config.lite llm () in
+  let t = Cost.create ~core:Config.lite llm in
   let entry label = function
     | Ok (e : Cost.entry) ->
       Alcotest.(check bool) (label ^ " cycles positive") true (e.cycles > 0);
@@ -88,56 +88,23 @@ let test_cost_oracle_memo () =
   let d2 = entry "decode again" (Cost.decode_step t ~batch:2 ~cache_len:4) in
   Alcotest.(check int) "decode memoised: no new misses" m (Cost.misses t);
   Alcotest.(check int) "same decode price" d1.Cost.cycles d2.Cost.cycles;
-  Alcotest.(check int) "exact tier never interpolates" 0 (Cost.interpolated t);
   (* a longer cache is never cheaper: attention reads more KV rows *)
   let d8 = entry "decode deep" (Cost.decode_step t ~batch:2 ~cache_len:8) in
   Alcotest.(check bool) "cycles monotone in cache length" true
     (d8.Cost.cycles >= d1.Cost.cycles)
 
-let test_cost_oracle_surrogate () =
-  let t =
-    Cost.create ~costing:`Surrogate ~max_batch:2 ~max_cache_len:8
-      ~core:Config.lite llm ()
-  in
-  (* in-grid, between the priced lengths 4 and 6: answered by the grid *)
-  (match Cost.decode_step t ~batch:2 ~cache_len:5 with
-  | Ok e -> Alcotest.(check bool) "surrogate price positive" true (e.Cost.cycles > 0)
-  | Error e -> Alcotest.fail e);
-  Alcotest.(check int) "one interpolated lookup" 1 (Cost.interpolated t);
-  Alcotest.(check int) "no fallback yet" 0 (Cost.fallbacks t);
-  (* off-grid: falls back to the exact tier *)
-  (match Cost.decode_step t ~batch:2 ~cache_len:20 with
-  | Ok e -> Alcotest.(check bool) "fallback price positive" true (e.Cost.cycles > 0)
-  | Error e -> Alcotest.fail e);
-  Alcotest.(check int) "fallback counted" 1 (Cost.fallbacks t);
-  Alcotest.(check int) "interpolation count unchanged" 1 (Cost.interpolated t);
-  (* every length the grid priced answers its exact entry: compare
-     against a fresh exact oracle *)
-  let exact = Cost.create ~core:Config.lite llm () in
-  let entry = function Ok (e : Cost.entry) -> e | Error e -> Alcotest.fail e in
-  List.iter
-    (fun cache_len ->
-      for batch = 1 to 2 do
-        let s = entry (Cost.decode_step t ~batch ~cache_len) in
-        let x = entry (Cost.decode_step exact ~batch ~cache_len) in
-        let at what =
-          Printf.sprintf "%s at batch %d cache %d" what batch cache_len
-        in
-        Alcotest.(check int) (at "cycles") x.Cost.cycles s.Cost.cycles;
-        Alcotest.(check (float 0.)) (at "latency") x.Cost.latency_s
-          s.Cost.latency_s;
-        Alcotest.(check (float 0.)) (at "energy") x.Cost.energy_j
-          s.Cost.energy_j
-      done)
-    [ 1; 2; 3; 4; 6; 8 ]
-
 let test_cost_oracle_bounds () =
-  Alcotest.check_raises "grid past max_position rejected"
-    (Invalid_argument "Decode.Cost.create: max_cache_len >= llm max_position")
-    (fun () ->
-      ignore
-        (Cost.create ~max_cache_len:llm.Llm.max_position ~core:Config.lite
-           llm ()))
+  let t = Cost.create ~core:Config.lite llm in
+  let raises msg f = Alcotest.check_raises msg (Invalid_argument msg) f in
+  raises "Decode.Cost.prefill: batch < 1" (fun () ->
+      ignore (Cost.prefill t ~batch:0 ~prompt_len:8));
+  raises "Decode.Cost.prefill: prompt_len < 1" (fun () ->
+      ignore (Cost.prefill t ~batch:1 ~prompt_len:0));
+  raises "Decode.Cost.decode_step: batch < 1" (fun () ->
+      ignore (Cost.decode_step t ~batch:0 ~cache_len:8));
+  raises "Decode.Cost.decode_step: cache_len < 1" (fun () ->
+      ignore (Cost.decode_step t ~batch:1 ~cache_len:0));
+  Alcotest.(check int) "nothing priced" 0 (Cost.misses t + Cost.hits t)
 
 (* ------------------------------------------------------------------ *)
 (* Engine: shed semantics, determinism, continuous vs static           *)
@@ -148,7 +115,7 @@ let request id arrival_s prompt_len output_len =
 let config ?(mode = Engine.Continuous) ?(max_batch = 4) ?hbm_bytes () =
   let base = Engine.default_config ~core:Config.lite () in
   let hbm_bytes = Option.value hbm_bytes ~default:base.Engine.hbm_bytes in
-  { base with Engine.mode; max_batch; hbm_bytes; max_cache_len = 32 }
+  { base with Engine.mode; max_batch; hbm_bytes }
 
 let run_ok config requests =
   match Engine.run config requests with
@@ -242,20 +209,21 @@ let test_continuous_beats_static () =
     (continuous.Engine.metrics.Metrics.mean_decode_batch
     >= static.Engine.metrics.Metrics.mean_decode_batch)
 
-(* the surrogate grid prices the same (length, batch) points in the
-   same order whatever it interpolates, so a small run's oracle counters
-   are pinned *)
-let test_engine_surrogate_counters_pinned () =
+(* nothing else runs the 4-layer LLM: two requests complete on it, and
+   the document names its depth *)
+let test_engine_small_llm () =
   let r =
     run_ok
-      { (config ~max_batch:2 ()) with
-        Engine.costing = `Surrogate; max_cache_len = 8 }
-      [ request 0 0. 6 5; request 1 0.0001 4 5 ]
+      { (config ()) with Engine.llm = Llm.small_config }
+      [ request 0 0. 6 3; request 1 0.0001 4 5 ]
   in
-  Alcotest.(check int) "hits" 154 r.Engine.cost_hits;
-  Alcotest.(check int) "misses" 86 r.Engine.cost_misses;
-  Alcotest.(check bool) "the grid and the fallback both answer" true
-    (r.Engine.cost_interpolated > 0 && r.Engine.cost_fallbacks > 0)
+  Alcotest.(check int) "both completed" 2 r.Engine.metrics.Metrics.completed;
+  Alcotest.(check int) "token conservation" (3 + 5)
+    r.Engine.metrics.Metrics.total_tokens;
+  let field k = function Some (Json.Obj kv) -> List.assoc_opt k kv | _ -> None in
+  Alcotest.(check bool) "config.llm.layers is 4" true
+    (Some (Engine.to_json r) |> field "config" |> field "llm" |> field "layers"
+    = Some (Json.Int 4))
 
 let test_engine_json_shape () =
   let r = run_ok (config ()) [ request 0 0. 4 2 ] in
@@ -267,11 +235,17 @@ let test_engine_json_shape () =
         Alcotest.(check bool) ("has " ^ k) true (List.mem_assoc k fields))
       [ "config"; "metrics"; "memory"; "steps"; "cost_cache" ];
     Alcotest.(check (list string))
-      "cost_cache keys"
-      [ "hits"; "misses"; "interpolated"; "fallbacks" ]
+      "cost_cache keys" [ "hits"; "misses" ]
       (match List.assoc "cost_cache" fields with
       | Json.Obj counters -> List.map fst counters
-      | _ -> [])
+      | _ -> []);
+    List.iter
+      (fun k ->
+        Alcotest.(check bool) ("config has no " ^ k) false
+          (match List.assoc "config" fields with
+          | Json.Obj config -> List.mem_assoc k config
+          | _ -> true))
+      [ "costing"; "max_cache_len" ]
   | Ok _ -> Alcotest.fail "expected a JSON object"
 
 let () =
@@ -286,7 +260,6 @@ let () =
       ( "cost",
         [
           Alcotest.test_case "exact memo" `Quick test_cost_oracle_memo;
-          Alcotest.test_case "surrogate" `Quick test_cost_oracle_surrogate;
           Alcotest.test_case "bounds" `Quick test_cost_oracle_bounds;
         ] );
       ( "engine",
@@ -298,7 +271,6 @@ let () =
           Alcotest.test_case "continuous vs static" `Quick
             test_continuous_beats_static;
           Alcotest.test_case "json shape" `Quick test_engine_json_shape;
-          Alcotest.test_case "surrogate counters pinned" `Quick
-            test_engine_surrogate_counters_pinned;
+          Alcotest.test_case "small llm" `Quick test_engine_small_llm;
         ] );
     ]
