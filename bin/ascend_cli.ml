@@ -75,6 +75,22 @@ let catching_invalid f = try f () with Invalid_argument msg -> Error msg
 
 let ( let* ) = Result.bind
 
+(* a numeric flag out of range is reported by its name and its value as
+   typed, in the flag's own unit, before the library's check (worded
+   for the library's callers) would reject the converted value; each
+   command checks a flag only where its run reads it *)
+let positive ~flag ~unit x =
+  if x > 0. then Ok ()
+  else Error (Printf.sprintf "%s must be positive (%s), got %g" flag unit x)
+
+let at_least_one ?unit ~flag n =
+  if n >= 1 then Ok ()
+  else
+    Error
+      (Printf.sprintf "%s must be at least 1%s, got %d" flag
+         (Option.fold ~none:"" ~some:(Printf.sprintf " (%s)") unit)
+         n)
+
 (* write each document whose path is given ('-': stdout) *)
 let write_docs docs =
   List.iter
@@ -395,6 +411,18 @@ let model_specs ~core t models =
   let* slos = broadcast ~what:"--slo-ms" n t.slos in
   let* priorities = broadcast ~what:"--priority" n t.priorities in
   let* () =
+    (* closed-loop clients read no rate *)
+    if t.closed > 0 then Ok ()
+    else
+      List.fold_left
+        (fun acc rate ->
+          Result.bind acc (fun () ->
+              positive ~flag:"--rate" ~unit:"requests/s" rate))
+        (Ok ()) rates
+  in
+  let* () = positive ~flag:"--duration" ~unit:"s" t.duration in
+  let* () = at_least_one ~flag:"--batch-max" t.batch_max in
+  let* () =
     check_core core
       (List.map (fun (name, build) -> (name, build ~batch:1)) models)
   in
@@ -440,7 +468,8 @@ let run_reported ~trace_path f =
 
 let serve models core cores t json_path trace_path =
   exit_of
-    (let* specs = model_specs ~core t models in
+    (let* () = at_least_one ~flag:"--cores" cores in
+     let* specs = model_specs ~core t models in
      let config =
        {
          Serve.core;
@@ -568,6 +597,10 @@ let decode core rate duration seed process prompt_mean prompt_max
        if small_llm then Ascend.Nn.Llm.small_config
        else Ascend.Nn.Llm.tiny_config
      in
+     let* () = positive ~flag:"--rate" ~unit:"requests/s" rate in
+     let* () = positive ~flag:"--duration" ~unit:"s" duration in
+     let* () = at_least_one ~flag:"--batch-max" batch_max in
+     let* () = at_least_one ~unit:"MiB" ~flag:"--hbm-mb" hbm_mb in
      let* requests =
        catching_invalid (fun () ->
            Ok
@@ -734,7 +767,8 @@ let kv_bytes ~batch_max name =
 let fleet models core nodes cores_per_node policy replicas t train_nodes
     train_model train_batch node_hbm_gb json_path pagein_path trace_path =
   exit_of
-    (let* specs = model_specs ~core t models in
+    (let* () = at_least_one ~flag:"--nodes" nodes in
+     let* specs = model_specs ~core t models in
      let* replicas =
        broadcast ~what:"--replicas" (List.length models) replicas
      in

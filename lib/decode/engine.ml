@@ -46,7 +46,9 @@ type slot = {
   mutable sl_cache_len : int;
   mutable sl_generated : int;
   mutable sl_last_token_s : float;
-  mutable sl_itl_rev : float list;
+  (* the request's [output_len - 1] inter-token gaps: the decode step
+     that makes token [sl_generated + 1] writes entry [sl_generated - 1] *)
+  sl_itl : float array;
   (* static batching keeps finished sequences in the group (padding)
      until every member is done; continuous retires them immediately *)
   mutable sl_active : bool;
@@ -176,7 +178,7 @@ let run config requests =
         admit_s = sl.sl_admit_s;
         first_token_s = sl.sl_first_token_s;
         finish_s = sl.sl_last_token_s;
-        itl_s = List.rev sl.sl_itl_rev;
+        itl_s = sl.sl_itl;
       }
       :: !records;
     kv_reserved := !kv_reserved - reserve r;
@@ -216,7 +218,7 @@ let run config requests =
         sl_cache_len = r.Request.prompt_len;
         sl_generated = 1;
         sl_last_token_s = finish_s;
-        sl_itl_rev = [];
+        sl_itl = Array.make (r.Request.output_len - 1) 0.;
         sl_active = r.Request.output_len > 1;
       }
     in
@@ -243,7 +245,7 @@ let run config requests =
     now := finish_s;
     List.iter
       (fun sl ->
-        sl.sl_itl_rev <- (finish_s -. sl.sl_last_token_s) :: sl.sl_itl_rev;
+        sl.sl_itl.(sl.sl_generated - 1) <- finish_s -. sl.sl_last_token_s;
         sl.sl_last_token_s <- finish_s;
         sl.sl_cache_len <- sl.sl_cache_len + 1;
         sl.sl_generated <- sl.sl_generated + 1;

@@ -37,8 +37,12 @@ type t = {
 val step_kind_name : step_kind -> string
 
 val build : records:Request.record list -> steps:step list -> t
-(** Percentiles are nearest-rank ({!Ascend_util.Stats.percentile}); an
-    empty sample yields 0. *)
+(** Percentiles are nearest-rank ({!Ascend_util.Stats.percentile}),
+    selected in place ({!Ascend_util.Stats.percentile_in_place}) over
+    one array of TTFTs and one of every completed record's gaps, joined
+    in record order; an empty sample yields 0.  [itl_mean_ms] sums the
+    gaps from 0. in that same order, so a list fold over
+    [List.concat_map] of the records' gaps gives the same bits. *)
 
 val to_json : t -> Ascend_util.Json.t
 

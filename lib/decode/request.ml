@@ -15,7 +15,7 @@ type record = {
   admit_s : float;
   first_token_s : float;
   finish_s : float;
-  itl_s : float list;
+  itl_s : float array;
 }
 
 let shed request =
@@ -25,7 +25,7 @@ let shed request =
     admit_s = request.arrival_s;
     first_token_s = request.arrival_s;
     finish_s = request.arrival_s;
-    itl_s = [];
+    itl_s = [||];
   }
 
 let ttft_s r = r.first_token_s -. r.request.arrival_s

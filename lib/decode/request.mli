@@ -22,7 +22,10 @@ type record = {
   admit_s : float;        (** prefill start *)
   first_token_s : float;  (** prefill finish — the first output token *)
   finish_s : float;       (** last token *)
-  itl_s : float list;     (** inter-token gaps, [output_len - 1] entries *)
+  itl_s : float array;
+      (** inter-token gaps in token order, [output_len - 1] entries
+          (none when shed); the engine writes each in place as its
+          token is decoded *)
 }
 
 val shed : t -> record

@@ -42,11 +42,12 @@ let summarize ~duration_s ~model ~priority ~slo_ms records =
     List.map (fun r -> 1e3 *. Request.latency_s r) done_
   in
   let within = List.filter Request.met_slo done_ in
-  (* one sort serves every percentile below — the three per-model
-     tail queries were each re-sorting the full latency trace *)
-  let lat_sorted = Stats.sorted_of_list lat_ms in
+  (* one array serves every percentile below, the maximum (p100)
+     included: each query selects in place, and any order of the
+     sample selects the same rank *)
+  let lat = Array.of_list lat_ms in
   let pct p =
-    if lat_ms = [] then 0. else Stats.percentile_of_sorted p lat_sorted
+    if lat_ms = [] then 0. else Stats.percentile_in_place p lat
   in
   {
     model;
@@ -59,9 +60,7 @@ let summarize ~duration_s ~model ~priority ~slo_ms records =
     p50_ms = pct 50.;
     p95_ms = pct 95.;
     p99_ms = pct 99.;
-    max_ms =
-      (if lat_ms = [] then 0.
-       else lat_sorted.(Array.length lat_sorted - 1));
+    max_ms = pct 100.;
     slo_attainment =
       (if done_ = [] then 0.
        else float_of_int (List.length within) /. float_of_int (List.length done_));

@@ -15,13 +15,15 @@ type model_summary = {
       (** Latency percentiles use {!Ascend_util.Stats.percentile}'s
           nearest-rank semantics: the smallest observed latency with at
           least [ceil (p/100 * n)] of the sample at or below it — always
-          an actually observed latency, never an interpolated one.  A
+          an actually observed latency, never an interpolated one —
+          selected in place over one array of the model's latencies
+          ({!Ascend_util.Stats.percentile_in_place}, no sort).  A
           single completion is its own p50/p95/p99; with two completions
           [a <= b], p50 is [a] and p95/p99 are [b].  All percentiles are
           0 when nothing completed. *)
   p95_ms : float;
   p99_ms : float;
-  max_ms : float;           (** 0 when nothing completed *)
+  max_ms : float;           (** p100; 0 when nothing completed *)
   slo_attainment : float;   (** completed within SLO / completed *)
   goodput_per_s : float;    (** completions within SLO / duration *)
   throughput_per_s : float; (** all completions / duration *)

@@ -20,26 +20,44 @@ let stddev = function
 
 (* Nearest-rank: the smallest order statistic with at least
    ceil(p/100 * n) of the sample at or below it; p = 0 is the
-   minimum.  Always returns an element of the sample. *)
-let percentile_of_sorted p arr =
-  let n = Array.length arr in
-  if n = 0 then invalid_arg "Stats.percentile_of_sorted: empty array";
+   minimum.  Always returns an element of the sample.  Hoare's
+   selection (Wirth's variant, middle pivot) finds it in O(n) on average;
+   the loops stay monomorphic over [float array], so no element is
+   boxed and no comparator closure runs. *)
+let percentile_in_place p (a : float array) =
+  let n = Array.length a in
+  if n = 0 then invalid_arg "Stats.percentile_in_place: empty array";
   if p < 0. || p > 100. then
-    invalid_arg "Stats.percentile_of_sorted: p outside [0,100]";
+    invalid_arg "Stats.percentile_in_place: p outside [0,100]";
   let rank = int_of_float (Float.ceil (p /. 100. *. float_of_int n)) in
-  arr.(max 0 (min (n - 1) (rank - 1)))
-
-let sorted_of_list xs =
-  let arr = Array.of_list xs in
-  Array.sort Float.compare arr;
-  arr
+  let k = max 0 (min (n - 1) (rank - 1)) in
+  let lo = ref 0 and hi = ref (n - 1) in
+  while !lo < !hi do
+    let pivot = a.((!lo + !hi) / 2) in
+    let i = ref !lo and j = ref !hi in
+    while !i <= !j do
+      while a.(!i) < pivot do incr i done;
+      while pivot < a.(!j) do decr j done;
+      if !i <= !j then begin
+        let x = a.(!i) in
+        a.(!i) <- a.(!j);
+        a.(!j) <- x;
+        incr i;
+        decr j
+      end
+    done;
+    (* [lo, j] <= pivot <= [i, hi], and every slot between equals it *)
+    if !j < k then lo := !i;
+    if k < !i then hi := !j
+  done;
+  a.(k)
 
 let percentile p = function
   | [] -> invalid_arg "Stats.percentile: empty list"
   | xs ->
     if p < 0. || p > 100. then
       invalid_arg "Stats.percentile: p outside [0,100]";
-    percentile_of_sorted p (sorted_of_list xs)
+    percentile_in_place p (Array.of_list xs)
 
 let minimum = function
   | [] -> invalid_arg "Stats.minimum: empty list"
@@ -58,7 +76,3 @@ let divide_round_up a b =
   if b <= 0 then invalid_arg "Stats.divide_round_up: non-positive divisor";
   if a < 0 then invalid_arg "Stats.divide_round_up: negative dividend";
   (a + b - 1) / b
-
-let round_up_to ~multiple n =
-  if multiple <= 0 then invalid_arg "Stats.round_up_to: non-positive multiple";
-  divide_round_up n multiple * multiple

@@ -19,17 +19,17 @@ val percentile : float -> float list -> float
     latency.  Singleton lists return their element for every [p];
     with two samples [a <= b], any [p <= 50] gives [a] and any
     [p > 50] gives [b].  Raises [Invalid_argument] on the empty list
-    or [p] outside [0,100]. *)
+    or [p] outside [0,100].  Copies [xs] into an array and takes
+    {!percentile_in_place} of it. *)
 
-val sorted_of_list : float list -> float array
-(** The sample as a freshly sorted array — the one-time cost that
-    {!percentile_of_sorted} amortises across repeated queries. *)
-
-val percentile_of_sorted : float -> float array -> float
-(** {!percentile} over an already-sorted array, so a caller taking
-    several percentiles of the same sample (p50/p95/p99 of a latency
-    trace) sorts once instead of once per query.  Raises
-    [Invalid_argument] on the empty array or [p] outside [0,100]. *)
+val percentile_in_place : float -> float array -> float
+(** {!percentile} of the sample in the array, found by selection
+    (O(n) on average, no sort, no boxed element); it reorders the
+    array.  Any order of the same sample gives the same answer, so a
+    caller taking several percentiles of one sample (p50/p95/p99 of a
+    latency trace) passes the same array to each query, with no copy.
+    Raises [Invalid_argument] on the empty array or [p] outside
+    [0,100]. *)
 
 val minimum : float list -> float
 val maximum : float list -> float
@@ -40,12 +40,8 @@ val ratio : float -> float -> float
 
 val clamp : lo:float -> hi:float -> float -> float
 
-val sum : float list -> float
 val sum_int : int list -> int
 
 val divide_round_up : int -> int -> int
 (** Ceiling division on non-negative integers.  Raises [Invalid_argument]
     on a non-positive divisor. *)
-
-val round_up_to : multiple:int -> int -> int
-(** Round up to the nearest positive multiple. *)

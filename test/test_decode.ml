@@ -183,7 +183,7 @@ let test_engine_accounting () =
       Alcotest.(check bool) "ttft positive" true (Request.ttft_s rec_ > 0.);
       Alcotest.(check int) "itl gap per extra token"
         (rec_.Request.request.Request.output_len - 1)
-        (List.length rec_.Request.itl_s))
+        (Array.length rec_.Request.itl_s))
     r.Engine.records
 
 let test_continuous_beats_static () =
@@ -248,6 +248,153 @@ let test_engine_json_shape () =
       [ "costing"; "max_cache_len" ]
   | Ok _ -> Alcotest.fail "expected a JSON object"
 
+(* ------------------------------------------------------------------ *)
+(* Metrics.build against a list-and-sort reference                     *)
+
+(* every field of [Metrics.t] recomputed from the records and steps the
+   slow, obvious way: gaps joined by [List.concat_map] over completed
+   records in id order, a sorted list per percentile, nearest rank, and
+   a left fold from 0. for the mean *)
+let reference_metrics ~(records : Request.record list) ~steps =
+  let completed =
+    List.sort
+      (fun (a : Request.record) (b : Request.record) ->
+        compare a.request.Request.id b.request.Request.id)
+      (List.filter (fun r -> r.Request.outcome = Request.Completed) records)
+  in
+  let nearest p xs =
+    match List.sort Float.compare xs with
+    | [] -> 0.
+    | sorted ->
+      let n = List.length sorted in
+      let rank = int_of_float (Float.ceil (p /. 100. *. float_of_int n)) in
+      List.nth sorted (max 0 (min (n - 1) (rank - 1)))
+  in
+  let mean = function
+    | [] -> 0.
+    | xs -> List.fold_left ( +. ) 0. xs /. float_of_int (List.length xs)
+  in
+  let ms x = 1e3 *. x in
+  let ttft = List.map Request.ttft_s completed in
+  let itl =
+    List.concat_map (fun r -> Array.to_list r.Request.itl_s) completed
+  in
+  let total_tokens =
+    List.fold_left (fun a r -> a + Request.tokens r) 0 completed
+  in
+  let makespan_s =
+    List.fold_left (fun a r -> Float.max a r.Request.finish_s) 0. completed
+  in
+  let dur (st : Metrics.step) = st.st_finish_s -. st.st_start_s in
+  let busy kind =
+    List.fold_left
+      (fun a (st : Metrics.step) ->
+        if st.st_kind = kind then a +. dur st else a)
+      0. steps
+  in
+  let weighted =
+    List.fold_left
+      (fun a (st : Metrics.step) ->
+        if st.st_kind = Metrics.Decode then
+          a +. (float_of_int st.st_batch *. dur st)
+        else a)
+      0. steps
+  in
+  let decode_busy_s = busy Metrics.Decode in
+  {
+    Metrics.completed = List.length completed;
+    shed =
+      List.length
+        (List.filter (fun r -> r.Request.outcome = Request.Shed) records);
+    total_tokens;
+    makespan_s;
+    tokens_per_s =
+      (if makespan_s > 0. then float_of_int total_tokens /. makespan_s
+       else 0.);
+    ttft_p50_ms = ms (nearest 50. ttft);
+    ttft_p95_ms = ms (nearest 95. ttft);
+    ttft_p99_ms = ms (nearest 99. ttft);
+    itl_mean_ms = ms (mean itl);
+    itl_p50_ms = ms (nearest 50. itl);
+    itl_p95_ms = ms (nearest 95. itl);
+    itl_p99_ms = ms (nearest 99. itl);
+    mean_decode_batch =
+      (if decode_busy_s > 0. then weighted /. decode_busy_s else 0.);
+    prefill_busy_s = busy Metrics.Prefill;
+    decode_busy_s;
+  }
+
+(* JSON prints %.9g, so only a bit comparison sees a last-bit drift *)
+let check_run label (run : Engine.result) =
+  let r = reference_metrics ~records:run.records ~steps:run.steps in
+  let m = run.metrics in
+  List.iter
+    (fun (name, want, got) ->
+      Alcotest.(check int) (label ^ " " ^ name) want got)
+    [
+      ("completed", r.completed, m.completed);
+      ("shed", r.shed, m.shed);
+      ("total_tokens", r.total_tokens, m.total_tokens);
+    ];
+  List.iter
+    (fun (name, want, got) ->
+      Alcotest.(check int64)
+        (Printf.sprintf "%s %s bits (%h vs %h)" label name want got)
+        (Int64.bits_of_float want) (Int64.bits_of_float got))
+    [
+      ("makespan_s", r.makespan_s, m.makespan_s);
+      ("tokens_per_s", r.tokens_per_s, m.tokens_per_s);
+      ("ttft_p50_ms", r.ttft_p50_ms, m.ttft_p50_ms);
+      ("ttft_p95_ms", r.ttft_p95_ms, m.ttft_p95_ms);
+      ("ttft_p99_ms", r.ttft_p99_ms, m.ttft_p99_ms);
+      ("itl_mean_ms", r.itl_mean_ms, m.itl_mean_ms);
+      ("itl_p50_ms", r.itl_p50_ms, m.itl_p50_ms);
+      ("itl_p95_ms", r.itl_p95_ms, m.itl_p95_ms);
+      ("itl_p99_ms", r.itl_p99_ms, m.itl_p99_ms);
+      ("mean_decode_batch", r.mean_decode_batch, m.mean_decode_batch);
+      ("prefill_busy_s", r.prefill_busy_s, m.prefill_busy_s);
+      ("decode_busy_s", r.decode_busy_s, m.decode_busy_s);
+    ]
+
+let test_metrics_bit_exact () =
+  (* the decode golden's trace: `decode --core lite --rate 2000
+     --duration 0.05 --mode compare` at the CLI's defaults *)
+  let golden =
+    Request.of_load_gen
+      ~gen:(Load_gen.create ~rate_per_s:2000. ~duration_s:0.05 ~seed:42 ())
+      ~prompt:(Load_gen.Geometric { mean = 16.; max_len = 48 })
+      ~output:(Load_gen.Geometric { mean = 8.; max_len = 32 })
+  in
+  List.iter
+    (fun mode ->
+      let r = run_ok (config ~mode ~max_batch:8 ()) golden in
+      Alcotest.(check bool) "golden trace completes requests" true
+        (r.metrics.completed > 0);
+      check_run ("golden " ^ Engine.mode_name mode) r)
+    [ Engine.Continuous; Engine.Static ];
+  (* short outputs, so some requests decode nothing, under an HBM budget
+     that sheds every request reserving more than 40 cache positions *)
+  let edge =
+    Request.of_load_gen
+      ~gen:(Load_gen.create ~rate_per_s:2000. ~duration_s:0.02 ~seed:5 ())
+      ~prompt:(Load_gen.Geometric { mean = 16.; max_len = 48 })
+      ~output:(Load_gen.Geometric { mean = 2.; max_len = 8 })
+  in
+  let weight_bytes = (run_ok (config ()) [ request 0 0. 1 1 ]).weight_bytes in
+  let hbm_bytes = weight_bytes + (40 * Llm.kv_bytes_per_token llm) in
+  List.iter
+    (fun mode ->
+      let r = run_ok (config ~mode ~hbm_bytes ()) edge in
+      let exists f = List.exists f r.records in
+      Alcotest.(check bool) "edge trace has a one-token request" true
+        (exists (fun (rc : Request.record) ->
+             rc.outcome = Request.Completed
+             && rc.request.Request.output_len = 1));
+      Alcotest.(check bool) "edge trace has a shed request" true
+        (exists (fun (rc : Request.record) -> rc.outcome = Request.Shed));
+      check_run ("edge " ^ Engine.mode_name mode) r)
+    [ Engine.Continuous; Engine.Static ]
+
 let () =
   Alcotest.run "decode"
     [
@@ -272,5 +419,10 @@ let () =
             test_continuous_beats_static;
           Alcotest.test_case "json shape" `Quick test_engine_json_shape;
           Alcotest.test_case "small llm" `Quick test_engine_small_llm;
+        ] );
+      ( "metrics",
+        [
+          Alcotest.test_case "bit-exact against a sorted-list reference"
+            `Quick test_metrics_bit_exact;
         ] );
     ]

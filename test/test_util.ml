@@ -73,7 +73,6 @@ let test_stats () =
   check_float "ratio zero zero" 0. (Stats.ratio 0. 0.);
   Alcotest.(check int) "divide_round_up exact" 4 (Stats.divide_round_up 16 4);
   Alcotest.(check int) "divide_round_up up" 5 (Stats.divide_round_up 17 4);
-  Alcotest.(check int) "round_up_to" 32 (Stats.round_up_to ~multiple:16 17);
   Alcotest.check_raises "bad divisor" (Invalid_argument
     "Stats.divide_round_up: non-positive divisor") (fun () ->
       ignore (Stats.divide_round_up 1 0))
@@ -102,7 +101,14 @@ let test_percentile_nearest_rank () =
   check_float "ten p50" 5. (Stats.percentile 50. xs);
   check_float "ten p90" 9. (Stats.percentile 90. xs);
   check_float "ten p95" 10. (Stats.percentile 95. xs);
-  check_float "ten p99" 10. (Stats.percentile 99. xs)
+  check_float "ten p99" 10. (Stats.percentile 99. xs);
+  (* the array form keeps its own messages *)
+  Alcotest.check_raises "empty array raises"
+    (Invalid_argument "Stats.percentile_in_place: empty array") (fun () ->
+      ignore (Stats.percentile_in_place 50. [||]));
+  Alcotest.check_raises "array p out of range"
+    (Invalid_argument "Stats.percentile_in_place: p outside [0,100]")
+    (fun () -> ignore (Stats.percentile_in_place (-1.) [| 1. |]))
 
 let percentile_member_prop =
   QCheck.Test.make ~count:500
@@ -112,15 +118,44 @@ let percentile_member_prop =
         (list_of_size (Gen.int_range 1 20) (float_range (-50.) 50.)))
     (fun (p, xs) -> List.mem (Stats.percentile p xs) xs)
 
-let percentile_of_sorted_prop =
+(* 1..2000 quarter-steps in [-5, 5]: duplicates are the rule, and the
+   sample straddles zero *)
+let sample_arb =
+  QCheck.(
+    array_of_size (Gen.int_range 1 2000)
+      (map (fun i -> float_of_int i /. 4.) (int_range (-20) 20)))
+
+let percentile_arb =
+  QCheck.(oneof [ float_range 0. 100.; oneofl [ 0.; 50.; 95.; 99.; 100. ] ])
+
+(* the nearest rank read off a sorted copy *)
+let sorted_percentile p a =
+  let sorted = Array.copy a in
+  Array.sort Float.compare sorted;
+  let n = Array.length sorted in
+  let rank = int_of_float (Float.ceil (p /. 100. *. float_of_int n)) in
+  sorted.(max 0 (min (n - 1) (rank - 1)))
+
+let percentile_in_place_prop =
   QCheck.Test.make ~count:500
-    ~name:"percentile_of_sorted agrees with percentile"
-    QCheck.(
-      pair (float_range 0. 100.)
-        (list_of_size (Gen.int_range 1 20) (float_range (-50.) 50.)))
-    (fun (p, xs) ->
-      Stats.percentile_of_sorted p (Stats.sorted_of_list xs)
-      = Stats.percentile p xs)
+    ~name:"percentile_in_place agrees with a sorted reference"
+    QCheck.(pair percentile_arb sample_arb)
+    (fun (p, a) ->
+      let expected = sorted_percentile p a in
+      Stats.percentile_in_place p (Array.copy a) = expected
+      && Stats.percentile p (Array.to_list a) = expected)
+
+let percentile_in_place_reuse_prop =
+  QCheck.Test.make ~count:200
+    ~name:"percentile_in_place: queries on one reordered array = on copies"
+    sample_arb
+    (fun a ->
+      let shared = Array.copy a in
+      List.for_all
+        (fun p ->
+          Stats.percentile_in_place p shared
+          = Stats.percentile_in_place p (Array.copy a))
+        [ 50.; 95.; 99.; 100. ])
 
 let div_up_prop =
   QCheck.Test.make ~count:500 ~name:"divide_round_up is a ceiling"
@@ -473,7 +508,8 @@ let () =
           Alcotest.test_case "percentile nearest-rank" `Quick
             test_percentile_nearest_rank;
           q percentile_member_prop;
-          q percentile_of_sorted_prop;
+          q percentile_in_place_prop;
+          q percentile_in_place_reuse_prop;
           q div_up_prop;
         ] );
       ( "prng",
